@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownSite
 from .sites import GridRegion
 from .units import EmissionsKg, EnergyKwh
 
@@ -45,23 +44,3 @@ def comm_energy(payload: UpdatePayload, model: CommEnergyModel) -> EnergyKwh:
 
 def comm_emissions(energy: EnergyKwh, grid: GridRegion) -> EmissionsKg:
     return EmissionsKg(energy.value * grid.ci_kg_per_kwh)
-
-
-def round_comm_total(
-    payloads: list[UpdatePayload],
-    model: CommEnergyModel,
-    grids_by_site: dict[str, GridRegion],
-):
-    """Summed (energy, emissions) over one round's payloads.
-
-    Emissions are attributed to each transmitting client's grid region.
-    """
-    energy = 0.0
-    co2e = 0.0
-    for payload in payloads:
-        if payload.site_id not in grids_by_site:
-            raise UnknownSite(f"no grid region for site {payload.site_id}")
-        e = comm_energy(payload, model)
-        energy += e.value
-        co2e += comm_emissions(e, grids_by_site[payload.site_id]).value
-    return EnergyKwh(energy), EmissionsKg(co2e)

@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
 from .comm import CommEnergyModel
 from .errors import ConfigError
 from .orchestrator import RunPlan
@@ -67,19 +65,54 @@ _POWER_KEYS = {"cpu_w", "gpu_w", "ram_w"}
 _TIER_KEYS = {"slowdown_factor", "power_scale"}
 
 
+@dataclass(frozen=True)
+class WorkloadConfig:
+    """The synthetic dataset's shape; see `workload.make_blobs`."""
+
+    num_classes: int
+    num_features: int
+    samples_per_class: int
+    separation: float
+
+
+@dataclass(frozen=True)
+class TrajectorySpec:
+    """Every input that shapes the learning trajectory, and nothing else.
+
+    Tiers, hardware, regions, the comm model and evaluation spans only
+    change the ledger, so they are not here.  The dataset seed is
+    `train.seed`.
+    """
+
+    workload: WorkloadConfig
+    train: TrainConfig
+    partition: PartitionConfig
+    num_rounds: int
+    num_sites: int
+
+
 @dataclass
 class RunConfig:
     scenario: str
     seed: int
     plan: RunPlan
     partition_cfg: PartitionConfig
-    workload_cfg: dict
+    workload_cfg: WorkloadConfig
     comm_attribution: str
     raw: dict = field(repr=False, default_factory=dict)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def trajectory_spec(self) -> TrajectorySpec:
+        return TrajectorySpec(
+            workload=self.workload_cfg,
+            train=self.plan.train_cfg,
+            partition=self.partition_cfg,
+            num_rounds=self.plan.num_rounds,
+            num_sites=len(self.plan.sites),
+        )
 
 
 def _require(doc: dict, key: str, types, path: str):
@@ -144,14 +177,14 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
 
     wl = _require(doc, "workload", dict, "")
     _reject_unknown(wl, _WORKLOAD_KEYS, "workload")
-    workload_cfg = {
-        "num_classes": int(wl.get("num_classes", 10)),
-        "num_features": int(wl.get("num_features", 90)),
-        "samples_per_class": int(wl.get("samples_per_class", 6000)),
-        "separation": float(wl.get("separation", 5.0)),
-    }
+    workload_cfg = WorkloadConfig(
+        num_classes=int(wl.get("num_classes", 10)),
+        num_features=int(wl.get("num_features", 90)),
+        samples_per_class=int(wl.get("samples_per_class", 6000)),
+        separation=float(wl.get("separation", 5.0)),
+    )
     for key in ("num_classes", "num_features", "samples_per_class"):
-        _positive(workload_cfg[key], f"workload.{key}")
+        _positive(getattr(workload_cfg, key), f"workload.{key}")
     try:
         train_cfg = TrainConfig(
             local_epochs=int(wl.get("local_epochs", 10)),
@@ -275,24 +308,25 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
     )
 
 
-def build_dataset(cfg: RunConfig) -> SyntheticDataset:
+def build_dataset(spec: TrajectorySpec) -> SyntheticDataset:
     return make_blobs(
-        num_classes=cfg.workload_cfg["num_classes"],
-        num_features=cfg.workload_cfg["num_features"],
-        samples_per_class=cfg.workload_cfg["samples_per_class"],
-        separation=cfg.workload_cfg["separation"],
-        seed=cfg.seed,
+        num_classes=spec.workload.num_classes,
+        num_features=spec.workload.num_features,
+        samples_per_class=spec.workload.samples_per_class,
+        separation=spec.workload.separation,
+        seed=spec.train.seed,
     )
 
 
-def build_partitions(cfg: RunConfig, dataset: SyntheticDataset) -> dict[str, np.ndarray]:
+def build_shards(spec: TrajectorySpec, dataset: SyntheticDataset) -> list[SyntheticDataset]:
+    """The first `spec.num_sites` Dirichlet partitions of `dataset`, in site order."""
     descriptor = LabeledDatasetDescriptor(
         num_samples=dataset.num_samples,
         num_classes=dataset.num_classes,
         labels=dataset.labels,
     )
-    parts = dirichlet_partition(descriptor, cfg.partition_cfg)
-    return {site.site_id: parts[i].sample_indices for i, site in enumerate(cfg.plan.sites)}
+    parts = dirichlet_partition(descriptor, spec.partition)
+    return [dataset.subset(part.sample_indices) for part in parts[: spec.num_sites]]
 
 
 def bundled_config_path(name: str):

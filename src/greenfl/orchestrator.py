@@ -1,11 +1,13 @@
-"""Synchronous FedAvg round loop over a simulated event clock.
+"""Synchronous FedAvg: the learning trajectory and its sim-clock ledger.
 
 Every site participates every round.  Within a round the sim clock runs:
 all sites start training at the round barrier, each finishes after its
 tier-stretched duration, non-slowest sites idle until the slowest one
 finishes, everyone then evaluates, and the next barrier is the end of the
 slowest evaluation.  Timing never feeds back into learning: efficiency
-tiers and hardware profiles change the ledger, never the model.
+tiers and hardware profiles change the ledger, never the model.  So the
+two are separate functions: `run_job` trains, and `build_ledger` derives
+every span in closed form from the plan and the client shard sizes.
 """
 
 from __future__ import annotations
@@ -14,18 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommEnergyModel, UpdatePayload, round_comm_total
+from .comm import CommEnergyModel
 from .errors import EmptyUpdateSet, ShapeMismatch
 from .sites import SiteConfig, effective_power, effective_train_duration
 from .tracker import Phase, SamplingPolicy, TaskTracker
-from .units import CarbonIntensity, EmissionsKg, EnergyKwh
+from .units import JOULES_PER_KWH, CarbonIntensity
 from .workload import (
     ModelParams,
     SyntheticDataset,
     TrainConfig,
     evaluate,
     local_train,
-    update_payload_bytes,
+    steps_per_round,
 )
 
 
@@ -49,24 +51,11 @@ class RunPlan:
 
 
 @dataclass
-class ServerState:
-    """Mutable server-side state threaded through the round loop."""
-
-    global_params: ModelParams
-    client_data: dict[str, SyntheticDataset]
-    round_index: int = 0
-    barrier_s: float = 0.0
-
-
-@dataclass
 class RoundOutcome:
     round_index: int
     train_duration_s: dict[str, float]
     idle_duration_s: dict[str, float]
     payload_bytes: dict[str, int]
-    comm_energy: EnergyKwh
-    comm_co2e: EmissionsKg
-    global_accuracy: float | None
 
 
 @dataclass
@@ -107,100 +96,44 @@ def _ci(site: SiteConfig) -> CarbonIntensity:
     return CarbonIntensity(site.region.ci_kg_per_kwh)
 
 
-def run_round(
-    server: ServerState,
-    plan: RunPlan,
-    tracker: TaskTracker,
-    full_dataset: SyntheticDataset,
-) -> RoundOutcome:
-    """Execute one FedAvg round: train, idle to the barrier, evaluate, aggregate."""
-    server.round_index += 1
-    round_index = server.round_index
-    barrier = server.barrier_s
-
-    updates = []
-    train_durations: dict[str, float] = {}
-    payloads = []
-    payload_by_site: dict[str, int] = {}
-
-    for site_index, site in enumerate(plan.sites):
-        shard = server.client_data[site.site_id]
-        cfg = TrainConfig(
-            local_epochs=plan.train_cfg.local_epochs,
-            batch_size=plan.train_cfg.batch_size,
-            learning_rate=plan.train_cfg.learning_rate,
-            seed=_client_seed(plan.train_cfg.seed, site_index, round_index),
-        )
-        trained, steps = local_train(server.global_params, shard, cfg)
-        duration = effective_train_duration(site.hardware, site.tier, steps).seconds
-        span = tracker.start_task(site.site_id, Phase.round(round_index), barrier)
-        tracker.stop_task(
-            span,
-            barrier + duration,
-            effective_power(site.hardware, site.tier, Phase.round(round_index)),
-            _ci(site),
-        )
-        train_durations[site.site_id] = duration
-        updates.append((trained, shard.num_samples))
-        bytes_ = update_payload_bytes(trained)
-        payloads.append(UpdatePayload(site.site_id, round_index, bytes_))
-        payload_by_site[site.site_id] = bytes_
-
-    train_end = barrier + max(train_durations.values())
-
-    # stragglers' peers idle until the round barrier; the slowest site gets
-    # a zero-length idle span so every site has one per round
-    idle_durations: dict[str, float] = {}
-    for site in plan.sites:
-        start = barrier + train_durations[site.site_id]
-        span = tracker.start_task(site.site_id, Phase.idle(round_index), start)
-        tracker.stop_task(
-            span,
-            train_end,
-            effective_power(site.hardware, site.tier, Phase.idle(round_index)),
-            _ci(site),
-        )
-        idle_durations[site.site_id] = train_end - start
-
-    eval_end = train_end
-    if plan.evaluate_each_round:
-        for site in plan.sites:
-            shard = server.client_data[site.site_id]
-            evaluate(server.global_params, shard)  # local metric; energy is what we account
-            eval_steps = -(-shard.num_samples // plan.train_cfg.batch_size)  # one forward pass
-            duration = effective_train_duration(site.hardware, site.tier, eval_steps).seconds
-            span = tracker.start_task(site.site_id, Phase.evaluate(round_index), train_end)
-            tracker.stop_task(
-                span,
-                train_end + duration,
-                effective_power(site.hardware, site.tier, Phase.evaluate(round_index)),
-                _ci(site),
-            )
-            eval_end = max(eval_end, train_end + duration)
-
-    server.global_params = fedavg_aggregate(updates)
-    server.barrier_s = eval_end
-    accuracy = evaluate(server.global_params, full_dataset)
-
-    grids = {s.site_id: s.region for s in plan.sites}
-    comm_e, comm_c = round_comm_total(payloads, plan.comm_model, grids)
-    return RoundOutcome(
-        round_index=round_index,
-        train_duration_s=train_durations,
-        idle_duration_s=idle_durations,
-        payload_bytes=payload_by_site,
-        comm_energy=comm_e,
-        comm_co2e=comm_c,
-        global_accuracy=accuracy,
-    )
-
-
 def run_job(
-    plan: RunPlan,
+    num_rounds: int,
+    train_cfg: TrainConfig,
     dataset: SyntheticDataset,
-    partitions_by_site: dict[str, np.ndarray],
-) -> RunResult:
-    """Execute the full FedAvg job and return the ledger plus round outcomes."""
+    shards: list[SyntheticDataset],
+) -> tuple[list[float], ModelParams]:
+    """Train FedAvg for `num_rounds`; return the global accuracy after each
+    round and the final global parameters.
+
+    Client i trains on `shards[i]` with its own (seed, i, round) shuffle
+    stream; the aggregate is evaluated on the full `dataset`.
+    """
+    params = ModelParams.zeros(dataset.num_classes, dataset.num_features)
+    accuracy_by_round = []
+    for round_index in range(1, num_rounds + 1):
+        updates = []
+        for site_index, shard in enumerate(shards):
+            cfg = TrainConfig(
+                local_epochs=train_cfg.local_epochs,
+                batch_size=train_cfg.batch_size,
+                learning_rate=train_cfg.learning_rate,
+                seed=_client_seed(train_cfg.seed, site_index, round_index),
+            )
+            trained, _ = local_train(params, shard, cfg)
+            updates.append((trained, shard.num_samples))
+        params = fedavg_aggregate(updates)
+        accuracy_by_round.append(evaluate(params, dataset))
+    return accuracy_by_round, params
+
+
+def build_ledger(
+    plan: RunPlan, shard_sizes: list[int], payload_bytes: int
+) -> tuple[TaskTracker, list[RoundOutcome]]:
+    """Every span of the run, from the plan and the client shard sizes.
+
+    Site i holds `shard_sizes[i]` samples and sends `payload_bytes` per
+    round; its step counts follow from `steps_per_round`.
+    """
     tracker = TaskTracker(plan.sampling)
 
     # one-time init: duration chosen so integrating training power over the
@@ -209,22 +142,65 @@ def run_job(
     for site in plan.sites:
         power = effective_power(site.hardware, site.tier, Phase.init())
         duration = (
-            site.hardware.init_spike_energy.value * 3_600_000.0 / power.total if power.total > 0 else 0.0
+            site.hardware.init_spike_energy.value * JOULES_PER_KWH / power.total if power.total > 0 else 0.0
         )
         span = tracker.start_task(site.site_id, Phase.init(), 0.0)
         tracker.stop_task(span, duration, power, _ci(site))
         init_end = max(init_end, duration)
 
-    server = ServerState(
-        global_params=ModelParams.zeros(dataset.num_classes, dataset.num_features),
-        client_data={s.site_id: dataset.subset(partitions_by_site[s.site_id]) for s in plan.sites},
-        barrier_s=init_end,
-    )
+    barrier = init_end
+    outcomes = []
+    for round_index in range(1, plan.num_rounds + 1):
+        train_durations: dict[str, float] = {}
+        for site, n in zip(plan.sites, shard_sizes, strict=True):
+            steps = steps_per_round(n, plan.train_cfg)
+            duration = effective_train_duration(site.hardware, site.tier, steps).seconds
+            span = tracker.start_task(site.site_id, Phase.round(round_index), barrier)
+            tracker.stop_task(
+                span,
+                barrier + duration,
+                effective_power(site.hardware, site.tier, Phase.round(round_index)),
+                _ci(site),
+            )
+            train_durations[site.site_id] = duration
 
-    outcomes = [run_round(server, plan, tracker, dataset) for _ in range(plan.num_rounds)]
-    return RunResult(
-        tracker=tracker,
-        outcomes=outcomes,
-        final_params=server.global_params,
-        accuracy_by_round=[o.global_accuracy for o in outcomes],
-    )
+        train_end = barrier + max(train_durations.values())
+
+        # stragglers' peers idle until the round barrier; the slowest site gets
+        # a zero-length idle span so every site has one per round
+        idle_durations: dict[str, float] = {}
+        for site in plan.sites:
+            start = barrier + train_durations[site.site_id]
+            span = tracker.start_task(site.site_id, Phase.idle(round_index), start)
+            tracker.stop_task(
+                span,
+                train_end,
+                effective_power(site.hardware, site.tier, Phase.idle(round_index)),
+                _ci(site),
+            )
+            idle_durations[site.site_id] = train_end - start
+
+        eval_end = train_end
+        if plan.evaluate_each_round:
+            for site, n in zip(plan.sites, shard_sizes, strict=True):
+                eval_steps = -(-n // plan.train_cfg.batch_size)  # one forward pass
+                duration = effective_train_duration(site.hardware, site.tier, eval_steps).seconds
+                span = tracker.start_task(site.site_id, Phase.evaluate(round_index), train_end)
+                tracker.stop_task(
+                    span,
+                    train_end + duration,
+                    effective_power(site.hardware, site.tier, Phase.evaluate(round_index)),
+                    _ci(site),
+                )
+                eval_end = max(eval_end, train_end + duration)
+
+        barrier = eval_end
+        outcomes.append(
+            RoundOutcome(
+                round_index=round_index,
+                train_duration_s=train_durations,
+                idle_duration_s=idle_durations,
+                payload_bytes={site.site_id: payload_bytes for site in plan.sites},
+            )
+        )
+    return tracker, outcomes

@@ -1,17 +1,25 @@
 """Glue between the orchestrator and the reporting layer: run a configured
 scenario, flatten the ledger into schema records, and write run artifacts
-(rounds.csv, run.json, summary.json) to an output directory."""
+(rounds.csv, run.json, summary.json) to an output directory.
+
+A run is a learning trajectory plus a ledger.  The trajectory depends only
+on the `TrajectorySpec`, so it is trained once and reused in-process by
+every run that shares the spec: tier and hardware variants of a scenario
+cost only their ledger."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, build_dataset, build_partitions
-from .orchestrator import RunResult, run_job
+from .config import RunConfig, TrajectorySpec, build_dataset, build_shards
+from .orchestrator import RunResult, build_ledger, run_job
 from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
 from .tracker import ROUND
+from .workload import ModelParams, update_payload_bytes
 
 
 def ledger_to_records(cfg: RunConfig, result: RunResult) -> list[RoundRecord]:
@@ -50,12 +58,39 @@ def ledger_to_records(cfg: RunConfig, result: RunResult) -> list[RoundRecord]:
     return records
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """What a run takes from training; shared by every run with the same spec."""
+
+    accuracy_by_round: tuple[float, ...]
+    final_params: ModelParams  # arrays are read-only
+    shard_sizes: tuple[int, ...]
+
+
+# Small on purpose: an entry holds only the final parameters and per-round
+# floats, never the dataset or the shards.
+@lru_cache(maxsize=8)
+def train_trajectory(spec: TrajectorySpec) -> Trajectory:
+    dataset = build_dataset(spec)
+    shards = build_shards(spec, dataset)
+    accuracy_by_round, params = run_job(spec.num_rounds, spec.train, dataset, shards)
+    params.weights.flags.writeable = False
+    params.bias.flags.writeable = False
+    return Trajectory(tuple(accuracy_by_round), params, tuple(s.num_samples for s in shards))
+
+
 def execute_run(cfg: RunConfig):
-    dataset = build_dataset(cfg)
-    partitions = build_partitions(cfg, dataset)
-    result = run_job(cfg.plan, dataset, partitions)
-    records = ledger_to_records(cfg, result)
-    return records, result
+    trajectory = train_trajectory(cfg.trajectory_spec())
+    tracker, outcomes = build_ledger(
+        cfg.plan, trajectory.shard_sizes, update_payload_bytes(trajectory.final_params)
+    )
+    result = RunResult(
+        tracker=tracker,
+        outcomes=outcomes,
+        final_params=trajectory.final_params,
+        accuracy_by_round=list(trajectory.accuracy_by_round),
+    )
+    return ledger_to_records(cfg, result), result
 
 
 def run_metadata(cfg: RunConfig) -> dict:

@@ -23,6 +23,7 @@ from .errors import (
     UnknownSite,
 )
 from .units import (
+    JOULES_PER_KWH,
     CarbonIntensity,
     EmissionsKg,
     EnergyKwh,
@@ -109,7 +110,7 @@ def integrate_energy(power: PowerDrawW, duration: SimDuration, policy: SamplingP
     full, rem = divmod(duration.seconds, dt)
     quanta_s = full * dt + rem
     # quanta_s == duration.seconds up to divmod rounding; keep the explicit form
-    return EnergyKwh(power.total * quanta_s / 3_600_000.0)
+    return EnergyKwh(power.total * quanta_s / JOULES_PER_KWH)
 
 
 class TaskTracker:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from greenfl.config import parse_config
+from greenfl.runner import train_trajectory
 
 
 def small_doc(**overrides):
@@ -38,3 +39,9 @@ def small_cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def cold_trajectory_cache():
+    """Start every test with no cached trajectory, so no test reuses another's training."""
+    train_trajectory.cache_clear()

@@ -25,7 +25,7 @@ from greenfl.reporting import (
     validate_record,
     write_round_log,
 )
-from greenfl.runner import execute_run
+from greenfl.runner import execute_run, train_trajectory
 from greenfl.sites import GridRegion
 from greenfl.units import EnergyKwh
 from greenfl.workload import ModelParams, TrainConfig, evaluate, local_train, make_blobs
@@ -224,7 +224,10 @@ def test_criterion_8_grid_whatif_linearity(tier_runs, capsys):
 def test_criterion_9_determinism(tmp_path):
     config = "cifar_tiers_high"
     for out in ("a", "b"):
+        train_trajectory.cache_clear()
         assert main(["run", "--config", config, "--seed", "0", "--out", str(tmp_path / out)]) == 0
+        info = train_trajectory.cache_info()
+        assert (info.hits, info.misses) == (0, 1)  # trained from scratch, not reused
     for name in ("rounds.csv", "run.json", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     ok("9 determinism: byte-identical artifacts")

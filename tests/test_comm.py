@@ -7,9 +7,7 @@ from greenfl.comm import (
     UpdatePayload,
     comm_emissions,
     comm_energy,
-    round_comm_total,
 )
-from greenfl.errors import UnknownSite
 from greenfl.sites import GridRegion
 from greenfl.units import EnergyKwh
 
@@ -59,37 +57,6 @@ def test_linearity_in_bytes(bytes_, intensity, k):
     single = comm_energy(UpdatePayload("s", 1, bytes_), model).value
     scaled = comm_energy(UpdatePayload("s", 1, bytes_ * k), model).value
     assert scaled == pytest.approx(k * single, rel=1e-12, abs=1e-300)
-
-
-def test_round_total_of_identical_payloads():
-    model = CommEnergyModel(0.006)
-    grids = {f"s{i}": GridRegion("USA", 0.4) for i in range(6)}
-    payloads = [UpdatePayload(f"s{i}", 1, 3640) for i in range(6)]
-    energy, co2e = round_comm_total(payloads, model, grids)
-    single = comm_energy(payloads[0], model)
-    assert energy.value == pytest.approx(6 * single.value, rel=1e-12)
-    assert co2e.value == pytest.approx(6 * single.value * 0.4, rel=1e-12)
-
-
-def test_round_total_empty_is_zero():
-    energy, co2e = round_comm_total([], CommEnergyModel(0.006), {})
-    assert (energy.value, co2e.value) == (0.0, 0.0)
-
-
-def test_round_total_mixed_grids_matches_fold(rng):
-    model = CommEnergyModel(0.0123)
-    grids = {f"s{i}": GridRegion(f"R{i}", float(rng.uniform(0, 1))) for i in range(5)}
-    payloads = [UpdatePayload(f"s{i}", 2, int(rng.integers(0, 10**9))) for i in range(5)]
-    energy, co2e = round_comm_total(payloads, model, grids)
-    exp_e = sum(comm_energy(p, model).value for p in payloads)
-    exp_c = sum(comm_energy(p, model).value * grids[p.site_id].ci_kg_per_kwh for p in payloads)
-    assert energy.value == pytest.approx(exp_e, rel=1e-12)
-    assert co2e.value == pytest.approx(exp_c, rel=1e-12)
-
-
-def test_unknown_site_grid_rejected():
-    with pytest.raises(UnknownSite):
-        round_comm_total([UpdatePayload("ghost", 1, 10)], CommEnergyModel(0.006), {})
 
 
 def test_negative_bytes_rejected():

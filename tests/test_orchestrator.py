@@ -3,8 +3,8 @@ import pytest
 
 from greenfl.config import parse_config
 from greenfl.errors import EmptyUpdateSet, ShapeMismatch
-from greenfl.orchestrator import fedavg_aggregate, run_job
-from greenfl.runner import execute_run
+from greenfl.orchestrator import fedavg_aggregate
+from greenfl.runner import execute_run, train_trajectory
 from greenfl.tracker import EVALUATE, IDLE, INIT, ROUND
 from greenfl.workload import ModelParams
 
@@ -87,6 +87,7 @@ def test_single_site_never_idles():
 
 def test_identical_plans_give_bit_identical_results(small_cfg):
     records_a, result_a = execute_run(small_cfg)
+    train_trajectory.cache_clear()  # train again rather than reuse the first trajectory
     records_b, result_b = execute_run(small_cfg)
     assert records_a == records_b
     np.testing.assert_array_equal(result_a.final_params.weights, result_b.final_params.weights)
@@ -100,6 +101,7 @@ def test_tier_changes_ledger_but_not_model():
         for i in range(3)
     ]))
     records_base, result_base = execute_run(base)
+    train_trajectory.cache_clear()  # train again rather than reuse the first trajectory
     records_slow, result_slow = execute_run(slow)
     np.testing.assert_array_equal(result_base.final_params.weights, result_slow.final_params.weights)
     np.testing.assert_array_equal(result_base.final_params.bias, result_slow.final_params.bias)
@@ -116,6 +118,7 @@ def test_gpu_swap_keeps_steps_and_scales_runtime():
         for i in range(3)
     ]))
     _, result_h = execute_run(h)
+    train_trajectory.cache_clear()  # train again rather than reuse the first trajectory
     _, result_v = execute_run(v)
     ratio = 503.02 / 290.02
     for oh, ov in zip(result_h.outcomes, result_v.outcomes):
