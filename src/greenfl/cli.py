@@ -64,8 +64,8 @@ def cmd_run(args) -> int:
         doc["seed"] = args.seed
     overrides = _load_tier_overrides(args.tiers) if args.tiers else None
     cfg = parse_config(doc, tier_overrides=overrides)
-    records, result = execute_run(cfg)
-    report = write_artifacts(args.out, cfg, records, result)
+    records, trajectory = execute_run(cfg)
+    report = write_artifacts(args.out, cfg, records, trajectory)
     print(
         f"{cfg.scenario}: {len(cfg.plan.sites)} sites x {cfg.plan.num_rounds} rounds -> {args.out}"
     )

@@ -25,7 +25,6 @@ from .sites import (
     HardwareProfile,
     SiteConfig,
 )
-from .tracker import SamplingPolicy
 from .units import EnergyKwh, PowerDrawW
 from .workload import SyntheticDataset, TrainConfig, make_blobs
 
@@ -34,7 +33,6 @@ _TOP_KEYS = {
     "seed",
     "num_rounds",
     "evaluate_each_round",
-    "sampling_interval_s",
     "workload",
     "partition",
     "comm",
@@ -171,9 +169,9 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
     num_rounds = int(_require(doc, "num_rounds", int, ""))
     if num_rounds < 1:
         raise ConfigError("num_rounds", f"must be >= 1, got {num_rounds}")
-    evaluate_each_round = bool(doc.get("evaluate_each_round", True))
-    sampling_interval = float(doc.get("sampling_interval_s", 1.0))
-    _positive(sampling_interval, "sampling_interval_s")
+    evaluate_each_round = doc.get("evaluate_each_round", True)
+    if not isinstance(evaluate_each_round, bool):
+        raise ConfigError("evaluate_each_round", "expected bool")
 
     wl = _require(doc, "workload", dict, "")
     _reject_unknown(wl, _WORKLOAD_KEYS, "workload")
@@ -295,7 +293,6 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
         train_cfg=train_cfg,
         comm_model=CommEnergyModel(net_intensity),
         evaluate_each_round=evaluate_each_round,
-        sampling=SamplingPolicy(sampling_interval),
     )
     return RunConfig(
         scenario=scenario,

@@ -16,26 +16,6 @@ class ConfigError(GreenflError):
         super().__init__(f"{field_path}: {message}")
 
 
-class OverlappingSpan(GreenflError):
-    """A task span was opened while another span is still open for the site."""
-
-
-class DuplicateInit(GreenflError):
-    """A second init span was opened for a site that already recorded one."""
-
-
-class ClockRegression(GreenflError):
-    """A span was closed at a sim-clock time before its start."""
-
-
-class UnknownSite(GreenflError):
-    """Ledger lookup for a site that never opened a span."""
-
-
-class OpenSpanPending(GreenflError):
-    """Totals requested while a span is still open."""
-
-
 class EmptyDataset(GreenflError):
     """Partitioning requested on a dataset with no samples."""
 

@@ -7,20 +7,21 @@ finishes, everyone then evaluates, and the next barrier is the end of the
 slowest evaluation.  Timing never feeds back into learning: efficiency
 tiers and hardware profiles change the ledger, never the model.  So the
 two are separate functions: `run_job` trains, and `build_ledger` derives
-every span in closed form from the plan and the client shard sizes.
+every span in closed form from the plan and the client shard sizes, each
+drawing its phase's constant power for its duration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .comm import CommEnergyModel
 from .errors import EmptyUpdateSet, ShapeMismatch
 from .sites import SiteConfig, effective_power, effective_train_duration
-from .tracker import Phase, SamplingPolicy, TaskTracker
-from .units import JOULES_PER_KWH, CarbonIntensity
+from .tracker import EmissionsRecord, Phase
+from .units import JOULES_PER_KWH, CarbonIntensity, EnergyKwh, SimDuration, emissions_of, energy_of
 from .workload import (
     ModelParams,
     SyntheticDataset,
@@ -38,7 +39,6 @@ class RunPlan:
     train_cfg: TrainConfig
     comm_model: CommEnergyModel
     evaluate_each_round: bool = True
-    sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
 
     def __post_init__(self):
         if self.num_rounds < 1:
@@ -48,22 +48,6 @@ class RunPlan:
         ids = [s.site_id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise ValueError("site_id values must be unique")
-
-
-@dataclass
-class RoundOutcome:
-    round_index: int
-    train_duration_s: dict[str, float]
-    idle_duration_s: dict[str, float]
-    payload_bytes: dict[str, int]
-
-
-@dataclass
-class RunResult:
-    tracker: TaskTracker
-    outcomes: list[RoundOutcome]
-    final_params: ModelParams
-    accuracy_by_round: list[float]
 
 
 def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
@@ -90,10 +74,6 @@ def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
 def _client_seed(base_seed: int, site_index: int, round_index: int) -> int:
     # stable per-(site, round) stream, independent of tier/hardware
     return int(np.random.SeedSequence([base_seed, site_index, round_index]).generate_state(1)[0])
-
-
-def _ci(site: SiteConfig) -> CarbonIntensity:
-    return CarbonIntensity(site.region.ci_kg_per_kwh)
 
 
 def run_job(
@@ -126,81 +106,67 @@ def run_job(
     return accuracy_by_round, params
 
 
-def build_ledger(
-    plan: RunPlan, shard_sizes: list[int], payload_bytes: int
-) -> tuple[TaskTracker, list[RoundOutcome]]:
+def _span(
+    site: SiteConfig, phase: Phase, start: float, end: float, energy: EnergyKwh | None = None
+) -> EmissionsRecord:
+    """`site`'s span in `phase` from sim time `start` to `end`.  Its energy is
+    the phase's power drawn over the span unless `energy` is given."""
+    duration = SimDuration(end - start)
+    if energy is None:
+        energy = energy_of(effective_power(site.hardware, site.tier, phase), duration)
+    ci = CarbonIntensity(site.region.ci_kg_per_kwh)
+    return EmissionsRecord(
+        site_id=site.site_id,
+        phase=phase,
+        start=SimDuration(start),
+        duration=duration,
+        energy=energy,
+        co2e=emissions_of(energy, ci),
+        ci=ci,
+    )
+
+
+def build_ledger(plan: RunPlan, shard_sizes: list[int]) -> list[EmissionsRecord]:
     """Every span of the run, from the plan and the client shard sizes.
 
-    Site i holds `shard_sizes[i]` samples and sends `payload_bytes` per
-    round; its step counts follow from `steps_per_round`.
+    Site i holds `shard_sizes[i]` samples; its step counts follow from
+    `steps_per_round`.
     """
-    tracker = TaskTracker(plan.sampling)
+    spans = []
 
-    # one-time init: duration chosen so integrating training power over the
-    # span reproduces the startup spike energy
+    # one-time init at training power, lasting as long as it takes that power
+    # to draw the startup spike; with zero training power the spike is a lump
+    # on a zero-length span
     init_end = 0.0
     for site in plan.sites:
         power = effective_power(site.hardware, site.tier, Phase.init())
-        duration = (
-            site.hardware.init_spike_energy.value * JOULES_PER_KWH / power.total if power.total > 0 else 0.0
-        )
-        span = tracker.start_task(site.site_id, Phase.init(), 0.0)
-        tracker.stop_task(span, duration, power, _ci(site))
-        init_end = max(init_end, duration)
+        spike = site.hardware.init_spike_energy
+        if power.total > 0:
+            span = _span(site, Phase.init(), 0.0, spike.value * JOULES_PER_KWH / power.total)
+        else:
+            span = _span(site, Phase.init(), 0.0, 0.0, energy=spike)
+        spans.append(span)
+        init_end = max(init_end, span.duration.seconds)
 
     barrier = init_end
-    outcomes = []
     for round_index in range(1, plan.num_rounds + 1):
-        train_durations: dict[str, float] = {}
+        train_ends = []
         for site, n in zip(plan.sites, shard_sizes, strict=True):
-            steps = steps_per_round(n, plan.train_cfg)
-            duration = effective_train_duration(site.hardware, site.tier, steps).seconds
-            span = tracker.start_task(site.site_id, Phase.round(round_index), barrier)
-            tracker.stop_task(
-                span,
-                barrier + duration,
-                effective_power(site.hardware, site.tier, Phase.round(round_index)),
-                _ci(site),
-            )
-            train_durations[site.site_id] = duration
+            duration = effective_train_duration(site.hardware, site.tier, steps_per_round(n, plan.train_cfg))
+            train_ends.append(barrier + duration.seconds)
+            spans.append(_span(site, Phase.round(round_index), barrier, train_ends[-1]))
 
-        train_end = barrier + max(train_durations.values())
-
-        # stragglers' peers idle until the round barrier; the slowest site gets
+        # stragglers' peers idle until the slowest site finishes; that site gets
         # a zero-length idle span so every site has one per round
-        idle_durations: dict[str, float] = {}
-        for site in plan.sites:
-            start = barrier + train_durations[site.site_id]
-            span = tracker.start_task(site.site_id, Phase.idle(round_index), start)
-            tracker.stop_task(
-                span,
-                train_end,
-                effective_power(site.hardware, site.tier, Phase.idle(round_index)),
-                _ci(site),
-            )
-            idle_durations[site.site_id] = train_end - start
+        train_end = max(train_ends)
+        for site, end in zip(plan.sites, train_ends):
+            spans.append(_span(site, Phase.idle(round_index), end, train_end))
 
-        eval_end = train_end
+        barrier = train_end
         if plan.evaluate_each_round:
-            for site, n in zip(plan.sites, shard_sizes, strict=True):
+            for site, n in zip(plan.sites, shard_sizes):
                 eval_steps = -(-n // plan.train_cfg.batch_size)  # one forward pass
-                duration = effective_train_duration(site.hardware, site.tier, eval_steps).seconds
-                span = tracker.start_task(site.site_id, Phase.evaluate(round_index), train_end)
-                tracker.stop_task(
-                    span,
-                    train_end + duration,
-                    effective_power(site.hardware, site.tier, Phase.evaluate(round_index)),
-                    _ci(site),
-                )
-                eval_end = max(eval_end, train_end + duration)
-
-        barrier = eval_end
-        outcomes.append(
-            RoundOutcome(
-                round_index=round_index,
-                train_duration_s=train_durations,
-                idle_duration_s=idle_durations,
-                payload_bytes={site.site_id: payload_bytes for site in plan.sites},
-            )
-        )
-    return tracker, outcomes
+                duration = effective_train_duration(site.hardware, site.tier, eval_steps)
+                spans.append(_span(site, Phase.evaluate(round_index), train_end, train_end + duration.seconds))
+                barrier = max(barrier, train_end + duration.seconds)
+    return spans

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, fields, replace
 
-from .comm import BIDIRECTIONAL_FACTOR, BYTES_PER_GB
+from .comm import CommEnergyModel, UpdatePayload, comm_energy
 from .errors import CalibrationFailed, SchemaViolation, UnknownRegion
 from .sites import EfficiencyTier
 from .tracker import ROUND
@@ -51,7 +52,7 @@ class RoundRecord:
 
 FIELD_NAMES = [f.name for f in fields(RoundRecord)]
 _NULLABLE = {"payload_bytes"}
-_FLOAT_FIELDS = {"start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb"}
+_FLOAT_FIELDS = ("start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb")
 _INT_FIELDS = {"round_index", "seed"}
 
 
@@ -61,9 +62,9 @@ def validate_record(record: RoundRecord) -> None:
         value = getattr(record, name)
         if value is None and name not in _NULLABLE:
             raise SchemaViolation(name, f"{name} must not be null")
-    for name in ("duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb"):
-        if getattr(record, name) < 0:
-            raise SchemaViolation(name, f"{name} must be non-negative")
+    for name in _FLOAT_FIELDS:
+        if not 0.0 <= getattr(record, name) < math.inf:  # also rejects NaN
+            raise SchemaViolation(name, f"{name} must be finite and non-negative")
     if record.payload_bytes is not None and record.payload_bytes < 0:
         raise SchemaViolation("payload_bytes", "payload_bytes must be non-negative")
     expected = record.energy_kwh * record.ci_kg_per_kwh
@@ -118,7 +119,8 @@ def record_comm_energy(record: RoundRecord) -> float:
     """Communication energy attributed to one round row (kWh)."""
     if record.phase != ROUND or record.payload_bytes is None:
         return 0.0
-    return BIDIRECTIONAL_FACTOR * (record.payload_bytes / BYTES_PER_GB) * record.net_intensity_kwh_per_gb
+    payload = UpdatePayload(record.site_id, record.round_index, record.payload_bytes)
+    return comm_energy(payload, CommEnergyModel(record.net_intensity_kwh_per_gb)).value
 
 
 @dataclass

@@ -16,44 +16,39 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, TrajectorySpec, build_dataset, build_shards
-from .orchestrator import RunResult, build_ledger, run_job
+from .orchestrator import build_ledger, run_job
 from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
-from .tracker import ROUND
+from .tracker import ROUND, EmissionsRecord
 from .workload import ModelParams, update_payload_bytes
 
 
-def ledger_to_records(cfg: RunConfig, result: RunResult) -> list[RoundRecord]:
-    records = []
-    payloads = {
-        (o.round_index, site): bytes_
-        for o in result.outcomes
-        for site, bytes_ in o.payload_bytes.items()
-    }
+def ledger_to_records(cfg: RunConfig, spans: list[EmissionsRecord], payload_bytes: int) -> list[RoundRecord]:
+    """One schema row per span, in time order; every round row carries the
+    `payload_bytes` of one client update."""
+    sites = {site.site_id: site for site in cfg.plan.sites}
     net_intensity = cfg.plan.comm_model.net_intensity_kwh_per_gb
-    for site in cfg.plan.sites:
-        for rec in result.tracker.ledger(site.site_id):
-            payload = None
-            if rec.phase.kind == ROUND:
-                payload = payloads.get((rec.phase.round_index, site.site_id))
-            records.append(
-                RoundRecord(
-                    run_id=cfg.scenario,
-                    site_id=site.site_id,
-                    round_index=rec.phase.round_index,
-                    phase=rec.phase.kind,
-                    start_s=rec.start.seconds,
-                    duration_s=rec.duration.seconds,
-                    energy_kwh=rec.energy.value,
-                    co2e_kg=rec.co2e.value,
-                    ci_kg_per_kwh=rec.ci.value,
-                    region_code=site.region.code,
-                    hardware_name=site.hardware.name,
-                    tier_label=site.tier.label,
-                    payload_bytes=payload,
-                    net_intensity_kwh_per_gb=net_intensity,
-                    seed=cfg.seed,
-                )
+    records = []
+    for span in spans:
+        site = sites[span.site_id]
+        records.append(
+            RoundRecord(
+                run_id=cfg.scenario,
+                site_id=span.site_id,
+                round_index=span.phase.round_index,
+                phase=span.phase.kind,
+                start_s=span.start.seconds,
+                duration_s=span.duration.seconds,
+                energy_kwh=span.energy.value,
+                co2e_kg=span.co2e.value,
+                ci_kg_per_kwh=span.ci.value,
+                region_code=site.region.code,
+                hardware_name=site.hardware.name,
+                tier_label=site.tier.label,
+                payload_bytes=payload_bytes if span.phase.kind == ROUND else None,
+                net_intensity_kwh_per_gb=net_intensity,
+                seed=cfg.seed,
             )
+        )
     records.sort(key=lambda r: (r.start_s, r.site_id, r.phase))
     return records
 
@@ -79,18 +74,12 @@ def train_trajectory(spec: TrajectorySpec) -> Trajectory:
     return Trajectory(tuple(accuracy_by_round), params, tuple(s.num_samples for s in shards))
 
 
-def execute_run(cfg: RunConfig):
+def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
+    """The run's schema rows and the (possibly shared) trajectory they come from."""
     trajectory = train_trajectory(cfg.trajectory_spec())
-    tracker, outcomes = build_ledger(
-        cfg.plan, trajectory.shard_sizes, update_payload_bytes(trajectory.final_params)
-    )
-    result = RunResult(
-        tracker=tracker,
-        outcomes=outcomes,
-        final_params=trajectory.final_params,
-        accuracy_by_round=list(trajectory.accuracy_by_round),
-    )
-    return ledger_to_records(cfg, result), result
+    spans = build_ledger(cfg.plan, trajectory.shard_sizes)
+    records = ledger_to_records(cfg, spans, update_payload_bytes(trajectory.final_params))
+    return records, trajectory
 
 
 def run_metadata(cfg: RunConfig) -> dict:
@@ -117,11 +106,11 @@ def run_metadata(cfg: RunConfig) -> dict:
     }
 
 
-def write_artifacts(out_dir, cfg: RunConfig, records, result: RunResult) -> RunReport:
+def write_artifacts(out_dir, cfg: RunConfig, records, trajectory: Trajectory) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rounds.csv").write_text(write_round_log(records), encoding="utf-8", newline="")
-    report = summarize_run(records, accuracy_by_round=result.accuracy_by_round)
+    report = summarize_run(records, accuracy_by_round=list(trajectory.accuracy_by_round))
     with open(out / "run.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(run_metadata(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

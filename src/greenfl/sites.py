@@ -4,8 +4,9 @@ A hardware profile turns training steps into simulated seconds (throughput)
 and seconds into watts.  An efficiency tier degrades a site by stretching
 its training duration (slowdown_factor) and scaling its training power
 (power_scale); idle draw is deliberately left untouched by the tier so the
-two knobs stay independent.  The one-time startup spike is carried as a
-lump of energy on the init span.
+two knobs stay independent.  The one-time startup spike is the energy of
+the init span: drawn at training power for as long as that takes, or, with
+zero training power, as a lump on a zero-length span.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class SiteConfig:
     hardware: HardwareProfile
     tier: EfficiencyTier
     region: GridRegion
-    dataset_fraction: float | None = None  # informational only
 
 
 def effective_train_duration(profile: HardwareProfile, tier: EfficiencyTier, steps: int) -> SimDuration:

@@ -87,23 +87,23 @@ def test_criterion_1_tier_ratios(tier_runs, capsys):
 
 
 def test_criterion_2_gpu_swap_runtime_gap(gpuswap_runs):
-    (h_dir, (_, h_result)) = gpuswap_runs["h100"]
-    (v_dir, (_, v_result)) = gpuswap_runs["v100"]
+    (h_dir, (h_records, h_trajectory)) = gpuswap_runs["h100"]
+    (v_dir, (v_records, v_trajectory)) = gpuswap_runs["v100"]
     h_runtime = json.loads((h_dir / "summary.json").read_text())["runtime_s"]
     v_runtime = json.loads((v_dir / "summary.json").read_text())["runtime_s"]
     ratio = v_runtime / h_runtime
     assert ratio == pytest.approx(1.734, abs=0.02)
-    # identical per-site step counts (durations scale by a constant factor)
-    for oh, ov in zip(h_result.outcomes, v_result.outcomes):
-        assert oh.payload_bytes == ov.payload_bytes
-        for site in oh.train_duration_s:
-            assert ov.train_duration_s[site] / oh.train_duration_s[site] == pytest.approx(
-                503.02 / 290.02, rel=1e-9
-            )
+    # identical per-site step counts (round durations scale by a constant factor)
+    h_rounds = {(r.round_index, r.site_id): r for r in h_records if r.phase == "round"}
+    v_rounds = {(r.round_index, r.site_id): r for r in v_records if r.phase == "round"}
+    assert h_rounds.keys() == v_rounds.keys()
+    for key, rh in h_rounds.items():
+        assert rh.payload_bytes == v_rounds[key].payload_bytes
+        assert v_rounds[key].duration_s / rh.duration_s == pytest.approx(503.02 / 290.02, rel=1e-9)
     # identical model trajectories
-    np.testing.assert_array_equal(h_result.final_params.weights, v_result.final_params.weights)
-    np.testing.assert_array_equal(h_result.final_params.bias, v_result.final_params.bias)
-    assert h_result.accuracy_by_round == v_result.accuracy_by_round
+    np.testing.assert_array_equal(h_trajectory.final_params.weights, v_trajectory.final_params.weights)
+    np.testing.assert_array_equal(h_trajectory.final_params.bias, v_trajectory.final_params.bias)
+    assert h_trajectory.accuracy_by_round == v_trajectory.accuracy_by_round
     ok(f"2 gpu swap runtime ratio={ratio:.4f}")
 
 

@@ -43,6 +43,20 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     assert "extra_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"sampling_interval_s": 1.0}, "sampling_interval_s: unknown field"),
+        ({"evaluate_each_round": "false"}, "evaluate_each_round: expected bool"),
+        ({"evaluate_each_round": 0}, "evaluate_each_round: expected bool"),
+    ],
+)
+def test_run_rejects_bad_top_level_field(tmp_path, capsys, override, message):
+    code = main(["run", "--config", write_doc(tmp_path, small_doc(**override)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_missing_config(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -66,6 +80,19 @@ def test_report_empty_directory(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", "--in", str(empty)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["report", "--format", "json"], ["whatif", "--ci", "0.3"]])
+def test_nan_row_fails_with_one_error_line(run_dir, capsys, argv):
+    csv_path = run_dir / "rounds.csv"
+    header, first, *rest = csv_path.read_text().splitlines(keepends=True)
+    fields = first.split(",")
+    fields[header.split(",").index("energy_kwh")] = "nan"
+    csv_path.write_text("".join([header, ",".join(fields), *rest]))
+    assert main([argv[0], "--in", str(run_dir), *argv[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: energy_kwh must be finite and non-negative\n"
 
 
 def test_whatif_zero_ci_zeroes_emissions(run_dir, capsys):

@@ -46,33 +46,41 @@ def test_aggregate_rejects_empty_and_mismatched(rng):
         fedavg_aggregate([(rand_params(rng, (3, 4)), 1), (rand_params(rng, (3, 5)), 1)])
 
 
-def ledger_by_phase(tracker, site_id):
+def rows_by_phase(records, site_id):
     out = {}
-    for record in tracker.ledger(site_id):
-        out.setdefault(record.phase.kind, []).append(record)
+    for record in records:
+        if record.site_id == site_id:
+            out.setdefault(record.phase, []).append(record)
     return out
 
 
+def round_rows(records):
+    """(round, site) -> that site's round row."""
+    return {(r.round_index, r.site_id): r for r in records if r.phase == ROUND}
+
+
 def test_round_structure_and_idle_barrier(small_cfg):
-    records, result = execute_run(small_cfg)
-    tracker = result.tracker
+    records, _ = execute_run(small_cfg)
     num_rounds = small_cfg.plan.num_rounds
-    for site in small_cfg.plan.sites:
-        phases = ledger_by_phase(tracker, site.site_id)
+    site_ids = [site.site_id for site in small_cfg.plan.sites]
+    for site_id in site_ids:
+        phases = rows_by_phase(records, site_id)
         assert len(phases[INIT]) == 1
         assert len(phases[ROUND]) == num_rounds
         assert len(phases[IDLE]) == num_rounds
         assert len(phases[EVALUATE]) == num_rounds
         # init precedes every round span
-        assert phases[INIT][0].start.seconds <= min(r.start.seconds for r in phases[ROUND])
+        assert phases[INIT][0].start_s <= min(r.start_s for r in phases[ROUND])
     # barrier semantics: train + idle ends at the same instant for all sites
-    for outcome in result.outcomes:
+    trains = round_rows(records)
+    idles = {(r.round_index, r.site_id): r.duration_s for r in records if r.phase == IDLE}
+    for round_index in range(1, num_rounds + 1):
         ends = {
-            site: outcome.train_duration_s[site] + outcome.idle_duration_s[site]
-            for site in outcome.train_duration_s
+            site_id: trains[round_index, site_id].duration_s + idles[round_index, site_id]
+            for site_id in site_ids
         }
         assert len({round(v, 9) for v in ends.values()}) == 1
-        assert min(outcome.idle_duration_s.values()) == 0.0
+        assert min(idles[round_index, site_id] for site_id in site_ids) == 0.0
 
 
 def test_single_site_never_idles():
@@ -80,9 +88,33 @@ def test_single_site_never_idles():
         partition={"num_clients": 1, "alpha": 1.0, "seed": 0},
         sites=[{"site_id": "solo", "hardware": "h100_like", "tier": "high", "region": "USA"}],
     )
-    _, result = execute_run(parse_config(doc))
-    for outcome in result.outcomes:
-        assert outcome.idle_duration_s["solo"] == 0.0
+    records, _ = execute_run(parse_config(doc))
+    idles = [r for r in records if r.phase == IDLE]
+    assert len(idles) == 2
+    for record in idles:
+        assert record.duration_s == 0.0
+
+
+def test_zero_power_site_keeps_its_init_spike():
+    hardware = {
+        "cold": {
+            "train_power_w": {},
+            "idle_power_w": {},
+            "init_spike_energy_kwh": 1e-3,
+            "throughput_steps_per_s": 100.0,
+        }
+    }
+    doc = small_doc(hardware=hardware, sites=[
+        {"site_id": f"site-{i + 1}", "hardware": "cold", "tier": "high", "region": "USA"}
+        for i in range(3)
+    ])
+    records, _ = execute_run(parse_config(doc))
+    inits = [r for r in records if r.phase == INIT]
+    assert len(inits) == 3
+    for record in inits:
+        assert (record.start_s, record.duration_s, record.energy_kwh) == (0.0, 0.0, 1e-3)
+        assert record.co2e_kg == 1e-3 * 0.3871
+    assert all(r.energy_kwh == 0.0 for r in records if r.phase != INIT)
 
 
 def test_identical_plans_give_bit_identical_results(small_cfg):
@@ -117,14 +149,15 @@ def test_gpu_swap_keeps_steps_and_scales_runtime():
         {"site_id": f"site-{i + 1}", "hardware": "v100_like", "tier": "high", "region": "USA"}
         for i in range(3)
     ]))
-    _, result_h = execute_run(h)
+    records_h, _ = execute_run(h)
     train_trajectory.cache_clear()  # train again rather than reuse the first trajectory
-    _, result_v = execute_run(v)
+    records_v, _ = execute_run(v)
     ratio = 503.02 / 290.02
-    for oh, ov in zip(result_h.outcomes, result_v.outcomes):
-        assert oh.payload_bytes == ov.payload_bytes
-        for site in oh.train_duration_s:
-            assert ov.train_duration_s[site] == pytest.approx(oh.train_duration_s[site] * ratio, rel=1e-9)
+    rows_h, rows_v = round_rows(records_h), round_rows(records_v)
+    assert rows_h.keys() == rows_v.keys()
+    for key, rh in rows_h.items():
+        assert rh.payload_bytes == rows_v[key].payload_bytes
+        assert rows_v[key].duration_s == pytest.approx(rh.duration_s * ratio, rel=1e-9)
 
 
 def test_accuracy_non_decreasing_within_noise(small_cfg):

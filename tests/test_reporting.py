@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -50,6 +51,16 @@ def test_missing_ci_names_field():
     with pytest.raises(SchemaViolation) as err:
         validate_record(record(ci_kg_per_kwh=None))
     assert err.value.field == "ci_kg_per_kwh"
+
+
+@pytest.mark.parametrize(
+    "name", ["start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_float_rejected(name, value):
+    with pytest.raises(SchemaViolation) as err:
+        validate_record(record(**{name: value}))
+    assert err.value.field == name
 
 
 def test_inconsistent_co2e_rejected():

@@ -1,6 +1,7 @@
 """Trajectory reuse: the cache key is exactly the inputs that shape learning."""
 
 import contextlib
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,6 @@ def ledger_only_mutations(draw):
     doc["comm"]["net_intensity_kwh_per_gb"] = draw(st.floats(0.0, 1.0))
     doc["scenario"] = draw(st.text(max_size=12))
     doc["evaluate_each_round"] = draw(st.booleans())
-    doc["sampling_interval_s"] = draw(st.floats(0.01, 10.0))
     return doc
 
 
@@ -117,6 +117,32 @@ def test_cached_final_params_are_read_only(small_cfg):
             array[0] = 1.0
 
 
+# sha256 of each bundled scenario's ledger and metadata at its own seed;
+# summary.json is not pinned because its accuracies depend on the BLAS build
+PINNED_SHA256 = {
+    "cifar_tiers_high": {
+        "rounds.csv": "0e8eabb4e768c1bc45698deddd6070e6f3ba9cdce8f86d027fdc33904ecb0024",
+        "run.json": "dcdc0495f67caf8d9a0f6771283960a9641d78990accfbbe771323aa30c1cfa5",
+    },
+    "cifar_tiers_medium": {
+        "rounds.csv": "1f8daccfcc8a093c1311bca37e7e2ae3b8c050369443fde1b53d9387167e5d07",
+        "run.json": "de3d08497cba067ef79c6670b2afd84732e819c1924c9d9d561131426e77e3be",
+    },
+    "cifar_tiers_low": {
+        "rounds.csv": "c5aa8066cd15ff212213c8afec17c520b7b1877b93b588bd4f4561851ff73cb1",
+        "run.json": "85ea2e19401806b49f2c4c2ceb11b7197b2d2320dbe512a508375636b11e181e",
+    },
+    "retina_gpuswap_h100": {
+        "rounds.csv": "e162f19578c2ffd86e10d5afd020efcd54b244d1b70eef2e9e9ed3dd9390751d",
+        "run.json": "722b242404616623be19593eea4f2c03690e3020449d17c7e13b5dda32bb72c5",
+    },
+    "retina_gpuswap_v100": {
+        "rounds.csv": "7e21532321a7325baa16160fe14f9276ac919b2ddb8cbf179974e66cfaa66630",
+        "run.json": "0bc2ec65019c5972daa1d96ff132845e72f108c66e8b6efe3cc2669a84402428",
+    },
+}
+
+
 @pytest.mark.parametrize("scenario", BUNDLED)
 def test_warm_run_is_byte_identical_to_cold_run(scenario, tmp_path):
     for out in ("cold", "warm"):
@@ -125,3 +151,5 @@ def test_warm_run_is_byte_identical_to_cold_run(scenario, tmp_path):
     assert (info.hits, info.misses) == (1, 1)
     for name in ARTIFACTS:
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+    for name, digest in PINNED_SHA256[scenario].items():
+        assert hashlib.sha256((tmp_path / "cold" / name).read_bytes()).hexdigest() == digest
