@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -111,7 +112,8 @@ def cmd_report(args) -> int:
             payload.append(
                 {
                     "ratios": {
-                        f"{label}/{runs[0][1]}": r.total_co2e_kg / base for _, label, r in runs[1:]
+                        f"{label}/{runs[0][1]}": r.total_co2e_kg / base if base else None
+                        for _, label, r in runs[1:]
                     }
                 }
             )
@@ -137,7 +139,10 @@ def cmd_report(args) -> int:
         )
     if len(runs) > 1:
         base_label, base = runs[0][1], runs[0][2].total_co2e_kg
-        parts = [f"{label}/{base_label}={r.total_co2e_kg / base:.2f}" for _, label, r in runs[1:]]
+        parts = [
+            f"{label}/{base_label}=" + (f"{r.total_co2e_kg / base:.2f}" if base else "n/a")
+            for _, label, r in runs[1:]
+        ]
         print("ratios: " + " ".join(parts))
     return EXIT_OK
 
@@ -146,8 +151,8 @@ def cmd_whatif(args) -> int:
     records, _ = _read_run_dir(args.in_dir)
     regions = {r.region_code for r in records}
     if args.ci is not None:
-        if args.ci < 0:
-            raise ConfigError("ci", "carbon intensity must be >= 0")
+        if not (math.isfinite(args.ci) and args.ci >= 0):
+            raise ConfigError("ci", "carbon intensity must be finite and >= 0")
         mapping = {code: args.ci for code in regions}
     else:
         if args.region not in BUILTIN_REGIONS:

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .comm import CommEnergyModel
 from .errors import ConfigError
 from .orchestrator import RunPlan
@@ -315,15 +317,16 @@ def build_dataset(spec: TrajectorySpec) -> SyntheticDataset:
     )
 
 
-def build_shards(spec: TrajectorySpec, dataset: SyntheticDataset) -> list[SyntheticDataset]:
-    """The first `spec.num_sites` Dirichlet partitions of `dataset`, in site order."""
+def build_shards(spec: TrajectorySpec, dataset: SyntheticDataset) -> list[np.ndarray]:
+    """The sample indices of the first `spec.num_sites` Dirichlet partitions
+    of `dataset`, in site order."""
     descriptor = LabeledDatasetDescriptor(
         num_samples=dataset.num_samples,
         num_classes=dataset.num_classes,
         labels=dataset.labels,
     )
     parts = dirichlet_partition(descriptor, spec.partition)
-    return [dataset.subset(part.sample_indices) for part in parts[: spec.num_sites]]
+    return [part.sample_indices for part in parts[: spec.num_sites]]
 
 
 def bundled_config_path(name: str):

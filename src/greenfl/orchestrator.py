@@ -27,8 +27,8 @@ from .workload import (
     SyntheticDataset,
     TrainConfig,
     evaluate,
-    local_train,
     steps_per_round,
+    train_clients,
 )
 
 
@@ -80,28 +80,22 @@ def run_job(
     num_rounds: int,
     train_cfg: TrainConfig,
     dataset: SyntheticDataset,
-    shards: list[SyntheticDataset],
+    shards: list[np.ndarray],
 ) -> tuple[list[float], ModelParams]:
     """Train FedAvg for `num_rounds`; return the global accuracy after each
     round and the final global parameters.
 
-    Client i trains on `shards[i]` with its own (seed, i, round) shuffle
-    stream; the aggregate is evaluated on the full `dataset`.
+    Client i trains on the rows `shards[i]` of `dataset` with its own
+    (seed, i, round) shuffle stream; `train_clients` steps all clients of a
+    round in lockstep.  The aggregate is evaluated on the full `dataset`.
     """
     params = ModelParams.zeros(dataset.num_classes, dataset.num_features)
+    sizes = [len(shard) for shard in shards]
     accuracy_by_round = []
     for round_index in range(1, num_rounds + 1):
-        updates = []
-        for site_index, shard in enumerate(shards):
-            cfg = TrainConfig(
-                local_epochs=train_cfg.local_epochs,
-                batch_size=train_cfg.batch_size,
-                learning_rate=train_cfg.learning_rate,
-                seed=_client_seed(train_cfg.seed, site_index, round_index),
-            )
-            trained, _ = local_train(params, shard, cfg)
-            updates.append((trained, shard.num_samples))
-        params = fedavg_aggregate(updates)
+        seeds = [_client_seed(train_cfg.seed, i, round_index) for i in range(len(shards))]
+        trained, _ = train_clients(params, dataset, shards, train_cfg, seeds)
+        params = fedavg_aggregate(list(zip(trained, sizes)))
         accuracy_by_round.append(evaluate(params, dataset))
     return accuracy_by_round, params
 

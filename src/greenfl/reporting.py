@@ -53,7 +53,7 @@ class RoundRecord:
 FIELD_NAMES = [f.name for f in fields(RoundRecord)]
 _NULLABLE = {"payload_bytes"}
 _FLOAT_FIELDS = ("start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb")
-_INT_FIELDS = {"round_index", "seed"}
+_INT_FIELDS = {"round_index", "payload_bytes", "seed"}
 
 
 def validate_record(record: RoundRecord) -> None:
@@ -92,26 +92,35 @@ def write_round_log(records: list[RoundRecord], stream=None) -> str:
     return buf.getvalue() if stream is None else ""
 
 
+def _parse_cell(name: str, raw: str):
+    if name in _NULLABLE and raw == "":
+        return None
+    convert = float if name in _FLOAT_FIELDS else int if name in _INT_FIELDS else str
+    try:
+        return convert(raw)
+    except ValueError:
+        raise SchemaViolation(name, f"{name}: cannot parse {raw!r}") from None
+
+
 def parse_round_log(text: str) -> list[RoundRecord]:
+    """Records of a round log; a malformed or invalid row raises SchemaViolation."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise SchemaViolation("row", f"line {reader.line_num}: {exc}") from None
+    header = rows[0] if rows else None
     if header != FIELD_NAMES:
         raise SchemaViolation("header", f"unexpected header {header}")
     records = []
-    for row in reader:
+    for number, row in enumerate(rows[1:], start=1):
         if not row:
             continue
-        kwargs = {}
-        for name, raw in zip(FIELD_NAMES, row):
-            if name in _NULLABLE and raw == "":
-                kwargs[name] = None
-            elif name in _FLOAT_FIELDS:
-                kwargs[name] = float(raw)
-            elif name in _INT_FIELDS or name == "payload_bytes":
-                kwargs[name] = int(raw)
-            else:
-                kwargs[name] = raw
-        records.append(RoundRecord(**kwargs))
+        if len(row) != len(FIELD_NAMES):
+            raise SchemaViolation("row", f"row {number}: {len(row)} fields, expected {len(FIELD_NAMES)}")
+        record = RoundRecord(**{name: _parse_cell(name, raw) for name, raw in zip(FIELD_NAMES, row)})
+        validate_record(record)
+        records.append(record)
     return records
 
 

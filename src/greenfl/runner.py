@@ -71,7 +71,7 @@ def train_trajectory(spec: TrajectorySpec) -> Trajectory:
     accuracy_by_round, params = run_job(spec.num_rounds, spec.train, dataset, shards)
     params.weights.flags.writeable = False
     params.bias.flags.writeable = False
-    return Trajectory(tuple(accuracy_by_round), params, tuple(s.num_samples for s in shards))
+    return Trajectory(tuple(accuracy_by_round), params, tuple(len(s) for s in shards))
 
 
 def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:

@@ -47,9 +47,6 @@ class SyntheticDataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "SyntheticDataset":
-        return SyntheticDataset(self.features[indices], self.labels[indices], self.num_classes)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -113,30 +110,87 @@ def steps_per_round(n: int, cfg: TrainConfig) -> int:
     return cfg.local_epochs * ceil(n / cfg.batch_size)
 
 
-def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):
-    """Mini-batch SGD; returns (updated params, steps taken).
+def train_clients(
+    params: ModelParams,
+    dataset: SyntheticDataset,
+    shards: list[np.ndarray],
+    cfg: TrainConfig,
+    seeds: list[int],
+) -> tuple[list[ModelParams], list[int]]:
+    """Mini-batch SGD from `params` for every client at once; returns each
+    client's trained params and step count, in `shards` order.
 
-    Shuffling comes solely from `cfg.seed`, so fixed seeds give
-    bit-identical trained parameters.
+    Client i trains on the rows `shards[i]` of `dataset` (global indices,
+    gathered per step, never copied out) and shuffles each epoch with its
+    own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
+    step in lockstep: sorted by step count, longest first, the clients
+    still training at step k are a prefix, and one batched forward and
+    gradient serves them all.  A batch's gradient is the mean over its real
+    samples: every sample carries weight 1/len(batch), and the lanes that
+    pad an epoch's short last batch carry weight 0.  Finiteness is checked
+    once, when the trained params are built after the last step.
     """
-    if data.num_samples == 0:
+    sizes = [len(shard) for shard in shards]
+    if min(sizes) == 0:
         raise EmptyClientData("cannot train on empty client data")
-    rng = np.random.default_rng(cfg.seed)
-    weights = params.weights.copy()
-    bias = params.bias.copy()
-    n = data.num_samples
-    steps = 0
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            _, grad_w, grad_b = loss_and_grad(
-                ModelParams(weights, bias), data.features[batch], data.labels[batch]
-            )
-            weights -= cfg.learning_rate * grad_w
-            bias -= cfg.learning_rate * grad_b
-            steps += 1
-    return ModelParams(weights, bias), steps
+    batch = cfg.batch_size
+    steps = [steps_per_round(n, cfg) for n in sizes]
+    order = sorted(range(len(shards)), key=lambda c: -steps[c])
+    num_steps = steps[order[0]]
+
+    # [client, step, lane] tables in sorted-client order; a padded lane
+    # repeats the last sample of its batch, so its logits stay finite
+    # whenever the batch's are
+    index = np.zeros((len(shards), num_steps, batch), dtype=np.intp)
+    scale = np.zeros((len(shards), num_steps, batch))
+    for row, c in enumerate(order):
+        n = sizes[c]
+        per_epoch = -(-n // batch)
+        lanes = np.zeros(per_epoch * batch)
+        lanes[:n] = 1.0 / batch
+        lanes[(per_epoch - 1) * batch : n] = 1.0 / (n - (per_epoch - 1) * batch)
+        scale[row, : steps[c]] = np.tile(lanes.reshape(per_epoch, batch), (cfg.local_epochs, 1))
+        rng = np.random.default_rng(seeds[c])
+        for epoch in range(cfg.local_epochs):
+            perm = rng.permutation(n)
+            perm = np.concatenate([perm, np.full(per_epoch * batch - n, perm[-1])])
+            index[row, epoch * per_epoch : (epoch + 1) * per_epoch] = shards[c][perm].reshape(per_epoch, batch)
+    # flat position of each lane's true-class probability in a [rows, batch, classes] block
+    k = dataset.num_classes
+    target = dataset.labels[index]
+    target += k * np.arange(batch) + (batch * k) * np.arange(len(shards))[:, None, None]
+
+    weights = np.repeat(params.weights[None], len(shards), axis=0)
+    bias = np.repeat(params.bias[None], len(shards), axis=0)
+    active = len(shards)
+    for step in range(num_steps):
+        while steps[order[active - 1]] <= step:
+            active -= 1
+        features = dataset.features[index[:active, step]]
+        probs = np.matmul(features, weights[:active].transpose(0, 2, 1))
+        probs += bias[:active, None, :]
+        probs -= probs.max(axis=2, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        probs.reshape(-1)[target[:active, step]] -= 1.0
+        probs *= scale[:active, step, :, None]
+        weights[:active] -= cfg.learning_rate * np.matmul(probs.transpose(0, 2, 1), features)
+        bias[:active] -= cfg.learning_rate * probs.sum(axis=1)
+
+    trained = [None] * len(shards)
+    for row, c in enumerate(order):
+        trained[c] = ModelParams(weights[row], bias[row])
+    return trained, steps
+
+
+def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):
+    """Mini-batch SGD on all of `data`; returns (updated params, steps taken).
+
+    The one-client case of `train_clients`, shuffled by `cfg.seed`, so
+    fixed seeds give bit-identical trained parameters.
+    """
+    trained, steps = train_clients(params, data, [np.arange(data.num_samples)], cfg, [cfg.seed])
+    return trained[0], steps[0]
 
 
 def evaluate(params: ModelParams, data: SyntheticDataset) -> float:

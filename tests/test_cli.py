@@ -112,6 +112,56 @@ def test_whatif_doubled_ci_doubles_emissions(run_dir, capsys):
     )
 
 
+@pytest.mark.parametrize("ci", ["nan", "inf", "-1"])
+def test_whatif_rejects_non_finite_or_negative_ci(run_dir, capsys, ci):
+    assert main(["whatif", "--in", str(run_dir), "--ci", ci]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: ci: carbon intensity must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [["report", "--format", "json"], ["whatif", "--ci", "0.3"]])
+@pytest.mark.parametrize("cell", ["abc", "short"])
+def test_malformed_row_fails_with_one_error_line(run_dir, capsys, argv, cell):
+    csv_path = run_dir / "rounds.csv"
+    header, first, *rest = csv_path.read_text().splitlines(keepends=True)
+    fields = first.rstrip("\n").split(",")
+    if cell == "short":
+        fields.pop()
+    else:
+        fields[header.split(",").index("energy_kwh")] = cell
+    csv_path.write_text("".join([header, ",".join(fields) + "\n", *rest]))
+    assert main([argv[0], "--in", str(run_dir), *argv[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.fixture
+def zero_run_dir(tmp_path):
+    doc = small_doc(
+        regions={"ZERO": 0.0},
+        sites=[{"site_id": f"site-{i + 1}", "hardware": "h100_like", "tier": "high", "region": "ZERO"} for i in range(3)],
+    )
+    out = tmp_path / "zero"
+    assert main(["run", "--config", write_doc(tmp_path, doc, "zero.json"), "--out", str(out)]) == 0
+    return out
+
+
+def test_report_zero_co2e_baseline_text(zero_run_dir, run_dir, capsys):
+    assert main(["report", "--in", str(zero_run_dir), str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "ratios: high/high=n/a"
+    assert "inf" not in out and "nan" not in out.lower()
+
+
+def test_report_zero_co2e_baseline_json(zero_run_dir, run_dir, capsys):
+    assert main(["report", "--in", str(zero_run_dir), str(run_dir), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert payload[0]["total_co2e_kg"] == 0.0
+    assert payload[-1] == {"ratios": {"high/high": None}}
+
+
 def test_whatif_unknown_region(run_dir):
     assert main(["whatif", "--in", str(run_dir), "--region", "ATLANTIS"]) == 2
 

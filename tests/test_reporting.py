@@ -1,7 +1,10 @@
+import csv
 import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfl.errors import CalibrationFailed, SchemaViolation, UnknownRegion
 from greenfl.reporting import (
@@ -178,3 +181,47 @@ def test_records_are_frozen():
     rec = record()
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.energy_kwh = 1.0
+
+
+# per typed field, values of the right shape that are still invalid
+_FLOAT_FIELDS = ("start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb")
+_INVALID = {name: ["nan", "inf", "-inf", "-1", "1e999"] for name in _FLOAT_FIELDS}
+_INVALID.update(round_index=["1.5", "1e3"], seed=["1.5", "1e3"], payload_bytes=["1.5", "-1"])
+
+
+def _valid_rows():
+    text = write_round_log([record(), record(site_id="s2", phase="idle", payload_bytes=None)])
+    return [line.split(",") for line in text.splitlines()]
+
+
+@st.composite
+def corrupted_logs(draw):
+    """A valid two-row log with one row broken, and the field the error must
+    name: a typed cell replaced by text that is not a valid value of its
+    type, or ("row") a cell dropped, added or over the csv field limit."""
+    header, *rows = _valid_rows()
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    kind = draw(st.sampled_from(["cell", "drop", "add", "huge"]))
+    if kind == "cell":
+        name = draw(st.sampled_from(sorted(_INVALID)))
+        # no digits: such text parses as no number, or as nan/inf
+        row[FIELD_NAMES.index(name)] = draw(st.text(alphabet="abefinx-. ", min_size=1) | st.sampled_from(_INVALID[name]))
+    elif kind == "drop":
+        name = "row"
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif kind == "add":
+        name = "row"
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(["", "0", "x"])))
+    else:
+        name = "row"
+        row[draw(st.integers(0, len(row) - 1))] = "9" * (csv.field_size_limit() + 1)
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n", name
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_logs())
+def test_corrupted_row_raises_schema_violation(case):
+    text, name = case
+    with pytest.raises(SchemaViolation) as err:
+        parse_round_log(text)
+    assert err.value.field == name

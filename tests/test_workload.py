@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfl.errors import EmptyClientData
 from greenfl.workload import (
@@ -11,8 +13,28 @@ from greenfl.workload import (
     loss_and_grad,
     make_blobs,
     steps_per_round,
+    train_clients,
     update_payload_bytes,
 )
+
+
+def reference_local_train(params, data, cfg):
+    """One client's SGD, one `loss_and_grad` step per batch: the reference
+    the lockstep stepper is checked against."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = params.weights.copy()
+    bias = params.bias.copy()
+    n = data.num_samples
+    steps = 0
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            _, grad_w, grad_b = loss_and_grad(ModelParams(weights, bias), data.features[batch], data.labels[batch])
+            weights -= cfg.learning_rate * grad_w
+            bias -= cfg.learning_rate * grad_b
+            steps += 1
+    return ModelParams(weights, bias), steps
 
 
 def tiny_blobs(seed=0):
@@ -109,6 +131,8 @@ def test_empty_data_rejected():
         evaluate(ModelParams.zeros(2, 3), empty)
     with pytest.raises(EmptyClientData):
         local_train(ModelParams.zeros(2, 3), empty, TrainConfig())
+    with pytest.raises(EmptyClientData):
+        train_clients(ModelParams.zeros(3, 8), tiny_blobs(), [np.arange(10), np.arange(0)], TrainConfig(), [0, 1])
 
 
 def test_payload_bytes_counts_32bit_values():
@@ -150,3 +174,60 @@ def test_mean_loss_does_not_increase_on_separable_data():
         if after <= before:
             improved += 1
     assert improved == 10
+
+
+@st.composite
+def client_sets(draw):
+    """Shard sizes, a train config and a seed for 1-6 clients, including
+    shards smaller than the batch, batch_size=1, no epochs and lr=0."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    cfg = TrainConfig(
+        local_epochs=draw(st.integers(0, 3)),
+        batch_size=draw(st.sampled_from([1, 2, 3, 7, 16, 50])),
+        learning_rate=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+    )
+    return sizes, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(client_sets())
+def test_lockstep_stepper_matches_per_client_reference(case):
+    sizes, cfg, seed = case
+    rng = np.random.default_rng(seed)
+    num_classes, num_features = 3, 5
+    dataset = SyntheticDataset(
+        rng.normal(size=(sum(sizes), num_features)), rng.integers(0, num_classes, sum(sizes)), num_classes
+    )
+    shards = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+    seeds = [int(s) for s in rng.integers(0, 2**32, len(sizes))]
+    params = ModelParams(rng.normal(size=(num_classes, num_features)), rng.normal(size=num_classes))
+
+    trained, steps = train_clients(params, dataset, shards, cfg, seeds)
+
+    assert steps == [steps_per_round(n, cfg) for n in sizes]
+    for shard, client_seed, got in zip(shards, seeds, trained):
+        client_cfg = TrainConfig(cfg.local_epochs, cfg.batch_size, cfg.learning_rate, client_seed)
+        client_data = SyntheticDataset(dataset.features[shard], dataset.labels[shard], num_classes)
+        want, _ = reference_local_train(params, client_data, client_cfg)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-12)
+        np.testing.assert_allclose(got.bias, want.bias, rtol=1e-12)
+
+
+def test_stepper_leaves_input_params_untouched():
+    data = tiny_blobs()
+    params = ModelParams.zeros(3, 8)
+    shards = [np.arange(0, 50), np.arange(50, 120)]
+    train_clients(params, data, shards, TrainConfig(local_epochs=2, batch_size=16, learning_rate=0.5), [1, 2])
+    np.testing.assert_array_equal(params.weights, np.zeros((3, 8)))
+    np.testing.assert_array_equal(params.bias, np.zeros(3))
+
+
+def test_diverging_learning_rate_rejected():
+    rng = np.random.default_rng(2)
+    data = SyntheticDataset(rng.normal(size=(60, 4)), rng.integers(0, 3, 60), 3)  # not separable
+    cfg = TrainConfig(local_epochs=20, batch_size=7, learning_rate=1e308)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="model parameters must be finite"):
+        local_train(ModelParams.zeros(3, 4), data, cfg)
+    # one client diverges while the other stops early: the NaN survives to the end of the round
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="model parameters must be finite"):
+        train_clients(ModelParams.zeros(3, 4), data, [np.arange(5), np.arange(5, 60)], cfg, [0, 1])
