@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .config import bundled_config_path, load_config, parse_config
+from .config import bundled_config_path, load_json, load_targets, load_tiers, parse_config
 from .errors import CalibrationFailed, ConfigError, GreenflError, UnknownRegion
 from .reporting import (
     TierTarget,
@@ -22,19 +22,11 @@ from .reporting import (
     summarize_run,
 )
 from .runner import execute_run, write_artifacts
-from .sites import BUILTIN_REGIONS, EfficiencyTier
+from .sites import BUILTIN_REGIONS
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
-
-
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(what, f"cannot read {path}: {exc}") from exc
 
 
 def _resolve_config_path(name_or_path: str) -> Path:
@@ -47,23 +39,11 @@ def _resolve_config_path(name_or_path: str) -> Path:
     raise ConfigError("config", f"no such config file or bundled scenario: {name_or_path}")
 
 
-def _load_tier_overrides(path) -> dict[str, EfficiencyTier]:
-    doc = _load_json(path, "tiers")
-    tiers = {}
-    for label, t in doc.get("tiers", doc).items():
-        try:
-            tiers[label] = EfficiencyTier(label, float(t["slowdown_factor"]), float(t["power_scale"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"tiers.{label}", str(exc)) from exc
-    return tiers
-
-
 def cmd_run(args) -> int:
-    path = _resolve_config_path(args.config)
-    doc = _load_json(path, "config")
+    doc = load_json(_resolve_config_path(args.config), "config")
     if args.seed is not None:
         doc["seed"] = args.seed
-    overrides = _load_tier_overrides(args.tiers) if args.tiers else None
+    overrides = load_tiers(args.tiers) if args.tiers else None
     cfg = parse_config(doc, tier_overrides=overrides)
     records, trajectory = execute_run(cfg)
     report = write_artifacts(args.out, cfg, records, trajectory)
@@ -78,16 +58,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _read_run_dir(run_dir):
+def _read_run_dir(run_dir, what: str = "in"):
     path = Path(run_dir)
     csv_path = path / "rounds.csv"
     if not csv_path.is_file():
-        raise ConfigError("in", f"{run_dir} does not contain rounds.csv")
+        raise ConfigError(what, f"{run_dir} does not contain rounds.csv")
     records = parse_round_log(csv_path.read_text(encoding="utf-8"))
     meta = {}
     meta_path = path / "run.json"
     if meta_path.is_file():
-        meta = _load_json(meta_path, "run.json")
+        meta = load_json(meta_path, "run.json")
     return records, meta
 
 
@@ -178,21 +158,9 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    summary_path = Path(args.baseline) / "summary.json"
-    if not summary_path.is_file():
-        raise ConfigError("baseline", f"{args.baseline} does not contain summary.json")
-    summary = _load_json(summary_path, "summary.json")
-    targets_doc = _load_json(args.targets, "targets")
-    targets = {}
-    for label, t in targets_doc.items():
-        try:
-            targets[label] = TierTarget(
-                mean_energy_kwh_per_round=float(t["mean_energy_kwh_per_round"]),
-                runtime_min=float(t["runtime_min"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"targets.{label}", str(exc)) from exc
-    tiers = calibrate_tiers(float(summary["mean_energy_kwh_per_round"]), targets)
+    records, _ = _read_run_dir(args.baseline, "baseline")
+    targets = {label: TierTarget(**t) for label, t in load_targets(args.targets).items()}
+    tiers = calibrate_tiers(summarize_run(records).mean_energy_kwh_per_round, targets)
     out = {
         "tiers": {
             label: {"slowdown_factor": t.slowdown_factor, "power_scale": t.power_scale}

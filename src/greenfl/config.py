@@ -1,14 +1,19 @@
 """Run-configuration document: parsing, validation and plan construction.
 
-A run is one JSON document.  Validation happens before any simulation
-starts, unknown keys are rejected, and every error carries a dotted field
-path so the CLI can point at the offending entry.
+A run is one JSON document.  It, a `--tiers` preset file and a
+`calibrate --targets` file are each checked by one reader against a table
+of fields (`_CONFIG`, `_TIERS_FILE`, `_TARGETS_FILE`) before any
+simulation starts: unknown keys are rejected, types are strict, floats
+must be finite, and every error carries a dotted field path so the CLI can
+point at the offending entry.  The rules between fields (site count, site
+references, unique site ids) follow the table as a few explicit checks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -30,39 +35,84 @@ from .sites import (
 from .units import EnergyKwh, PowerDrawW
 from .workload import SyntheticDataset, TrainConfig, make_blobs
 
-_TOP_KEYS = {
-    "scenario",
-    "seed",
-    "num_rounds",
-    "evaluate_each_round",
-    "workload",
-    "partition",
-    "comm",
-    "tiers",
-    "hardware",
-    "regions",
-    "sites",
+REQUIRED = object()  # the default of a field that has none
+
+
+@dataclass(frozen=True)
+class Field:
+    """One input field: its kind, its default and its lower bound.
+
+    `kind` is `bool`, `int`, `str`, `float` (any JSON number, read as a
+    finite float), a section `{key: Field}`, or a `MapOf`/`ListOf`.  An int
+    takes no bool, float or string.  `lo` is inclusive unless `lo_open`.
+    """
+
+    kind: object
+    default: object = REQUIRED
+    lo: float | None = None
+    lo_open: bool = False
+
+
+@dataclass(frozen=True)
+class MapOf:
+    """A JSON object with free keys, each value read as `item`."""
+
+    item: Field
+
+
+@dataclass(frozen=True)
+class ListOf:
+    """A JSON list, each entry read as `item`."""
+
+    item: Field
+
+
+_POWER = {key: Field(float, 0.0, lo=0) for key in ("cpu_w", "gpu_w", "ram_w")}
+_HARDWARE = {
+    "train_power_w": Field(_POWER),
+    "idle_power_w": Field(_POWER),
+    "init_spike_energy_kwh": Field(float, 0.0, lo=0),
+    "throughput_steps_per_s": Field(float, lo=0, lo_open=True),
 }
-_WORKLOAD_KEYS = {
-    "num_classes",
-    "num_features",
-    "samples_per_class",
-    "separation",
-    "local_epochs",
-    "batch_size",
-    "learning_rate",
+_TIER = {
+    "slowdown_factor": Field(float, lo=1),
+    "power_scale": Field(float, lo=0, lo_open=True),
 }
-_PARTITION_KEYS = {"num_clients", "alpha", "seed"}
-_COMM_KEYS = {"net_intensity_kwh_per_gb", "attribution"}
-_SITE_KEYS = {"site_id", "hardware", "tier", "region"}
-_HARDWARE_KEYS = {
-    "train_power_w",
-    "idle_power_w",
-    "init_spike_energy_kwh",
-    "throughput_steps_per_s",
+_SITE = {key: Field(str) for key in ("site_id", "hardware", "tier", "region")}
+_CONFIG = {
+    "scenario": Field(str),
+    "seed": Field(int, lo=0),
+    "num_rounds": Field(int, lo=1),
+    "evaluate_each_round": Field(bool, True),
+    "workload": Field({
+        "num_classes": Field(int, 10, lo=1),
+        "num_features": Field(int, 90, lo=1),
+        "samples_per_class": Field(int, 6000, lo=1),
+        "separation": Field(float, 5.0, lo=0),
+        "local_epochs": Field(int, 10, lo=0),
+        "batch_size": Field(int, 600, lo=1),
+        "learning_rate": Field(float, 0.05, lo=0),
+    }),
+    "partition": Field({
+        "num_clients": Field(int, lo=1),
+        "alpha": Field(float, lo=0, lo_open=True),
+        "seed": Field(int, None, lo=0),  # None: the top-level seed
+    }),
+    "comm": Field({
+        "net_intensity_kwh_per_gb": Field(float, lo=0),
+        "attribution": Field(str, "client"),
+    }),
+    "tiers": Field(MapOf(Field(_TIER)), {}),
+    "hardware": Field(MapOf(Field(_HARDWARE)), {}),
+    "regions": Field(MapOf(Field(float, lo=0)), {}),
+    "sites": Field(ListOf(Field(_SITE))),
 }
-_POWER_KEYS = {"cpu_w", "gpu_w", "ram_w"}
-_TIER_KEYS = {"slowdown_factor", "power_scale"}
+# the file `greenfl calibrate` writes and `greenfl run --tiers` reads
+_TIERS_FILE = {"tiers": Field(MapOf(Field(_TIER)))}
+_TARGETS_FILE = MapOf(Field({
+    "mean_energy_kwh_per_round": Field(float, lo=0),
+    "runtime_min": Field(float, lo=0),
+}))
 
 
 @dataclass(frozen=True)
@@ -115,194 +165,150 @@ class RunConfig:
         )
 
 
-def _require(doc: dict, key: str, types, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    value = doc[key]
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected {types}, got {type(value).__name__}")
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+_SCALARS = {bool: "bool", int: "int", float: "number", str: "string"}
+
+
+def _read(value, spec: Field, path: str):
+    """`value` checked against `spec`, with section defaults filled in.
+
+    Raises ConfigError at the dotted path of the first bad field.
+    """
+    kind = spec.kind
+    if isinstance(kind, (dict, MapOf)):
+        types, name = dict, "object"
+    elif isinstance(kind, ListOf):
+        types, name = list, "list"
+    else:
+        types, name = (int, float) if kind is float else kind, _SCALARS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(path or "config", f"expected {name}")
+
+    if isinstance(kind, dict):
+        out = {}
+        for key, sub in kind.items():
+            if key in value:
+                out[key] = _read(value[key], sub, _join(path, key))
+            elif sub.default is REQUIRED:
+                raise ConfigError(_join(path, key), "missing required field")
+            else:
+                out[key] = sub.default
+        for key in value:
+            if key not in kind:
+                raise ConfigError(_join(path, key), "unknown field")
+        return out
+    if isinstance(kind, MapOf):
+        return {key: _read(item, kind.item, _join(path, key)) for key, item in value.items()}
+    if isinstance(kind, ListOf):
+        return [_read(item, kind.item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(path, "must be finite")
+    if spec.lo is not None and not (value > spec.lo if spec.lo_open else value >= spec.lo):
+        raise ConfigError(path, f"must be {'>' if spec.lo_open else '>='} {spec.lo}")
     return value
 
 
-def _reject_unknown(doc: dict, allowed: set, path: str):
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
-
-
-def _positive(value, path: str):
-    if not value > 0:
-        raise ConfigError(path, f"must be > 0, got {value}")
-    return value
-
-
-def _power(doc, path: str) -> PowerDrawW:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object with cpu_w/gpu_w/ram_w")
-    _reject_unknown(doc, _POWER_KEYS, path)
+def _entry(path: str, cls, *args, **kwargs):
+    """`cls(*args, **kwargs)`, its ValueError reported at `path`."""
     try:
-        return PowerDrawW(
-            cpu_w=float(doc.get("cpu_w", 0.0)),
-            gpu_w=float(doc.get("gpu_w", 0.0)),
-            ram_w=float(doc.get("ram_w", 0.0)),
-        )
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def load_config(path) -> RunConfig:
+def _tiers(raw: dict) -> dict[str, EfficiencyTier]:
+    return {
+        label: _entry(f"tiers.{label}", EfficiencyTier, label, t["slowdown_factor"], t["power_scale"])
+        for label, t in raw.items()
+    }
+
+
+def load_json(path, what: str) -> dict:
+    """The JSON object in file `path`; anything else is a ConfigError at `what`."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return parse_config(doc)
+        raise ConfigError(what, f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(what, f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(what, f"{path} does not hold a JSON object")
+    return doc
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(load_json(path, "config"))
+
+
+def load_tiers(path) -> dict[str, EfficiencyTier]:
+    """The tier presets of a `{"tiers": {label: {...}}}` file, as `calibrate` writes it."""
+    return _tiers(_read(load_json(path, "tiers"), Field(_TIERS_FILE), "")["tiers"])
+
+
+def load_targets(path) -> dict[str, dict]:
+    """Calibration targets: `{label: {"mean_energy_kwh_per_round": .., "runtime_min": ..}}`."""
+    return _read(load_json(path, "targets"), Field(_TARGETS_FILE), "targets")
 
 
 def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = None) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "document must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "")
-
-    scenario = _require(doc, "scenario", str, "")
-    seed = int(_require(doc, "seed", int, ""))
-    num_rounds = int(_require(doc, "num_rounds", int, ""))
-    if num_rounds < 1:
-        raise ConfigError("num_rounds", f"must be >= 1, got {num_rounds}")
-    evaluate_each_round = doc.get("evaluate_each_round", True)
-    if not isinstance(evaluate_each_round, bool):
-        raise ConfigError("evaluate_each_round", "expected bool")
-
-    wl = _require(doc, "workload", dict, "")
-    _reject_unknown(wl, _WORKLOAD_KEYS, "workload")
-    workload_cfg = WorkloadConfig(
-        num_classes=int(wl.get("num_classes", 10)),
-        num_features=int(wl.get("num_features", 90)),
-        samples_per_class=int(wl.get("samples_per_class", 6000)),
-        separation=float(wl.get("separation", 5.0)),
-    )
-    for key in ("num_classes", "num_features", "samples_per_class"):
-        _positive(getattr(workload_cfg, key), f"workload.{key}")
-    try:
-        train_cfg = TrainConfig(
-            local_epochs=int(wl.get("local_epochs", 10)),
-            batch_size=int(wl.get("batch_size", 600)),
-            learning_rate=float(wl.get("learning_rate", 0.05)),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError("workload", str(exc)) from exc
-
-    part = _require(doc, "partition", dict, "")
-    _reject_unknown(part, _PARTITION_KEYS, "partition")
-    alpha = float(_require(part, "alpha", (int, float), "partition"))
-    if not alpha > 0:
-        raise ConfigError("partition.alpha", f"must be > 0, got {alpha}")
-    num_clients = int(_require(part, "num_clients", int, "partition"))
-    if num_clients < 1:
-        raise ConfigError("partition.num_clients", f"must be >= 1, got {num_clients}")
-    partition_cfg = PartitionConfig(
-        num_clients=num_clients,
-        alpha=alpha,
-        seed=int(part.get("seed", seed)),
-    )
-
-    comm = _require(doc, "comm", dict, "")
-    _reject_unknown(comm, _COMM_KEYS, "comm")
-    net_intensity = float(_require(comm, "net_intensity_kwh_per_gb", (int, float), "comm"))
-    if net_intensity < 0:
-        raise ConfigError("comm.net_intensity_kwh_per_gb", "must be >= 0")
-    attribution = comm.get("attribution", "client")
-    if attribution != "client":
-        raise ConfigError("comm.attribution", f"only 'client' attribution is supported, got {attribution!r}")
+    c = _read(doc, Field(_CONFIG), "")
+    wl, part, comm = c["workload"], c["partition"], c["comm"]
+    if comm["attribution"] != "client":
+        raise ConfigError("comm.attribution", f"only 'client' attribution is supported, got {comm['attribution']!r}")
 
     hardware = dict(BUILTIN_HARDWARE)
-    for name, hw in doc.get("hardware", {}).items():
-        path = f"hardware.{name}"
-        if not isinstance(hw, dict):
-            raise ConfigError(path, "expected an object")
-        _reject_unknown(hw, _HARDWARE_KEYS, path)
-        try:
-            hardware[name] = HardwareProfile(
-                name=name,
-                train_power=_power(_require(hw, "train_power_w", dict, path), f"{path}.train_power_w"),
-                idle_power=_power(_require(hw, "idle_power_w", dict, path), f"{path}.idle_power_w"),
-                init_spike_energy=EnergyKwh(float(hw.get("init_spike_energy_kwh", 0.0))),
-                throughput_steps_per_s=float(_require(hw, "throughput_steps_per_s", (int, float), path)),
-            )
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-
-    tiers = dict(BUILTIN_TIERS)
-    for label, tier in doc.get("tiers", {}).items():
-        path = f"tiers.{label}"
-        if not isinstance(tier, dict):
-            raise ConfigError(path, "expected an object")
-        _reject_unknown(tier, _TIER_KEYS, path)
-        try:
-            tiers[label] = EfficiencyTier(
-                label=label,
-                slowdown_factor=float(_require(tier, "slowdown_factor", (int, float), path)),
-                power_scale=float(_require(tier, "power_scale", (int, float), path)),
-            )
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    if tier_overrides:
-        tiers.update(tier_overrides)
-
-    regions = dict(BUILTIN_REGIONS)
-    for code, ci in doc.get("regions", {}).items():
-        try:
-            regions[code] = GridRegion(code, float(ci))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"regions.{code}", str(exc)) from exc
-
-    raw_sites = _require(doc, "sites", list, "")
-    if len(raw_sites) != num_clients:
-        raise ConfigError("sites", f"{len(raw_sites)} sites but partition.num_clients = {num_clients}")
-    sites = []
-    for i, raw in enumerate(raw_sites):
-        path = f"sites[{i}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(path, "expected an object")
-        _reject_unknown(raw, _SITE_KEYS, path)
-        site_id = _require(raw, "site_id", str, path)
-        hw_name = _require(raw, "hardware", str, path)
-        if hw_name not in hardware:
-            raise ConfigError(f"{path}.hardware", f"unknown hardware profile {hw_name!r}")
-        tier_label = _require(raw, "tier", str, path)
-        if tier_label not in tiers:
-            raise ConfigError(f"{path}.tier", f"unknown tier {tier_label!r}")
-        region_code = _require(raw, "region", str, path)
-        if region_code not in regions:
-            raise ConfigError(f"{path}.region", f"unknown region {region_code!r}")
-        sites.append(
-            SiteConfig(
-                site_id=site_id,
-                hardware=hardware[hw_name],
-                tier=tiers[tier_label],
-                region=regions[region_code],
-            )
+    for name, hw in c["hardware"].items():
+        hardware[name] = _entry(
+            f"hardware.{name}",
+            HardwareProfile,
+            name=name,
+            train_power=PowerDrawW(**hw["train_power_w"]),
+            idle_power=PowerDrawW(**hw["idle_power_w"]),
+            init_spike_energy=EnergyKwh(hw["init_spike_energy_kwh"]),
+            throughput_steps_per_s=hw["throughput_steps_per_s"],
         )
+    tiers = {**BUILTIN_TIERS, **_tiers(c["tiers"]), **(tier_overrides or {})}
+    regions = {**BUILTIN_REGIONS, **{code: GridRegion(code, ci) for code, ci in c["regions"].items()}}
+
+    if len(c["sites"]) != part["num_clients"]:
+        raise ConfigError("sites", f"{len(c['sites'])} sites but partition.num_clients = {part['num_clients']}")
+    sites = []
+    for i, raw in enumerate(c["sites"]):
+        for key, known, noun in (
+            ("hardware", hardware, "hardware profile"),
+            ("tier", tiers, "tier"),
+            ("region", regions, "region"),
+        ):
+            if raw[key] not in known:
+                raise ConfigError(f"sites[{i}].{key}", f"unknown {noun} {raw[key]!r}")
+        sites.append(SiteConfig(raw["site_id"], hardware[raw["hardware"]], tiers[raw["tier"]], regions[raw["region"]]))
     if len({s.site_id for s in sites}) != len(sites):
         raise ConfigError("sites", "site_id values must be unique")
 
+    seed = c["seed"]
     plan = RunPlan(
-        num_rounds=num_rounds,
+        num_rounds=c["num_rounds"],
         sites=sites,
-        train_cfg=train_cfg,
-        comm_model=CommEnergyModel(net_intensity),
-        evaluate_each_round=evaluate_each_round,
+        train_cfg=TrainConfig(wl["local_epochs"], wl["batch_size"], wl["learning_rate"], seed),
+        comm_model=CommEnergyModel(comm["net_intensity_kwh_per_gb"]),
+        evaluate_each_round=c["evaluate_each_round"],
     )
     return RunConfig(
-        scenario=scenario,
+        scenario=c["scenario"],
         seed=seed,
         plan=plan,
-        partition_cfg=partition_cfg,
-        workload_cfg=workload_cfg,
-        comm_attribution=attribution,
+        partition_cfg=PartitionConfig(part["num_clients"], part["alpha"], seed if part["seed"] is None else part["seed"]),
+        workload_cfg=WorkloadConfig(wl["num_classes"], wl["num_features"], wl["samples_per_class"], wl["separation"]),
+        comm_attribution=comm["attribution"],
         raw=doc,
     )
 

@@ -134,11 +134,3 @@ BUILTIN_REGIONS = {
     "AUS": GridRegion("AUS", 0.501),
 }
 
-
-def builtin_presets():
-    """Named hardware profiles, efficiency tiers and grid regions."""
-    return {
-        "hardware": dict(BUILTIN_HARDWARE),
-        "tiers": dict(BUILTIN_TIERS),
-        "regions": dict(BUILTIN_REGIONS),
-    }

@@ -2,11 +2,11 @@ import pytest
 
 from greenfl.sites import (
     BUILTIN_HARDWARE,
+    BUILTIN_REGIONS,
     BUILTIN_TIERS,
     GPU_SWAP_RUNTIME_RATIO,
     EfficiencyTier,
     HardwareProfile,
-    builtin_presets,
     effective_power,
     effective_train_duration,
 )
@@ -68,9 +68,9 @@ def test_init_power_is_unscaled_train_power():
 
 
 def test_presets_include_required_entries():
-    presets = builtin_presets()
-    assert {"h100_like", "v100_like"} <= set(presets["hardware"])
-    assert {"high", "medium", "low"} <= set(presets["tiers"])
+    assert {"h100_like", "v100_like"} <= set(BUILTIN_HARDWARE)
+    assert {"high", "medium", "low"} <= set(BUILTIN_TIERS)
+    assert "USA" in BUILTIN_REGIONS
 
 
 def test_high_preset_is_the_fixed_reference():
