@@ -78,6 +78,15 @@ def _run_label(records, meta) -> str:
     return meta.get("scenario", "run")
 
 
+def _co2e_ratio(report, base) -> float | None:
+    """`report`'s total CO2e over `base`'s; None for a zero baseline or an
+    overflowing ratio."""
+    if not base.total_co2e_kg:
+        return None
+    ratio = report.total_co2e_kg / base.total_co2e_kg
+    return ratio if math.isfinite(ratio) else None
+
+
 def cmd_report(args) -> int:
     runs = []
     for run_dir in args.in_dirs:
@@ -88,16 +97,10 @@ def cmd_report(args) -> int:
     if args.format == "json":
         payload = [{"dir": str(d), "label": label, **r.to_dict()} for d, label, r in runs]
         if len(runs) > 1:
-            base = runs[0][2].total_co2e_kg
             payload.append(
-                {
-                    "ratios": {
-                        f"{label}/{runs[0][1]}": r.total_co2e_kg / base if base else None
-                        for _, label, r in runs[1:]
-                    }
-                }
+                {"ratios": {f"{label}/{runs[0][1]}": _co2e_ratio(r, runs[0][2]) for _, label, r in runs[1:]}}
             )
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
         return EXIT_OK
 
     if args.format == "csv":
@@ -118,11 +121,10 @@ def cmd_report(args) -> int:
             f"runtime {report.runtime_s / 60.0:.4g} min"
         )
     if len(runs) > 1:
-        base_label, base = runs[0][1], runs[0][2].total_co2e_kg
-        parts = [
-            f"{label}/{base_label}=" + (f"{r.total_co2e_kg / base:.2f}" if base else "n/a")
-            for _, label, r in runs[1:]
-        ]
+        parts = []
+        for _, label, r in runs[1:]:
+            ratio = _co2e_ratio(r, runs[0][2])
+            parts.append(f"{label}/{runs[0][1]}=" + ("n/a" if ratio is None else f"{ratio:.2f}"))
         print("ratios: " + " ".join(parts))
     return EXIT_OK
 
@@ -153,6 +155,7 @@ def cmd_whatif(args) -> int:
             },
         },
         indent=2,
+        allow_nan=False,
     ))
     return EXIT_OK
 
@@ -168,7 +171,7 @@ def cmd_calibrate(args) -> int:
         }
     }
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
+        json.dump(out, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"calibrated {len(tiers)} tiers -> {args.out}")
     return EXIT_OK

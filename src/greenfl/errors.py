@@ -28,6 +28,18 @@ class EmptyClientData(GreenflError):
     """Training or evaluation invoked with no samples."""
 
 
+class Diverged(GreenflError, ValueError):
+    """Training produced non-finite model parameters.
+
+    `round_index` names the FedAvg round, when the caller knows it.
+    """
+
+    def __init__(self, round_index=None):
+        self.round_index = round_index
+        where = "" if round_index is None else f"training diverged in round {round_index}: "
+        super().__init__(f"{where}model parameters must be finite")
+
+
 class ShapeMismatch(GreenflError):
     """Model updates with inconsistent parameter shapes."""
 
@@ -45,6 +57,17 @@ class SchemaViolation(GreenflError):
     def __init__(self, field, message=None):
         self.field = field
         super().__init__(message or field)
+
+
+class NonFiniteTotal(GreenflError):
+    """A run-level total overflowed the float range, although every record is finite.
+
+    `field` names the offending summary field.
+    """
+
+    def __init__(self, field, value):
+        self.field = field
+        super().__init__(f"{field} is {value}: a run total overflows the float range")
 
 
 class UnknownRegion(GreenflError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommEnergyModel
-from .errors import EmptyUpdateSet, ShapeMismatch
+from .errors import Diverged, EmptyUpdateSet, ShapeMismatch
 from .sites import SiteConfig, effective_power, effective_train_duration
 from .tracker import EmissionsRecord, Phase
 from .units import JOULES_PER_KWH, CarbonIntensity, EnergyKwh, SimDuration, emissions_of, energy_of
@@ -51,7 +51,9 @@ class RunPlan:
 
 
 def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
-    """Sample-count-weighted mean of client updates, accumulated left to right."""
+    """Sample-count-weighted mean of client updates, accumulated left to right
+    in the updates' dtype: each weight is a Python float, so NEP 50 keeps
+    float32 params float32."""
     if not updates:
         raise EmptyUpdateSet("no updates to aggregate")
     shape = (updates[0][0].weights.shape, updates[0][0].bias.shape)
@@ -65,7 +67,7 @@ def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
     weights = np.zeros_like(updates[0][0].weights)
     bias = np.zeros_like(updates[0][0].bias)
     for params, n in updates:
-        w = n / total_n
+        w = float(n / total_n)
         weights += w * params.weights
         bias += w * params.bias
     return ModelParams(weights, bias)
@@ -87,15 +89,20 @@ def run_job(
 
     Client i trains on the rows `shards[i]` of `dataset` with its own
     (seed, i, round) shuffle stream; `train_clients` steps all clients of a
-    round in lockstep.  The aggregate is evaluated on the full `dataset`.
+    round in lockstep.  The parameters are in the dataset's dtype.  The
+    aggregate is evaluated on the full `dataset`.  Non-finite parameters
+    raise `Diverged` naming the round.
     """
-    params = ModelParams.zeros(dataset.num_classes, dataset.num_features)
+    params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.features.dtype)
     sizes = [len(shard) for shard in shards]
     accuracy_by_round = []
     for round_index in range(1, num_rounds + 1):
         seeds = [_client_seed(train_cfg.seed, i, round_index) for i in range(len(shards))]
-        trained, _ = train_clients(params, dataset, shards, train_cfg, seeds)
-        params = fedavg_aggregate(list(zip(trained, sizes)))
+        try:
+            trained, _ = train_clients(params, dataset, shards, train_cfg, seeds)
+            params = fedavg_aggregate(list(zip(trained, sizes)))
+        except Diverged:
+            raise Diverged(round_index) from None
         accuracy_by_round.append(evaluate(params, dataset))
     return accuracy_by_round, params
 

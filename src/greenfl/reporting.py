@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .comm import CommEnergyModel, UpdatePayload, comm_energy
-from .errors import CalibrationFailed, SchemaViolation, UnknownRegion
+from .errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
 from .sites import EfficiencyTier
 from .tracker import ROUND
 
@@ -191,7 +191,11 @@ class RunReport:
 
 
 def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | None = None) -> RunReport:
-    """Fold the record stream into run-level totals and per-round means."""
+    """Fold the record stream into run-level totals and per-round means.
+
+    Every record is finite, but their sums can still overflow: a total that
+    is not finite raises `NonFiniteTotal`.
+    """
     per_site: dict[str, SiteTotals] = {}
     num_rounds = 0
     round_energy = 0.0
@@ -222,7 +226,7 @@ def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | N
         totals.comm_energy_kwh += ce
         totals.comm_co2e_kg += cc
 
-    return RunReport(
+    report = RunReport(
         run_id=run_id,
         num_rounds=num_rounds,
         per_site=per_site,
@@ -238,6 +242,11 @@ def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | N
         busy_runtime_s=max((t.busy_s for t in per_site.values()), default=0.0),
         accuracy_by_round=accuracy_by_round,
     )
+    # every record is non-negative, so each per-site value is bounded by a run-level one
+    for key, value in report.to_dict().items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteTotal(key, value)
+    return report
 
 
 def remap_grid_intensity(

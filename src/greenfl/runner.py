@@ -107,14 +107,15 @@ def run_metadata(cfg: RunConfig) -> dict:
 
 
 def write_artifacts(out_dir, cfg: RunConfig, records, trajectory: Trajectory) -> RunReport:
+    # summarize first: a total that overflows fails the run before any file is written
+    report = summarize_run(records, accuracy_by_round=list(trajectory.accuracy_by_round))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rounds.csv").write_text(write_round_log(records), encoding="utf-8", newline="")
-    report = summarize_run(records, accuracy_by_round=list(trajectory.accuracy_by_round))
     with open(out / "run.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(run_metadata(cfg), fh, indent=2, sort_keys=True)
+        json.dump(run_metadata(cfg), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(out / "summary.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return report

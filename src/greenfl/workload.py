@@ -1,9 +1,11 @@
 """Trainable local workload: multinomial logistic regression on Gaussian blobs.
 
 The learning problem is a desk-scale stand-in for an image-classification
-CNN: real gradients, real convergence, no heavyweight dependencies.  The
-byte size of a transmitted update assumes 32-bit little-endian
-serialization of weights then bias, so payload accounting is
+CNN: real gradients, real convergence, no heavyweight dependencies.  SGD,
+aggregation and evaluation run in the dtype of the dataset's features:
+float32 for `make_blobs` data, float64 for float64 data.  The byte size of
+a transmitted update assumes 32-bit little-endian serialization of weights
+then bias whatever the host dtype, so payload accounting is
 host-independent.
 """
 
@@ -14,7 +16,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import EmptyClientData
+from .errors import Diverged, EmptyClientData
 
 FLOAT32_BYTES = 4
 
@@ -26,11 +28,11 @@ class ModelParams:
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("model parameters must be finite")
+            raise Diverged()
 
     @classmethod
-    def zeros(cls, num_classes: int, num_features: int) -> "ModelParams":
-        return cls(np.zeros((num_classes, num_features)), np.zeros(num_classes))
+    def zeros(cls, num_classes: int, num_features: int, dtype=np.float64) -> "ModelParams":
+        return cls(np.zeros((num_classes, num_features), dtype), np.zeros(num_classes, dtype))
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ def make_blobs(
 
     Means are drawn isotropically and rescaled so the minimum pairwise
     distance equals `separation`; labels are the block-ordered class ids.
+    Each class block is drawn in float64 and stored as float32.
     """
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, num_features))
@@ -82,28 +85,12 @@ def make_blobs(
         dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
         min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
         means *= separation / min_dist
-    features = np.concatenate(
-        [means[c] + rng.normal(size=(samples_per_class, num_features)) for c in range(num_classes)]
-    )
+    features = np.empty((num_classes * samples_per_class, num_features), dtype=np.float32)
+    for c in range(num_classes):
+        block = slice(c * samples_per_class, (c + 1) * samples_per_class)
+        features[block] = means[c] + rng.normal(size=(samples_per_class, num_features))
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     return SyntheticDataset(features, labels, num_classes)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def loss_and_grad(params: ModelParams, features: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy and its analytic gradient."""
-    n = features.shape[0]
-    probs = softmax(features @ params.weights.T + params.bias)
-    loss = -np.mean(np.log(probs[np.arange(n), labels] + 1e-300))
-    probs[np.arange(n), labels] -= 1.0
-    grad_w = probs.T @ features / n
-    grad_b = probs.mean(axis=0)
-    return loss, grad_w, grad_b
 
 
 def steps_per_round(n: int, cfg: TrainConfig) -> int:
@@ -125,14 +112,18 @@ def train_clients(
     own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
     step in lockstep: sorted by step count, longest first, the clients
     still training at step k are a prefix, and one batched forward and
-    gradient serves them all.  A batch's gradient is the mean over its real
-    samples: every sample carries weight 1/len(batch), and the lanes that
-    pad an epoch's short last batch carry weight 0.  Finiteness is checked
-    once, when the trained params are built after the last step.
+    gradient serves them all.  Logits are class-major, `[client, class,
+    lane]`, so the softmax reductions run along the contiguous lane axis.
+    A batch's gradient is the mean over its real samples: every sample
+    carries weight 1/len(batch), folded into the softmax normalisation,
+    and the lanes that pad an epoch's short last batch carry weight 0.
+    Everything runs in the dtype of `dataset.features`.  Finiteness is
+    checked once, when the trained params are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
     if min(sizes) == 0:
         raise EmptyClientData("cannot train on empty client data")
+    dtype = dataset.features.dtype
     batch = cfg.batch_size
     steps = [steps_per_round(n, cfg) for n in sizes]
     order = sorted(range(len(shards)), key=lambda c: -steps[c])
@@ -142,7 +133,7 @@ def train_clients(
     # repeats the last sample of its batch, so its logits stay finite
     # whenever the batch's are
     index = np.zeros((len(shards), num_steps, batch), dtype=np.intp)
-    scale = np.zeros((len(shards), num_steps, batch))
+    scale = np.zeros((len(shards), num_steps, batch), dtype)
     for row, c in enumerate(order):
         n = sizes[c]
         per_epoch = -(-n // batch)
@@ -155,27 +146,29 @@ def train_clients(
             perm = rng.permutation(n)
             perm = np.concatenate([perm, np.full(per_epoch * batch - n, perm[-1])])
             index[row, epoch * per_epoch : (epoch + 1) * per_epoch] = shards[c][perm].reshape(per_epoch, batch)
-    # flat position of each lane's true-class probability in a [rows, batch, classes] block
+    # flat position of each lane's true-class probability in a [rows, classes, batch] block
     k = dataset.num_classes
-    target = dataset.labels[index]
-    target += k * np.arange(batch) + (batch * k) * np.arange(len(shards))[:, None, None]
+    target = dataset.labels[index] * batch
+    target += np.arange(batch) + (k * batch) * np.arange(len(shards))[:, None, None]
 
-    weights = np.repeat(params.weights[None], len(shards), axis=0)
-    bias = np.repeat(params.bias[None], len(shards), axis=0)
+    weights = np.repeat(params.weights[None].astype(dtype), len(shards), axis=0)
+    bias = np.repeat(params.bias[None].astype(dtype), len(shards), axis=0)
     active = len(shards)
-    for step in range(num_steps):
-        while steps[order[active - 1]] <= step:
-            active -= 1
-        features = dataset.features[index[:active, step]]
-        probs = np.matmul(features, weights[:active].transpose(0, 2, 1))
-        probs += bias[:active, None, :]
-        probs -= probs.max(axis=2, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=2, keepdims=True)
-        probs.reshape(-1)[target[:active, step]] -= 1.0
-        probs *= scale[:active, step, :, None]
-        weights[:active] -= cfg.learning_rate * np.matmul(probs.transpose(0, 2, 1), features)
-        bias[:active] -= cfg.learning_rate * probs.sum(axis=1)
+    # a diverging run overflows here; the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(num_steps):
+            while steps[order[active - 1]] <= step:
+                active -= 1
+            features = np.take(dataset.features, index[:active, step], axis=0)
+            probs = np.matmul(weights[:active], features.transpose(0, 2, 1))
+            probs += bias[:active, :, None]
+            probs -= probs.max(axis=1, keepdims=True)
+            np.exp(probs, out=probs)
+            lane = scale[:active, step]
+            probs *= lane[:, None, :] / probs.sum(axis=1, keepdims=True)
+            probs.reshape(-1)[target[:active, step]] -= lane
+            weights[:active] -= cfg.learning_rate * np.matmul(probs, features)
+            bias[:active] -= cfg.learning_rate * probs.sum(axis=2)
 
     trained = [None] * len(shards)
     for row, c in enumerate(order):
@@ -194,7 +187,8 @@ def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):
 
 
 def evaluate(params: ModelParams, data: SyntheticDataset) -> float:
-    """Fraction of argmax-correct predictions."""
+    """Fraction of argmax-correct predictions, computed in the dtype of
+    `data.features` and `params`."""
     if data.num_samples == 0:
         raise EmptyClientData("cannot evaluate on empty client data")
     predictions = np.argmax(data.features @ params.weights.T + params.bias, axis=1)

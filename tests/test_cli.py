@@ -3,6 +3,7 @@ import json
 import pytest
 
 from greenfl.cli import main
+from greenfl.config import bundled_config_path, load_json
 
 from conftest import small_doc
 
@@ -162,6 +163,22 @@ def test_report_zero_co2e_baseline_json(zero_run_dir, run_dir, capsys):
     assert payload[-1] == {"ratios": {"high/high": None}}
 
 
+def test_report_overflowing_ratio_is_not_a_number(tmp_path, capsys):
+    dirs = []
+    for code, ci in (("TINY", 1e-300), ("HUGE", 1e10)):  # the ratio of their totals is about 1e310
+        doc = small_doc(
+            regions={code: ci},
+            sites=[{"site_id": f"site-{i + 1}", "hardware": "h100_like", "tier": "high", "region": code} for i in range(3)],
+        )
+        dirs.append(str(tmp_path / code))
+        assert main(["run", "--config", write_doc(tmp_path, doc, f"{code}.json"), "--out", dirs[-1]]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", *dirs, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail)[-1] == {"ratios": {"high/high": None}}
+    assert main(["report", "--in", *dirs]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ratios: high/high=n/a"
+
+
 def test_whatif_unknown_region(run_dir):
     assert main(["whatif", "--in", str(run_dir), "--region", "ATLANTIS"]) == 2
 
@@ -210,3 +227,45 @@ def test_run_with_tier_override(run_dir, tmp_path):
     assert slow["mean_energy_kwh_per_round"] == pytest.approx(
         6.0 * base["mean_energy_kwh_per_round"], rel=1e-9
     )
+
+
+def retina_doc(**overrides):
+    doc = load_json(bundled_config_path("retina_gpuswap_h100"), "config")
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("learning_rate", [1e40, 1e308])
+def test_diverging_run_fails_with_one_error_line(tmp_path, capsys, learning_rate):
+    # 1e40 fits in float64 but overflows the float32 parameters; 1e308 overflows both
+    doc = retina_doc()
+    doc["workload"]["learning_rate"] = learning_rate
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: training diverged in round 1: model parameters must be finite\n"
+    assert not out.exists()
+
+
+def test_overflowing_total_fails_before_writing(tmp_path, capsys):
+    # every span is finite, but five 0.5 kWh init spikes at 1e308 kg/kWh sum past the float range
+    doc = retina_doc(
+        hardware={
+            "spiky": {
+                "train_power_w": {"cpu_w": 40.0, "gpu_w": 200.0},
+                "idle_power_w": {"cpu_w": 10.0},
+                "init_spike_energy_kwh": 0.5,
+                "throughput_steps_per_s": 500.0,
+            }
+        },
+        regions={"HOT": 1e308},
+    )
+    for site in doc["sites"]:
+        site.update(hardware="spiky", region="HOT")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: compute_co2e_kg is inf: a run total overflows the float range\n"
+    assert not out.exists()
