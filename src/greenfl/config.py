@@ -314,7 +314,10 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
 
 
 def build_dataset(spec: TrajectorySpec) -> SyntheticDataset:
-    return make_blobs(
+    """The run's dataset; a separation that overflows it is a ConfigError."""
+    return _entry(
+        "workload.separation",
+        make_blobs,
         num_classes=spec.workload.num_classes,
         num_features=spec.workload.num_features,
         samples_per_class=spec.workload.samples_per_class,

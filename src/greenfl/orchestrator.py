@@ -7,8 +7,9 @@ finishes, everyone then evaluates, and the next barrier is the end of the
 slowest evaluation.  Timing never feeds back into learning: efficiency
 tiers and hardware profiles change the ledger, never the model.  So the
 two are separate functions: `run_job` trains, and `build_ledger` derives
-every span in closed form from the plan and the client shard sizes, each
-drawing its phase's constant power for its duration.
+the run's ledger in closed form from the plan and the client shard sizes:
+one `RoundRecord` row per span of one site in one phase, each drawing its
+phase's constant power for its duration.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from .comm import CommEnergyModel
 from .errors import Diverged, EmptyUpdateSet, ShapeMismatch
-from .sites import SiteConfig, effective_power, effective_train_duration
-from .tracker import EmissionsRecord, Phase
-from .units import JOULES_PER_KWH, CarbonIntensity, EnergyKwh, SimDuration, emissions_of, energy_of
+from .reporting import RoundRecord
+from .sites import EVALUATE, IDLE, INIT, ROUND, SiteConfig, effective_power, effective_train_duration
+from .units import JOULES_PER_KWH, emissions_of, energy_of
 from .workload import (
     ModelParams,
     SyntheticDataset,
@@ -107,47 +108,57 @@ def run_job(
     return accuracy_by_round, params
 
 
-def _span(
-    site: SiteConfig, phase: Phase, start: float, end: float, energy: EnergyKwh | None = None
-) -> EmissionsRecord:
-    """`site`'s span in `phase` from sim time `start` to `end`.  Its energy is
-    the phase's power drawn over the span unless `energy` is given."""
-    duration = SimDuration(end - start)
-    if energy is None:
-        energy = energy_of(effective_power(site.hardware, site.tier, phase), duration)
-    ci = CarbonIntensity(site.region.ci_kg_per_kwh)
-    return EmissionsRecord(
-        site_id=site.site_id,
-        phase=phase,
-        start=SimDuration(start),
-        duration=duration,
-        energy=energy,
-        co2e=emissions_of(energy, ci),
-        ci=ci,
-    )
-
-
-def build_ledger(plan: RunPlan, shard_sizes: list[int]) -> list[EmissionsRecord]:
-    """Every span of the run, from the plan and the client shard sizes.
+def build_ledger(
+    plan: RunPlan, shard_sizes: list[int], run_id: str, seed: int, payload_bytes: int
+) -> list[RoundRecord]:
+    """The run's schema rows, one per span, sorted by (start_s, site_id, phase).
 
     Site i holds `shard_sizes[i]` samples; its step counts follow from
-    `steps_per_round`.
+    `steps_per_round`.  Every round row carries the `payload_bytes` of one
+    client update.  A span's energy and CO2e are plain floats, so a value
+    that overflows is left for `validate_record` to reject.
     """
-    spans = []
+    rows = []
+
+    def add_span(site: SiteConfig, phase: str, round_index: int, start: float, end: float, energy: float | None = None):
+        """Add `site`'s row for `phase` from sim time `start` to `end`; its energy
+        is the phase's power drawn over the span unless `energy` is given."""
+        duration = end - start
+        if energy is None:
+            energy = energy_of(effective_power(site.hardware, site.tier, phase).total, duration)
+        ci = site.region.ci_kg_per_kwh
+        rows.append(RoundRecord(
+            run_id=run_id,
+            site_id=site.site_id,
+            round_index=round_index,
+            phase=phase,
+            start_s=start,
+            duration_s=duration,
+            energy_kwh=energy,
+            co2e_kg=emissions_of(energy, ci),
+            ci_kg_per_kwh=ci,
+            region_code=site.region.code,
+            hardware_name=site.hardware.name,
+            tier_label=site.tier.label,
+            payload_bytes=payload_bytes if phase == ROUND else None,
+            net_intensity_kwh_per_gb=plan.comm_model.net_intensity_kwh_per_gb,
+            seed=seed,
+        ))
 
     # one-time init at training power, lasting as long as it takes that power
     # to draw the startup spike; with zero training power the spike is a lump
     # on a zero-length span
     init_end = 0.0
     for site in plan.sites:
-        power = effective_power(site.hardware, site.tier, Phase.init())
-        spike = site.hardware.init_spike_energy
-        if power.total > 0:
-            span = _span(site, Phase.init(), 0.0, spike.value * JOULES_PER_KWH / power.total)
+        power = effective_power(site.hardware, site.tier, INIT).total
+        spike = site.hardware.init_spike_energy.value
+        if power > 0:
+            end = spike * JOULES_PER_KWH / power
+            add_span(site, INIT, 0, 0.0, end)
         else:
-            span = _span(site, Phase.init(), 0.0, 0.0, energy=spike)
-        spans.append(span)
-        init_end = max(init_end, span.duration.seconds)
+            end = 0.0
+            add_span(site, INIT, 0, 0.0, end, energy=spike)
+        init_end = max(init_end, end)
 
     barrier = init_end
     for round_index in range(1, plan.num_rounds + 1):
@@ -155,19 +166,20 @@ def build_ledger(plan: RunPlan, shard_sizes: list[int]) -> list[EmissionsRecord]
         for site, n in zip(plan.sites, shard_sizes, strict=True):
             duration = effective_train_duration(site.hardware, site.tier, steps_per_round(n, plan.train_cfg))
             train_ends.append(barrier + duration.seconds)
-            spans.append(_span(site, Phase.round(round_index), barrier, train_ends[-1]))
+            add_span(site, ROUND, round_index, barrier, train_ends[-1])
 
         # stragglers' peers idle until the slowest site finishes; that site gets
         # a zero-length idle span so every site has one per round
         train_end = max(train_ends)
         for site, end in zip(plan.sites, train_ends):
-            spans.append(_span(site, Phase.idle(round_index), end, train_end))
+            add_span(site, IDLE, round_index, end, train_end)
 
         barrier = train_end
         if plan.evaluate_each_round:
             for site, n in zip(plan.sites, shard_sizes):
                 eval_steps = -(-n // plan.train_cfg.batch_size)  # one forward pass
                 duration = effective_train_duration(site.hardware, site.tier, eval_steps)
-                spans.append(_span(site, Phase.evaluate(round_index), train_end, train_end + duration.seconds))
+                add_span(site, EVALUATE, round_index, train_end, train_end + duration.seconds)
                 barrier = max(barrier, train_end + duration.seconds)
-    return spans
+    rows.sort(key=lambda r: (r.start_s, r.site_id, r.phase))
+    return rows

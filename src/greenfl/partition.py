@@ -82,16 +82,6 @@ def largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def load_labels(path, num_classes: int | None = None) -> LabeledDatasetDescriptor:
-    """Read a labels file (one integer class index per line) into a descriptor."""
-    labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 1
-    return LabeledDatasetDescriptor(
-        num_samples=int(labels.size), num_classes=num_classes, labels=labels
-    )
-
-
 def dirichlet_partition(dataset: LabeledDatasetDescriptor, cfg: PartitionConfig) -> list[ClientPartition]:
     if dataset.num_samples == 0:
         raise EmptyDataset("cannot partition an empty dataset")
@@ -105,8 +95,13 @@ def dirichlet_partition(dataset: LabeledDatasetDescriptor, cfg: PartitionConfig)
     for cls in range(dataset.num_classes):
         cls_indices = np.flatnonzero(dataset.labels == cls)
         gammas = rng.gamma(cfg.alpha, 1.0, size=cfg.num_clients)
-        total = gammas.sum()
-        proportions = gammas / total if total > 0 else np.full(cfg.num_clients, 1.0 / cfg.num_clients)
+        with np.errstate(over="ignore"):
+            total = gammas.sum()
+        # a zero or overflowing total falls back to uniform proportions, the alpha -> inf limit
+        if 0 < total < np.inf:
+            proportions = gammas / total
+        else:
+            proportions = np.full(cfg.num_clients, 1.0 / cfg.num_clients)
         counts = largest_remainder_counts(proportions, len(cls_indices))
         offset = 0
         for client, count in enumerate(counts):

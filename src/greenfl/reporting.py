@@ -1,9 +1,11 @@
 """Standardized per-round reporting: schema, summaries, what-ifs, calibration.
 
-The round log is a flat CSV (`rounds.csv`): one row per task span, every
-row self-describing enough to recompute its CO2e (stored energy, stored
-grid intensity) and its communication estimate (payload bytes, network
-intensity).  Communication energy is therefore derived from round rows at
+The round log is a flat CSV (`rounds.csv`): one `RoundRecord` row per
+span of one site in one phase, as `orchestrator.build_ledger` emits them.
+Every row is self-describing enough to recompute its CO2e (stored energy,
+stored grid intensity) and its communication estimate (payload bytes,
+network intensity).  `validate_record` is the one check of a row, built
+or parsed.  Communication energy is therefore derived from round rows at
 summary time and reported as a separate category; it is never folded into
 the compute `energy_kwh` column, so nothing double-counts.
 
@@ -18,10 +20,10 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 
-from .comm import CommEnergyModel, UpdatePayload, comm_energy
+from .comm import CommEnergyModel, UpdatePayload, comm_emissions, comm_energy
 from .errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
-from .sites import EfficiencyTier
-from .tracker import ROUND
+from .sites import INIT, PHASES, ROUND, EfficiencyTier, GridRegion
+from .units import EnergyKwh
 
 SCHEMA_VERSION = "gfl-1"
 
@@ -67,6 +69,16 @@ def validate_record(record: RoundRecord) -> None:
             raise SchemaViolation(name, f"{name} must be finite and non-negative")
     if record.payload_bytes is not None and record.payload_bytes < 0:
         raise SchemaViolation("payload_bytes", "payload_bytes must be non-negative")
+    if record.phase not in PHASES:
+        raise SchemaViolation("phase", f"phase must be one of {', '.join(PHASES)}, got {record.phase!r}")
+    if not (record.round_index == 0 if record.phase == INIT else record.round_index >= 1):
+        raise SchemaViolation(
+            "round_index", f"round_index must be 0 for init and >= 1 for other phases, got {record.round_index}"
+        )
+    if record.schema_version != SCHEMA_VERSION:
+        raise SchemaViolation(
+            "schema_version", f"schema_version must be {SCHEMA_VERSION}, got {record.schema_version!r}"
+        )
     expected = record.energy_kwh * record.ci_kg_per_kwh
     tol = CO2E_CONSISTENCY_RTOL * max(abs(expected), 1e-300)
     if abs(record.co2e_kg - expected) > tol:
@@ -220,7 +232,9 @@ def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | N
             round_energy += record.energy_kwh
             round_co2e += record.co2e_kg
         ce = record_comm_energy(record)
-        cc = ce * record.ci_kg_per_kwh
+        if ce == math.inf:  # its CO2e would be NaN on a zero-intensity grid
+            raise NonFiniteTotal("comm_energy_kwh", ce)
+        cc = comm_emissions(EnergyKwh(ce), GridRegion(record.region_code, record.ci_kg_per_kwh)).value
         comm_energy += ce
         comm_co2e += cc
         totals.comm_energy_kwh += ce

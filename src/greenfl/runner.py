@@ -1,5 +1,5 @@
 """Glue between the orchestrator and the reporting layer: run a configured
-scenario, flatten the ledger into schema records, and write run artifacts
+scenario, take its ledger's schema rows, and write run artifacts
 (rounds.csv, run.json, summary.json) to an output directory.
 
 A run is a learning trajectory plus a ledger.  The trajectory depends only
@@ -18,39 +18,7 @@ from . import __version__
 from .config import RunConfig, TrajectorySpec, build_dataset, build_shards
 from .orchestrator import build_ledger, run_job
 from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
-from .tracker import ROUND, EmissionsRecord
 from .workload import ModelParams, update_payload_bytes
-
-
-def ledger_to_records(cfg: RunConfig, spans: list[EmissionsRecord], payload_bytes: int) -> list[RoundRecord]:
-    """One schema row per span, in time order; every round row carries the
-    `payload_bytes` of one client update."""
-    sites = {site.site_id: site for site in cfg.plan.sites}
-    net_intensity = cfg.plan.comm_model.net_intensity_kwh_per_gb
-    records = []
-    for span in spans:
-        site = sites[span.site_id]
-        records.append(
-            RoundRecord(
-                run_id=cfg.scenario,
-                site_id=span.site_id,
-                round_index=span.phase.round_index,
-                phase=span.phase.kind,
-                start_s=span.start.seconds,
-                duration_s=span.duration.seconds,
-                energy_kwh=span.energy.value,
-                co2e_kg=span.co2e.value,
-                ci_kg_per_kwh=span.ci.value,
-                region_code=site.region.code,
-                hardware_name=site.hardware.name,
-                tier_label=site.tier.label,
-                payload_bytes=payload_bytes if span.phase.kind == ROUND else None,
-                net_intensity_kwh_per_gb=net_intensity,
-                seed=cfg.seed,
-            )
-        )
-    records.sort(key=lambda r: (r.start_s, r.site_id, r.phase))
-    return records
 
 
 @dataclass(frozen=True)
@@ -77,8 +45,9 @@ def train_trajectory(spec: TrajectorySpec) -> Trajectory:
 def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
     """The run's schema rows and the (possibly shared) trajectory they come from."""
     trajectory = train_trajectory(cfg.trajectory_spec())
-    spans = build_ledger(cfg.plan, trajectory.shard_sizes)
-    records = ledger_to_records(cfg, spans, update_payload_bytes(trajectory.final_params))
+    records = build_ledger(
+        cfg.plan, trajectory.shard_sizes, cfg.scenario, cfg.seed, update_payload_bytes(trajectory.final_params)
+    )
     return records, trajectory
 
 

@@ -1,7 +1,9 @@
 """Client site models: hardware profiles, efficiency tiers and grid regions.
 
 A hardware profile turns training steps into simulated seconds (throughput)
-and seconds into watts.  An efficiency tier degrades a site by stretching
+and seconds into watts, one power per phase kind of the ledger: one-time
+`init`, per-round `round` (local training), `idle` (waiting for the round
+barrier) and `evaluate`.  An efficiency tier degrades a site by stretching
 its training duration (slowdown_factor) and scaling its training power
 (power_scale); idle draw is deliberately left untouched by the tier so the
 two knobs stay independent.  The one-time startup spike is the energy of
@@ -13,8 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tracker import EVALUATE, IDLE, INIT, ROUND, Phase
 from .units import EnergyKwh, PowerDrawW, SimDuration
+
+INIT = "init"
+ROUND = "round"
+IDLE = "idle"
+EVALUATE = "evaluate"
+PHASES = (INIT, ROUND, IDLE, EVALUATE)  # in the order a site passes through them
 
 
 @dataclass(frozen=True)
@@ -72,20 +79,20 @@ def effective_train_duration(profile: HardwareProfile, tier: EfficiencyTier, ste
     return SimDuration(steps / profile.throughput_steps_per_s * tier.slowdown_factor)
 
 
-def effective_power(profile: HardwareProfile, tier: EfficiencyTier, phase: Phase) -> PowerDrawW:
-    """Power draw of this site during `phase`.
+def effective_power(profile: HardwareProfile, tier: EfficiencyTier, phase: str) -> PowerDrawW:
+    """Power draw of this site during a span of phase kind `phase`.
 
     Training and evaluation draw tier-scaled training power; idle draws the
     profile's idle power; init draws unscaled training power (the startup
     spike is a lump, not a power change).
     """
-    if phase.kind in (ROUND, EVALUATE):
+    if phase in (ROUND, EVALUATE):
         return profile.train_power.scaled(tier.power_scale)
-    if phase.kind == IDLE:
+    if phase == IDLE:
         return profile.idle_power
-    if phase.kind == INIT:
+    if phase == INIT:
         return profile.train_power
-    raise ValueError(f"unknown phase kind {phase.kind!r}")
+    raise ValueError(f"unknown phase kind {phase!r}")
 
 
 # Throughputs are calibration constants for the bundled desk-scale

@@ -5,9 +5,11 @@ Everything downstream composes these two identities:
     energy [kWh]    = power [W] * time [s] / 3.6e6
     emissions [kg]  = energy [kWh] * carbon intensity [kg/kWh]
 
-All values are stored in base units (watts, seconds, kWh, kg, kg/kWh);
-minutes only ever appear at report-formatting time.  Negative magnitudes
-are rejected at construction so downstream code never re-checks.
+All values are in base units (watts, seconds, kWh, kg, kg/kWh); minutes
+only ever appear at report-formatting time.  The value types reject
+negative magnitudes at construction.  The two conversions take and return
+plain floats, so a ledger span never raises: a value that overflows
+reaches the span's row, where `reporting.validate_record` rejects it.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ class EnergyKwh:
     def __post_init__(self):
         _require_non_negative("energy", self.value)
 
-    def __add__(self, other: "EnergyKwh") -> "EnergyKwh":
-        return EnergyKwh(self.value + other.value)
-
 
 @dataclass(frozen=True)
 class EmissionsKg:
@@ -43,19 +42,6 @@ class EmissionsKg:
 
     def __post_init__(self):
         _require_non_negative("emissions", self.value)
-
-    def __add__(self, other: "EmissionsKg") -> "EmissionsKg":
-        return EmissionsKg(self.value + other.value)
-
-
-@dataclass(frozen=True)
-class CarbonIntensity:
-    """Grid carbon intensity in kg CO2e per kWh."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_non_negative("carbon intensity", self.value)
 
 
 @dataclass(frozen=True)
@@ -89,15 +75,12 @@ class SimDuration:
     def __post_init__(self):
         _require_non_negative("duration", self.seconds)
 
-    def __add__(self, other: "SimDuration") -> "SimDuration":
-        return SimDuration(self.seconds + other.seconds)
+
+def energy_of(power_w: float, seconds: float) -> float:
+    """Energy (kWh) drawn at a constant `power_w` watts over `seconds`."""
+    return power_w * seconds / JOULES_PER_KWH
 
 
-def energy_of(power: PowerDrawW, duration: SimDuration) -> EnergyKwh:
-    """Energy drawn at constant `power` over `duration`."""
-    return EnergyKwh(power.total * duration.seconds / JOULES_PER_KWH)
-
-
-def emissions_of(energy: EnergyKwh, ci: CarbonIntensity) -> EmissionsKg:
-    """CO2e attributable to `energy` on a grid with intensity `ci`."""
-    return EmissionsKg(energy.value * ci.value)
+def emissions_of(energy_kwh: float, ci_kg_per_kwh: float) -> float:
+    """CO2e (kg) attributable to `energy_kwh` on a grid of intensity `ci_kg_per_kwh`."""
+    return energy_kwh * ci_kg_per_kwh

@@ -77,18 +77,23 @@ def make_blobs(
 
     Means are drawn isotropically and rescaled so the minimum pairwise
     distance equals `separation`; labels are the block-ordered class ids.
-    Each class block is drawn in float64 and stored as float32.
+    Each class block is drawn in float64 and stored as float32.  A
+    separation so large that a feature overflows float32 raises ValueError.
     """
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, num_features))
-    if num_classes > 1:
-        dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-        min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
-        means *= separation / min_dist
-    features = np.empty((num_classes * samples_per_class, num_features), dtype=np.float32)
-    for c in range(num_classes):
-        block = slice(c * samples_per_class, (c + 1) * samples_per_class)
-        features[block] = means[c] + rng.normal(size=(samples_per_class, num_features))
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite feature below
+        if num_classes > 1:
+            dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
+            min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
+            means *= separation / min_dist
+        features = np.empty((num_classes * samples_per_class, num_features), dtype=np.float32)
+        for c in range(num_classes):
+            block = slice(c * samples_per_class, (c + 1) * samples_per_class)
+            features[block] = means[c] + rng.normal(size=(samples_per_class, num_features))
+    # min and max propagate NaN and reach any inf, without an [n, F] temporary
+    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        raise ValueError(f"separation {separation} overflows the float32 features")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     return SyntheticDataset(features, labels, num_classes)
 

@@ -122,7 +122,7 @@ def test_whatif_rejects_non_finite_or_negative_ci(run_dir, capsys, ci):
 
 
 @pytest.mark.parametrize("argv", [["report", "--format", "json"], ["whatif", "--ci", "0.3"]])
-@pytest.mark.parametrize("cell", ["abc", "short"])
+@pytest.mark.parametrize("cell", ["abc", "short", "bogus"])
 def test_malformed_row_fails_with_one_error_line(run_dir, capsys, argv, cell):
     csv_path = run_dir / "rounds.csv"
     header, first, *rest = csv_path.read_text().splitlines(keepends=True)
@@ -130,7 +130,7 @@ def test_malformed_row_fails_with_one_error_line(run_dir, capsys, argv, cell):
     if cell == "short":
         fields.pop()
     else:
-        fields[header.split(",").index("energy_kwh")] = cell
+        fields[header.split(",").index("phase" if cell == "bogus" else "energy_kwh")] = cell
     csv_path.write_text("".join([header, ",".join(fields) + "\n", *rest]))
     assert main([argv[0], "--in", str(run_dir), *argv[1:]]) == 1
     out = capsys.readouterr()
@@ -268,4 +268,52 @@ def test_overflowing_total_fails_before_writing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: compute_co2e_kg is inf: a run total overflows the float range\n"
+    assert not out.exists()
+
+
+_HARDWARE = {
+    "train_power_w": {"cpu_w": 40.0, "gpu_w": 300.0, "ram_w": 20.0},
+    "idle_power_w": {"cpu_w": 15.0},
+    "init_spike_energy_kwh": 3.9e-6,
+    "throughput_steps_per_s": 1660.0,
+}
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        # the power sum overflows: the init span lasts 0 s at inf W
+        pytest.param(
+            {"train_power_w": {"cpu_w": 1e308, "gpu_w": 1e308}},
+            "energy_kwh must be finite and non-negative",
+            id="power_sum",
+        ),
+        # every span lasts inf s, so an idle span's end - start is inf - inf
+        pytest.param({"throughput_steps_per_s": 5e-324}, "duration_s must be finite and non-negative", id="throughput"),
+        # the init span lasts inf s, so every round span's end - start is inf - inf
+        pytest.param({"init_spike_energy_kwh": 1e308}, "duration_s must be finite and non-negative", id="init_spike"),
+    ],
+)
+def test_extreme_hardware_fails_with_one_error_line(tmp_path, capsys, override, message):
+    doc = small_doc(
+        hardware={"extreme": {**_HARDWARE, **override}},
+        sites=[{"site_id": f"site-{i + 1}", "hardware": "extreme", "tier": "high", "region": "USA"} for i in range(3)],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("separation", [1e39, 1e308])
+def test_overflowing_separation_fails_at_its_path(tmp_path, capsys, separation):
+    # with no training steps the inf features would otherwise reach a valid-looking run
+    doc = small_doc(workload=dict(small_doc()["workload"], separation=separation, local_epochs=0))
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: workload.separation: separation {separation!r} overflows the float32 features\n"
     assert not out.exists()

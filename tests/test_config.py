@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -365,10 +366,12 @@ def test_any_mutation_parses_or_fails_at_its_path(data, which):
     assert all(math.isfinite(x) for x in floats_in(cfg))
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_any_corrupted_run_exits_cleanly(data):
-    doc, _, _ = mutate(data.draw, custom_doc(), st.sampled_from(CORRUPTIONS), st.sampled_from(["x", "extra"]))
+    # finite extremes pass the field table and must still fail cleanly, or run
+    values = st.sampled_from(CORRUPTIONS + [1e308, 5e-324, sys.float_info.max])
+    doc, _, _ = mutate(data.draw, custom_doc(), values, st.sampled_from(["x", "extra"]))
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = run(Path(tmp), doc)
     assert code in (0, 1, 2)

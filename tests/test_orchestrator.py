@@ -5,7 +5,7 @@ from greenfl.config import parse_config
 from greenfl.errors import EmptyUpdateSet, ShapeMismatch
 from greenfl.orchestrator import fedavg_aggregate
 from greenfl.runner import execute_run, train_trajectory
-from greenfl.tracker import EVALUATE, IDLE, INIT, ROUND
+from greenfl.sites import EVALUATE, IDLE, INIT, ROUND
 from greenfl.workload import ModelParams
 
 from conftest import small_doc

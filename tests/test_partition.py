@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from greenfl.partition import (
     PartitionConfig,
     dirichlet_partition,
     largest_remainder_counts,
-    load_labels,
     validate_partition,
 )
 
@@ -89,6 +90,17 @@ def test_large_alpha_concentrates_at_uniform():
     assert worst < 0.02
 
 
+@pytest.mark.parametrize("alpha", [1e308, sys.float_info.max])
+def test_overflowing_alpha_partitions_uniformly(alpha):
+    # the Gamma draws are finite but their sum overflows: the alpha -> inf limit, uniform shares
+    dataset = block_labels(num_classes=3, per_class=200)
+    parts = dirichlet_partition(dataset, PartitionConfig(6, alpha, 0))
+    assert validate_partition(dataset, parts).ok
+    # 200 = 6 * 33 + 2: the two leftover samples of each class go to the lowest client ids
+    expected = [[34] * 3] * 2 + [[33] * 3] * 4
+    np.testing.assert_array_equal(class_counts(dataset, parts), expected)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 50.0])
 def test_disjoint_and_exhaustive(seed, alpha):
@@ -158,15 +170,6 @@ def test_validator_flags_missing_index():
     report = validate_partition(dataset, parts)
     assert not report.exhaustive
     assert any("exhaustiveness" in v for v in report.violations)
-
-
-def test_load_labels_file(tmp_path):
-    path = tmp_path / "labels.txt"
-    path.write_text("0\n2\n1\n2\n0\n")
-    dataset = load_labels(path)
-    assert dataset.num_samples == 5
-    assert dataset.num_classes == 3
-    np.testing.assert_array_equal(dataset.labels, [0, 2, 1, 2, 0])
 
 
 def test_empty_dataset_rejected():

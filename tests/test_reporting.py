@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenfl.errors import CalibrationFailed, SchemaViolation, UnknownRegion
+from greenfl.errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
 from greenfl.reporting import (
     FIELD_NAMES,
     RoundRecord,
@@ -105,6 +105,14 @@ def test_summary_folds_real_run(small_cfg):
     assert report.runtime_s == pytest.approx(max(r.start_s + r.duration_s for r in records), rel=1e-12)
 
 
+def test_overflowing_comm_energy_fails_as_a_total():
+    # 2 * 1000 GB * 1e308 kWh/GB overflows; on a 0 kg/kWh grid its CO2e would be inf * 0 = NaN
+    rec = record(payload_bytes=10**12, net_intensity_kwh_per_gb=1e308, ci_kg_per_kwh=0.0, co2e_kg=0.0)
+    with pytest.raises(NonFiniteTotal) as err:
+        summarize_run([rec])
+    assert err.value.field == "comm_energy_kwh"
+
+
 def test_mean_energy_per_round_definition():
     records = [
         record(site_id=f"s{i}", round_index=k, start_s=float(10 * k + i), energy_kwh=2e-5, co2e_kg=2e-5 * 0.4)
@@ -183,10 +191,11 @@ def test_records_are_frozen():
         rec.energy_kwh = 1.0
 
 
-# per typed field, values of the right shape that are still invalid
+# per checked field, values of the right shape that are still invalid
 _FLOAT_FIELDS = ("start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb")
 _INVALID = {name: ["nan", "inf", "-inf", "-1", "1e999"] for name in _FLOAT_FIELDS}
-_INVALID.update(round_index=["1.5", "1e3"], seed=["1.5", "1e3"], payload_bytes=["1.5", "-1"])
+_INVALID.update(round_index=["1.5", "1e3", "-5", "0"], seed=["1.5", "1e3"], payload_bytes=["1.5", "-1"])
+_INVALID.update(phase=["bogus", "Round"], schema_version=["gfl-9"])
 
 
 def _valid_rows():

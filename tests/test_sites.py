@@ -4,13 +4,16 @@ from greenfl.sites import (
     BUILTIN_HARDWARE,
     BUILTIN_REGIONS,
     BUILTIN_TIERS,
+    EVALUATE,
     GPU_SWAP_RUNTIME_RATIO,
+    IDLE,
+    INIT,
+    ROUND,
     EfficiencyTier,
     HardwareProfile,
     effective_power,
     effective_train_duration,
 )
-from greenfl.tracker import Phase
 from greenfl.units import EnergyKwh, PowerDrawW
 
 
@@ -48,23 +51,23 @@ def test_gpu_preset_duration_ratio():
 
 
 def test_high_tier_power_is_identity():
-    assert effective_power(profile(), HIGH, Phase.round(1)).total == pytest.approx(100.0)
+    assert effective_power(profile(), HIGH, ROUND).total == pytest.approx(100.0)
 
 
 def test_power_scale_applies_to_training_and_evaluation():
     tier = EfficiencyTier("low", 1.0, 2.0)
-    assert effective_power(profile(), tier, Phase.round(1)).total == pytest.approx(200.0)
-    assert effective_power(profile(), tier, Phase.evaluate(1)).total == pytest.approx(200.0)
+    assert effective_power(profile(), tier, ROUND).total == pytest.approx(200.0)
+    assert effective_power(profile(), tier, EVALUATE).total == pytest.approx(200.0)
 
 
 def test_idle_power_ignores_power_scale():
     tier = EfficiencyTier("low", 3.0, 5.0)
-    assert effective_power(profile(), tier, Phase.idle(1)).total == pytest.approx(30.0)
+    assert effective_power(profile(), tier, IDLE).total == pytest.approx(30.0)
 
 
 def test_init_power_is_unscaled_train_power():
     tier = EfficiencyTier("low", 3.0, 5.0)
-    assert effective_power(profile(), tier, Phase.init()).total == pytest.approx(100.0)
+    assert effective_power(profile(), tier, INIT).total == pytest.approx(100.0)
 
 
 def test_presets_include_required_entries():
