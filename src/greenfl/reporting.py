@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .comm import CommEnergyModel, UpdatePayload, comm_emissions, comm_energy
@@ -67,8 +68,10 @@ def validate_record(record: RoundRecord) -> None:
     for name in _FLOAT_FIELDS:
         if not 0.0 <= getattr(record, name) < math.inf:  # also rejects NaN
             raise SchemaViolation(name, f"{name} must be finite and non-negative")
-    if record.payload_bytes is not None and record.payload_bytes < 0:
-        raise SchemaViolation("payload_bytes", "payload_bytes must be non-negative")
+    if record.payload_bytes is not None and not 0 <= record.payload_bytes <= sys.float_info.max:
+        raise SchemaViolation("payload_bytes", "payload_bytes must be non-negative and within the float range")
+    if record.round_index > sys.float_info.max:  # it divides a float total
+        raise SchemaViolation("round_index", "round_index must be within the float range")
     if record.phase not in PHASES:
         raise SchemaViolation("phase", f"phase must be one of {', '.join(PHASES)}, got {record.phase!r}")
     if not (record.round_index == 0 if record.phase == INIT else record.round_index >= 1):

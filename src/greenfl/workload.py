@@ -117,11 +117,15 @@ def train_clients(
     own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
     step in lockstep: sorted by step count, longest first, the clients
     still training at step k are a prefix, and one batched forward and
-    gradient serves them all.  Logits are class-major, `[client, class,
-    lane]`, so the softmax reductions run along the contiguous lane axis.
-    A batch's gradient is the mean over its real samples: every sample
-    carries weight 1/len(batch), folded into the softmax normalisation,
-    and the lanes that pad an epoch's short last batch carry weight 0.
+    gradient serves them all.  Weights are stored feature-major,
+    `[client, feature, class]`, so the forward multiplies two row-major
+    operands; its `[client, lane, class]` result is copied once to
+    class-major, `[client, class, lane]`, so the softmax reductions run
+    along the contiguous lane axis.  A batch's gradient is the mean over
+    its real samples: every sample carries weight 1/len(batch), folded
+    into the softmax normalisation, and the lanes that pad an epoch's
+    short last batch carry weight 0.  There are at most as many lanes as
+    the largest shard has samples, whatever `cfg.batch_size` is.
     Everything runs in the dtype of `dataset.features`.  Finiteness is
     checked once, when the trained params are built after the last step.
     """
@@ -129,7 +133,8 @@ def train_clients(
     if min(sizes) == 0:
         raise EmptyClientData("cannot train on empty client data")
     dtype = dataset.features.dtype
-    batch = cfg.batch_size
+    # a batch wider than every shard holds each shard whole, one batch per epoch
+    batch = min(cfg.batch_size, max(sizes))
     steps = [steps_per_round(n, cfg) for n in sizes]
     order = sorted(range(len(shards)), key=lambda c: -steps[c])
     num_steps = steps[order[0]]
@@ -156,28 +161,36 @@ def train_clients(
     target = dataset.labels[index] * batch
     target += np.arange(batch) + (k * batch) * np.arange(len(shards))[:, None, None]
 
-    weights = np.repeat(params.weights[None].astype(dtype), len(shards), axis=0)
-    bias = np.repeat(params.bias[None].astype(dtype), len(shards), axis=0)
-    active = len(shards)
+    # feature-major weights: the forward is `features @ w_t`, both operands
+    # row-major; numpy's stacked matmul is slow on a transposed operand, and
+    # writing into a strided `out=` changes the bits at small shapes
+    w_t = np.empty((len(shards), dataset.num_features, k), dtype)
+    w_t[:] = params.weights.T
+    bias = np.empty((len(shards), k), dtype)
+    bias[:] = params.bias
+    lr = cfg.learning_rate
+    # rows [0, active) train during steps [ends[active], ends[active - 1])
+    ends = [steps[c] for c in order] + [0]
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(num_steps):
-            while steps[order[active - 1]] <= step:
-                active -= 1
-            features = np.take(dataset.features, index[:active, step], axis=0)
-            probs = np.matmul(weights[:active], features.transpose(0, 2, 1))
-            probs += bias[:active, :, None]
-            probs -= probs.max(axis=1, keepdims=True)
-            np.exp(probs, out=probs)
-            lane = scale[:active, step]
-            probs *= lane[:, None, :] / probs.sum(axis=1, keepdims=True)
-            probs.reshape(-1)[target[:active, step]] -= lane
-            weights[:active] -= cfg.learning_rate * np.matmul(probs, features)
-            bias[:active] -= cfg.learning_rate * probs.sum(axis=2)
+        for active in range(len(shards), 0, -1):
+            w, b = w_t[:active], bias[:active]
+            rows_index, rows_scale, rows_target = index[:active], scale[:active], target[:active]
+            for step in range(ends[active], ends[active - 1]):
+                features = dataset.features.take(rows_index[:, step], axis=0)
+                probs = np.matmul(features, w).transpose(0, 2, 1).copy()
+                probs += b[:, :, None]
+                probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+                np.exp(probs, out=probs)
+                lane = rows_scale[:, step]
+                probs *= lane[:, None, :] / np.add.reduce(probs, axis=1, keepdims=True)
+                probs.reshape(-1)[rows_target[:, step]] -= lane
+                w -= (lr * np.matmul(probs, features)).transpose(0, 2, 1)
+                b -= lr * np.add.reduce(probs, axis=2)
 
     trained = [None] * len(shards)
     for row, c in enumerate(order):
-        trained[c] = ModelParams(weights[row], bias[row])
+        trained[c] = ModelParams(np.ascontiguousarray(w_t[row].T), bias[row])
     return trained, steps
 
 

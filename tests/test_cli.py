@@ -138,6 +138,22 @@ def test_malformed_row_fails_with_one_error_line(run_dir, capsys, argv, cell):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["report", "--format", "json"], ["whatif", "--ci", "0.3"]])
+@pytest.mark.parametrize("field", ["payload_bytes", "round_index"])
+def test_huge_int_cell_fails_with_one_error_line(run_dir, capsys, argv, field):
+    # an int beyond the float range ended `report` in an OverflowError traceback
+    csv_path = run_dir / "rounds.csv"
+    header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    row = next(row for row in rows if row[header.index("phase")] == "round")
+    row[header.index(field)] = str(10**400)
+    csv_path.write_text("".join(",".join(line) + "\n" for line in [header, *rows]))
+    assert main([argv[0], "--in", str(run_dir), *argv[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field} must be") and out.err.endswith("within the float range\n")
+    assert out.err.count("\n") == 1
+
+
 @pytest.fixture
 def zero_run_dir(tmp_path):
     doc = small_doc(

@@ -194,7 +194,11 @@ def test_records_are_frozen():
 # per checked field, values of the right shape that are still invalid
 _FLOAT_FIELDS = ("start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb")
 _INVALID = {name: ["nan", "inf", "-inf", "-1", "1e999"] for name in _FLOAT_FIELDS}
-_INVALID.update(round_index=["1.5", "1e3", "-5", "0"], seed=["1.5", "1e3"], payload_bytes=["1.5", "-1"])
+# an int beyond the float range overflowed the summary's float arithmetic
+HUGE_INT = str(10**400)
+_INVALID.update(
+    round_index=["1.5", "1e3", "-5", "0", HUGE_INT], seed=["1.5", "1e3"], payload_bytes=["1.5", "-1", HUGE_INT]
+)
 _INVALID.update(phase=["bogus", "Round"], schema_version=["gfl-9"])
 
 
