@@ -1,6 +1,7 @@
 """Command-line entry point: run scenarios, report, what-if, calibrate.
 
-Exit codes: 0 success, 1 runtime failure, 2 validation failure.
+Exit codes: 0 success, 1 runtime failure (an OSError included), 2
+validation failure.
 """
 
 from __future__ import annotations
@@ -39,12 +40,31 @@ def _resolve_config_path(name_or_path: str) -> Path:
     raise ConfigError("config", f"no such config file or bundled scenario: {name_or_path}")
 
 
+def _check_out_dir(out: str) -> None:
+    """ConfigError at `out` unless `out` is, or can be made, a directory:
+    its nearest existing ancestor, itself included, must be a directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError("out", f"{existing} is not a directory")
+
+
+def _check_out_file(out: str) -> None:
+    """ConfigError at `out` unless `out` can be a file in an existing directory."""
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError("out", f"{path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError("out", f"{path.parent} is not a directory")
+
+
 def cmd_run(args) -> int:
     doc = load_json(_resolve_config_path(args.config), "config")
     if args.seed is not None:
         doc["seed"] = args.seed
     overrides = load_tiers(args.tiers) if args.tiers else None
     cfg = parse_config(doc, tier_overrides=overrides)
+    _check_out_dir(args.out)
     records, trajectory = execute_run(cfg)
     report = write_artifacts(args.out, cfg, records, trajectory)
     print(
@@ -161,6 +181,7 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _check_out_file(args.out)
     records, _ = _read_run_dir(args.baseline, "baseline")
     targets = {label: TierTarget(**t) for label, t in load_targets(args.targets).items()}
     tiers = calibrate_tiers(summarize_run(records).mean_energy_kwh_per_round, targets)
@@ -216,7 +237,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownRegion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CalibrationFailed, GreenflError) as exc:
+    except (CalibrationFailed, GreenflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

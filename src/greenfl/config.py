@@ -36,21 +36,26 @@ from .units import EnergyKwh, PowerDrawW
 from .workload import SyntheticDataset, TrainConfig, make_blobs
 
 REQUIRED = object()  # the default of a field that has none
+# samples_per_class x num_classes x num_features of the largest dataset:
+# its float32 features take 400 MB
+MAX_DATASET_VALUES = 10**8
 
 
 @dataclass(frozen=True)
 class Field:
-    """One input field: its kind, its default and its lower bound.
+    """One input field: its kind, its default and its bounds.
 
     `kind` is `bool`, `int`, `str`, `float` (any JSON number, read as a
     finite float), a section `{key: Field}`, or a `MapOf`/`ListOf`.  An int
-    takes no bool, float or string.  `lo` is inclusive unless `lo_open`.
+    takes no bool, float or string.  `lo` is inclusive unless `lo_open`;
+    `hi` is inclusive.
     """
 
     kind: object
     default: object = REQUIRED
     lo: float | None = None
     lo_open: bool = False
+    hi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -75,26 +80,27 @@ _HARDWARE = {
     "throughput_steps_per_s": Field(float, lo=0, lo_open=True),
 }
 _TIER = {
-    "slowdown_factor": Field(float, lo=1),
+    # calibrate fits slowdowns up to 1000 (`calibrate_tiers` max_factor)
+    "slowdown_factor": Field(float, lo=1, hi=1000),
     "power_scale": Field(float, lo=0, lo_open=True),
 }
 _SITE = {key: Field(str) for key in ("site_id", "hardware", "tier", "region")}
 _CONFIG = {
     "scenario": Field(str),
     "seed": Field(int, lo=0),
-    "num_rounds": Field(int, lo=1),
+    "num_rounds": Field(int, lo=1, hi=10_000),
     "evaluate_each_round": Field(bool, True),
     "workload": Field({
         "num_classes": Field(int, 10, lo=1),
         "num_features": Field(int, 90, lo=1),
         "samples_per_class": Field(int, 6000, lo=1),
         "separation": Field(float, 5.0, lo=0),
-        "local_epochs": Field(int, 10, lo=0),
+        "local_epochs": Field(int, 10, lo=0, hi=1000),
         "batch_size": Field(int, 600, lo=1),
         "learning_rate": Field(float, 0.05, lo=0),
     }),
     "partition": Field({
-        "num_clients": Field(int, lo=1),
+        "num_clients": Field(int, lo=1, hi=1000),
         "alpha": Field(float, lo=0, lo_open=True),
         "seed": Field(int, None, lo=0),  # None: the top-level seed
     }),
@@ -213,6 +219,8 @@ def _read(value, spec: Field, path: str):
             raise ConfigError(path, "must be finite")
     if spec.lo is not None and not (value > spec.lo if spec.lo_open else value >= spec.lo):
         raise ConfigError(path, f"must be {'>' if spec.lo_open else '>='} {spec.lo}")
+    if spec.hi is not None and not value <= spec.hi:
+        raise ConfigError(path, f"must be <= {spec.hi}")
     return value
 
 
@@ -264,6 +272,11 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
     wl, part, comm = c["workload"], c["partition"], c["comm"]
     if comm["attribution"] != "client":
         raise ConfigError("comm.attribution", f"only 'client' attribution is supported, got {comm['attribution']!r}")
+    if wl["samples_per_class"] * wl["num_classes"] * wl["num_features"] > MAX_DATASET_VALUES:
+        raise ConfigError(
+            "workload.samples_per_class",
+            f"samples_per_class x num_classes x num_features must be <= {MAX_DATASET_VALUES}",
+        )
 
     hardware = dict(BUILTIN_HARDWARE)
     for name, hw in c["hardware"].items():

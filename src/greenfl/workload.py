@@ -77,8 +77,9 @@ def make_blobs(
 
     Means are drawn isotropically and rescaled so the minimum pairwise
     distance equals `separation`; labels are the block-ordered class ids.
-    Each class block is drawn in float64 and stored as float32.  A
-    separation so large that a feature overflows float32 raises ValueError.
+    Each class block is drawn in float64, into one reused buffer, and
+    stored as float32.  A separation so large that a feature overflows
+    float32 raises ValueError.
     """
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, num_features))
@@ -88,9 +89,11 @@ def make_blobs(
             min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
             means *= separation / min_dist
         features = np.empty((num_classes * samples_per_class, num_features), dtype=np.float32)
+        draw = np.empty((samples_per_class, num_features))
         for c in range(num_classes):
-            block = slice(c * samples_per_class, (c + 1) * samples_per_class)
-            features[block] = means[c] + rng.normal(size=(samples_per_class, num_features))
+            rng.standard_normal(out=draw)
+            draw += means[c]
+            features[c * samples_per_class : (c + 1) * samples_per_class] = draw
     # min and max propagate NaN and reach any inf, without an [n, F] temporary
     if not (np.isfinite(features.min()) and np.isfinite(features.max())):
         raise ValueError(f"separation {separation} overflows the float32 features")
@@ -115,83 +118,97 @@ def train_clients(
     Client i trains on the rows `shards[i]` of `dataset` (global indices,
     gathered per step, never copied out) and shuffles each epoch with its
     own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
-    step in lockstep: sorted by step count, longest first, the clients
-    still training at step k are a prefix, and one batched forward and
-    gradient serves them all.  Weights are stored feature-major,
-    `[client, feature, class]`, so the forward multiplies two row-major
-    operands; its `[client, lane, class]` result is copied once to
-    class-major, `[client, class, lane]`, so the softmax reductions run
-    along the contiguous lane axis.  A batch's gradient is the mean over
-    its real samples: every sample carries weight 1/len(batch), folded
-    into the softmax normalisation, and the lanes that pad an epoch's
-    short last batch carry weight 0.  There are at most as many lanes as
-    the largest shard has samples, whatever `cfg.batch_size` is.
-    Everything runs in the dtype of `dataset.features`.  Finiteness is
-    checked once, when the trained params are built after the last step.
+    step in lockstep one epoch at a time: sorted by steps per epoch,
+    longest first, the clients still training at step k of an epoch are a
+    prefix, and one batched forward and gradient serves them all.  Weights
+    are stored feature-major, `[client, feature, class]`, so the forward
+    multiplies two row-major operands; its `[client, lane, class]` result
+    is copied into a class-major buffer, `[client, class, lane]`, so the
+    softmax reductions run along the contiguous lane axis.  A batch's
+    gradient is the mean over its real samples: every sample carries
+    weight 1/len(batch), folded into the softmax normalisation, and the
+    lanes that pad an epoch's short last batch carry weight 0.  There are
+    at most as many lanes as the largest shard has samples, whatever
+    `cfg.batch_size` is.  Everything runs in the dtype of
+    `dataset.features`.  Finiteness is checked once, when the trained
+    params are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
     if min(sizes) == 0:
         raise EmptyClientData("cannot train on empty client data")
     dtype = dataset.features.dtype
+    num_clients, k = len(shards), dataset.num_classes
     # a batch wider than every shard holds each shard whole, one batch per epoch
     batch = min(cfg.batch_size, max(sizes))
-    steps = [steps_per_round(n, cfg) for n in sizes]
-    order = sorted(range(len(shards)), key=lambda c: -steps[c])
-    num_steps = steps[order[0]]
+    per_epoch = [-(-n // batch) for n in sizes]
+    order = sorted(range(num_clients), key=lambda c: -per_epoch[c])
+    num_steps = per_epoch[order[0]]
 
-    # [client, step, lane] tables in sorted-client order; a padded lane
-    # repeats the last sample of its batch, so its logits stay finite
-    # whenever the batch's are
-    index = np.zeros((len(shards), num_steps, batch), dtype=np.intp)
-    scale = np.zeros((len(shards), num_steps, batch), dtype)
+    # [step, client, 1, lane] tables of one epoch in sorted-client order;
+    # the unit class axis broadcasts over a [client, class, lane] block.
+    # The lane weights are the same every epoch.
+    scale = np.zeros((num_steps, num_clients, 1, batch), dtype)
     for row, c in enumerate(order):
-        n = sizes[c]
-        per_epoch = -(-n // batch)
-        lanes = np.zeros(per_epoch * batch)
+        n, p = sizes[c], per_epoch[c]
+        lanes = np.zeros(p * batch)
         lanes[:n] = 1.0 / batch
-        lanes[(per_epoch - 1) * batch : n] = 1.0 / (n - (per_epoch - 1) * batch)
-        scale[row, : steps[c]] = np.tile(lanes.reshape(per_epoch, batch), (cfg.local_epochs, 1))
-        rng = np.random.default_rng(seeds[c])
-        for epoch in range(cfg.local_epochs):
-            perm = rng.permutation(n)
-            perm = np.concatenate([perm, np.full(per_epoch * batch - n, perm[-1])])
-            index[row, epoch * per_epoch : (epoch + 1) * per_epoch] = shards[c][perm].reshape(per_epoch, batch)
-    # flat position of each lane's true-class probability in a [rows, classes, batch] block
-    k = dataset.num_classes
-    target = dataset.labels[index] * batch
-    target += np.arange(batch) + (k * batch) * np.arange(len(shards))[:, None, None]
+        lanes[(p - 1) * batch : n] = 1.0 / (n - (p - 1) * batch)
+        scale[:p, row, 0] = lanes.reshape(p, batch)
+    # a lane's true-class probability is at flat position
+    # `label * batch + offset` of a [client, class, lane] block
+    offset = np.arange(batch) + (k * batch) * np.arange(num_clients)[:, None, None]
+    index = np.zeros((num_steps, num_clients, 1, batch), dtype=np.intp)
+    target = np.empty_like(index)
+    rngs = [np.random.default_rng(seeds[c]) for c in order]
 
     # feature-major weights: the forward is `features @ w_t`, both operands
     # row-major; numpy's stacked matmul is slow on a transposed operand, and
     # writing into a strided `out=` changes the bits at small shapes
-    w_t = np.empty((len(shards), dataset.num_features, k), dtype)
+    w_t = np.empty((num_clients, dataset.num_features, k), dtype)
     w_t[:] = params.weights.T
-    bias = np.empty((len(shards), k), dtype)
+    bias = np.empty((num_clients, k), dtype)
     bias[:] = params.bias
+    probs_all = np.empty((num_clients, k, batch), dtype)
     lr = cfg.learning_rate
-    # rows [0, active) train during steps [ends[active], ends[active - 1])
-    ends = [steps[c] for c in order] + [0]
+    # rows [0, active) train during steps [ends[active], ends[active - 1]) of
+    # every epoch; each run of steps gets its views once
+    ends = [per_epoch[c] for c in order] + [0]
+    prefixes = []
+    for active in range(num_clients, 0, -1):
+        if ends[active] < ends[active - 1]:
+            w, b, probs = w_t[:active], bias[:active], probs_all[:active]
+            steps = slice(ends[active], ends[active - 1])
+            prefixes.append((steps, active, w, w.transpose(0, 2, 1), b, b[:, :, None], probs, probs.reshape(-1)))
+
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for active in range(len(shards), 0, -1):
-            w, b = w_t[:active], bias[:active]
-            rows_index, rows_scale, rows_target = index[:active], scale[:active], target[:active]
-            for step in range(ends[active], ends[active - 1]):
-                features = dataset.features.take(rows_index[:, step], axis=0)
-                probs = np.matmul(features, w).transpose(0, 2, 1).copy()
-                probs += b[:, :, None]
-                probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-                np.exp(probs, out=probs)
-                lane = rows_scale[:, step]
-                probs *= lane[:, None, :] / np.add.reduce(probs, axis=1, keepdims=True)
-                probs.reshape(-1)[rows_target[:, step]] -= lane
-                w -= (lr * np.matmul(probs, features)).transpose(0, 2, 1)
-                b -= lr * np.add.reduce(probs, axis=2)
+        for _ in range(cfg.local_epochs):
+            # a padded lane repeats the last sample of its batch, so its
+            # logits stay finite whenever the batch's are
+            for row, c in enumerate(order):
+                n, p = sizes[c], per_epoch[c]
+                perm = rngs[row].permutation(n)
+                perm = np.concatenate([perm, np.full(p * batch - n, perm[-1])])
+                index[:p, row, 0] = shards[c][perm].reshape(p, batch)
+            target[:] = dataset.labels[index]
+            target *= batch
+            target += offset
+            for steps, active, w, w_ct, b, b_col, probs, flat in prefixes:
+                for idx, lane, tg in zip(index[steps, :active, 0], scale[steps, :active], target[steps, :active]):
+                    features = dataset.features.take(idx, axis=0)
+                    np.copyto(probs, np.matmul(features, w).transpose(0, 2, 1))
+                    probs += b_col
+                    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+                    np.exp(probs, out=probs)
+                    probs *= lane / np.add.reduce(probs, axis=1, keepdims=True)
+                    flat[tg] -= lane
+                    w_ct -= lr * np.matmul(probs, features)
+                    b -= lr * np.add.reduce(probs, axis=2)
 
-    trained = [None] * len(shards)
+    trained = [None] * num_clients
     for row, c in enumerate(order):
         trained[c] = ModelParams(np.ascontiguousarray(w_t[row].T), bias[row])
-    return trained, steps
+    return trained, [steps_per_round(n, cfg) for n in sizes]
 
 
 def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):

@@ -333,3 +333,67 @@ def test_overflowing_separation_fails_at_its_path(tmp_path, capsys, separation):
     assert captured.out == ""
     assert captured.err == f"error: workload.separation: separation {separation!r} overflows the float32 features\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_run_out_under_a_file_exits_2_before_training(tmp_path, capsys, monkeypatch, sub):
+    monkeypatch.setattr("greenfl.cli.execute_run", lambda cfg: pytest.fail("trained before checking --out"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / sub if sub else blocker
+    assert main(["run", "--config", write_doc(tmp_path, small_doc()), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out: {blocker} is not a directory\n"
+    assert blocker.read_text() == "keep"
+
+
+@pytest.fixture
+def targets_path(run_dir, tmp_path):
+    mean = json.loads((run_dir / "summary.json").read_text())["mean_energy_kwh_per_round"]
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"high": {"mean_energy_kwh_per_round": mean, "runtime_min": 1.0}}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "make_out, blamed",
+    [
+        pytest.param(lambda tmp: tmp / "dir", "{out} is a directory", id="directory"),
+        pytest.param(lambda tmp: tmp / "blocker" / "t.json", "{parent} is not a directory", id="under_a_file"),
+        pytest.param(lambda tmp: tmp / "missing" / "t.json", "{parent} is not a directory", id="missing_parent"),
+    ],
+)
+def test_calibrate_unwritable_out_exits_2(run_dir, targets_path, tmp_path, capsys, make_out, blamed):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "blocker").write_text("keep")
+    out = make_out(tmp_path)
+    capsys.readouterr()
+    assert main(["calibrate", "--baseline", str(run_dir), "--targets", str(targets_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out: " + blamed.format(out=out, parent=out.parent) + "\n"
+    assert (tmp_path / "blocker").read_text() == "keep"
+
+
+def test_run_write_failure_is_one_error_line(tmp_path, capsys):
+    # the boundary accepts an existing directory; the OSError comes from the write itself
+    out = tmp_path / "out"
+    (out / "rounds.csv").mkdir(parents=True)
+    assert main(["run", "--config", write_doc(tmp_path, small_doc()), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "rounds.csv" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_calibrate_write_failure_is_one_error_line(run_dir, targets_path, tmp_path, capsys):
+    # a dangling symlink passes the boundary, and `open` cannot follow it
+    out = tmp_path / "link.json"
+    out.symlink_to(tmp_path / "missing" / "t.json")
+    capsys.readouterr()
+    assert main(["calibrate", "--baseline", str(run_dir), "--targets", str(targets_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "link.json" in captured.err
+    assert captured.err.count("\n") == 1

@@ -174,6 +174,56 @@ def test_float_field_rejects_int_beyond_float_range():
         parse_config(doc)
 
 
+# Each quantity that sizes a loop or an allocation has an upper bound; a
+# huge int is rejected at its path before anything is built from it.
+UPPER_BOUNDS = [
+    ("num_rounds", 10_000),
+    ("workload.local_epochs", 1000),
+    ("partition.num_clients", 1000),
+    ("tiers.slow.slowdown_factor", 1000),
+]
+
+
+@pytest.mark.parametrize("path, hi", UPPER_BOUNDS)
+@pytest.mark.parametrize("value", [10**12, 10**400])
+def test_upper_bound_rejects_huge_int_at_its_path(path, hi, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(set_path(custom_doc(), path, value))
+    message = "must be finite" if value == 10**400 and path.startswith("tiers.") else f"must be <= {hi}"
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("path, hi", UPPER_BOUNDS)
+def test_upper_bound_is_inclusive(path, hi):
+    doc = set_path(custom_doc(), path, hi)
+    if path == "partition.num_clients":
+        # the site count must follow, so the bound itself is caught by that rule
+        with pytest.raises(ConfigError, match="^sites: "):
+            parse_config(doc)
+    else:
+        parse_config(doc)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be <= {hi}$"):
+        parse_config(set_path(custom_doc(), path, hi + 1))
+
+
+@pytest.mark.parametrize("path", ["workload.samples_per_class", "workload.num_classes", "workload.num_features"])
+@pytest.mark.parametrize("value", [10**12, 10**400])
+def test_dataset_size_is_bounded_at_samples_per_class(path, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(set_path(custom_doc(), path, value))
+    assert str(exc.value) == (
+        "workload.samples_per_class: samples_per_class x num_classes x num_features must be <= 100000000"
+    )
+
+
+def test_dataset_size_bound_is_inclusive():
+    doc = small_doc(workload=dict(small_doc()["workload"], samples_per_class=10**6, num_classes=10, num_features=10))
+    assert parse_config(doc).workload_cfg.samples_per_class == 10**6
+    doc["workload"]["num_features"] = 11
+    with pytest.raises(ConfigError, match="^workload.samples_per_class: "):
+        parse_config(doc)
+
+
 @pytest.fixture
 def run_dir(tmp_path):
     assert run(tmp_path, small_doc())[0] == 0
@@ -304,6 +354,9 @@ def blamed(field_path, mutated):
     # a site names a hardware profile, tier or region the mutation took away
     if re.fullmatch(r"sites\[\d+\]\.(hardware|tier|region)", field_path):
         return mutated.split(".")[0] in MAPS
+    # the dataset-size rule reports at samples_per_class whichever factor is large
+    if field_path == "workload.samples_per_class":
+        return mutated in ("workload.num_classes", "workload.num_features")
     return field_path == "sites" and mutated == "partition.num_clients"
 
 

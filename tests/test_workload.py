@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config
 from greenfl.errors import EmptyClientData
 from greenfl.orchestrator import fedavg_aggregate, run_job
 from greenfl.workload import (
@@ -212,22 +216,30 @@ def client_sets(draw):
 FLOAT64_TOLERANCE = 1e-12
 
 
-def assert_matches_reference(sizes, cfg, seed):
+def random_clients(sizes, seed, dtype):
+    """A dataset, its shards, the client seeds and start params for `sizes`."""
     rng = np.random.default_rng(seed)
     num_classes, num_features = 3, 5
     dataset = SyntheticDataset(
-        rng.normal(size=(sum(sizes), num_features)), rng.integers(0, num_classes, sum(sizes)), num_classes
+        rng.normal(size=(sum(sizes), num_features)).astype(dtype), rng.integers(0, num_classes, sum(sizes)), num_classes
     )
     shards = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
     seeds = [int(s) for s in rng.integers(0, 2**32, len(sizes))]
-    params = ModelParams(rng.normal(size=(num_classes, num_features)), rng.normal(size=num_classes))
+    params = ModelParams(
+        rng.normal(size=(num_classes, num_features)).astype(dtype), rng.normal(size=num_classes).astype(dtype)
+    )
+    return dataset, shards, seeds, params
+
+
+def assert_matches_reference(sizes, cfg, seed):
+    dataset, shards, seeds, params = random_clients(sizes, seed, np.float64)
 
     trained, steps = train_clients(params, dataset, shards, cfg, seeds)
 
     assert steps == [steps_per_round(n, cfg) for n in sizes]
     for shard, client_seed, got in zip(shards, seeds, trained):
         client_cfg = TrainConfig(cfg.local_epochs, cfg.batch_size, cfg.learning_rate, client_seed)
-        client_data = SyntheticDataset(dataset.features[shard], dataset.labels[shard], num_classes)
+        client_data = SyntheticDataset(dataset.features[shard], dataset.labels[shard], dataset.num_classes)
         want, _ = reference_local_train(params, client_data, client_cfg)
         atol = FLOAT64_TOLERANCE * max(1.0, np.abs(want.weights).max(), np.abs(want.bias).max())
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-12, atol=atol)
@@ -240,6 +252,48 @@ def assert_matches_reference(sizes, cfg, seed):
 @example(([1, 12], TrainConfig(local_epochs=3, batch_size=2, learning_rate=1.0), 172386))
 def test_lockstep_stepper_matches_per_client_reference(case):
     assert_matches_reference(*case)
+
+
+def at_least_one_batch(case):
+    """`case` with every shard raised to at least `batch_size` samples, so
+    the lane width is `batch_size` however the clients are grouped."""
+    sizes, cfg, seed = case
+    return [max(n, cfg.batch_size) for n in sizes], cfg, seed
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=100, deadline=None)
+@given(case=client_sets().map(at_least_one_batch))
+def test_lockstep_grouping_does_not_change_bits(dtype, case):
+    # the epoch-synchronous schedule relies on this: a client's arithmetic
+    # is the same whichever clients step beside it
+    sizes, cfg, seed = case
+    dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
+    together, _ = train_clients(params, dataset, shards, cfg, seeds)
+    for shard, client_seed, got in zip(shards, seeds, together):
+        (alone,), _ = train_clients(params, dataset, [shard], cfg, [client_seed])
+        assert np.array_equal(got.weights, alone.weights)
+        assert np.array_equal(got.bias, alone.bias)
+
+
+def test_table_memory_is_per_epoch():
+    # at the cifar shape, a round-long [client, step, lane] table grew with
+    # the epoch count; the per-epoch tables and the step's buffers do not
+    spec = load_config(bundled_config_path("cifar_tiers_high")).trajectory_spec()
+    dataset = build_dataset(spec)
+    shards = build_shards(spec, dataset)
+    params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.features.dtype)
+    seeds = list(range(len(shards)))
+    peaks = {}
+    for epochs in (1, 10):
+        cfg = dataclasses.replace(spec.train, local_epochs=epochs)
+        tracemalloc.start()
+        try:
+            train_clients(params, dataset, shards, cfg, seeds)
+            peaks[epochs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10] <= 1.1 * peaks[1], peaks
 
 
 @pytest.mark.parametrize("sizes", [[40], [5, 17, 40]])
@@ -317,25 +371,18 @@ FLOAT32_TOLERANCE = 1e-4
 @given(client_sets())
 def test_float32_stepper_tracks_float64_reference(case):
     sizes, cfg, seed = case
-    rng = np.random.default_rng(seed)
-    num_classes, num_features = 3, 5
-    features = rng.normal(size=(sum(sizes), num_features)).astype(np.float32)
-    labels = rng.integers(0, num_classes, sum(sizes))
-    shards = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
-    seeds = [int(s) for s in rng.integers(0, 2**32, len(sizes))]
-    params = ModelParams(
-        rng.normal(size=(num_classes, num_features)).astype(np.float32),
-        rng.normal(size=num_classes).astype(np.float32),
-    )
+    dataset, shards, seeds, params = random_clients(sizes, seed, np.float32)
 
-    trained, steps = train_clients(params, SyntheticDataset(features, labels, num_classes), shards, cfg, seeds)
+    trained, steps = train_clients(params, dataset, shards, cfg, seeds)
 
     assert steps == [steps_per_round(n, cfg) for n in sizes]
     start = ModelParams(params.weights.astype(np.float64), params.bias.astype(np.float64))
     for shard, client_seed, got in zip(shards, seeds, trained):
         assert got.weights.dtype == np.float32
         client_cfg = TrainConfig(cfg.local_epochs, cfg.batch_size, cfg.learning_rate, client_seed)
-        client_data = SyntheticDataset(features[shard].astype(np.float64), labels[shard], num_classes)
+        client_data = SyntheticDataset(
+            dataset.features[shard].astype(np.float64), dataset.labels[shard], dataset.num_classes
+        )
         want, _ = reference_local_train(start, client_data, client_cfg)
         scale = max(1.0, np.abs(want.weights).max(), np.abs(want.bias).max())
         np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=FLOAT32_TOLERANCE * scale)
