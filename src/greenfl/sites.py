@@ -14,6 +14,7 @@ zero training power, as a lump on a zero-length span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .units import EnergyKwh, PowerDrawW, SimDuration
 
@@ -35,6 +36,9 @@ class HardwareProfile:
     def __post_init__(self):
         if not self.throughput_steps_per_s > 0:
             raise ValueError("throughput must be > 0")
+        for what, power in (("train_power", self.train_power), ("idle_power", self.idle_power)):
+            if not isfinite(power.total):
+                raise ValueError(f"{what} total {power.total} W overflows the float range")
         if self.idle_power.total > self.train_power.total:
             raise ValueError("idle power cannot exceed training power")
 

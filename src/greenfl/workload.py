@@ -123,15 +123,17 @@ def train_clients(
     prefix, and one batched forward and gradient serves them all.  Weights
     are stored feature-major, `[client, feature, class]`, so the forward
     multiplies two row-major operands; its `[client, lane, class]` result
-    is copied into a class-major buffer, `[client, class, lane]`, so the
-    softmax reductions run along the contiguous lane axis.  A batch's
-    gradient is the mean over its real samples: every sample carries
-    weight 1/len(batch), folded into the softmax normalisation, and the
-    lanes that pad an epoch's short last batch carry weight 0.  There are
-    at most as many lanes as the largest shard has samples, whatever
-    `cfg.batch_size` is.  Everything runs in the dtype of
-    `dataset.features`.  Finiteness is checked once, when the trained
-    params are built after the last step.
+    plus the bias is written into a class-major buffer, `[client, class,
+    lane]`, so the softmax reductions run along the contiguous lane axis.
+    The step's buffers are made once per call and written with `out=`, so
+    a step allocates only its gathered batch, the forward's result and the
+    true-class gather.  A batch's gradient is the mean over its real
+    samples: every sample carries weight 1/len(batch), folded into the
+    softmax normalisation, and the lanes that pad an epoch's short last
+    batch carry weight 0.  There are at most as many lanes as the largest
+    shard has samples, whatever `cfg.batch_size` is.  Everything runs in
+    the dtype of `dataset.features`.  Finiteness is checked once, when the
+    trained params are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
     if min(sizes) == 0:
@@ -168,17 +170,27 @@ def train_clients(
     w_t[:] = params.weights.T
     bias = np.empty((num_clients, k), dtype)
     bias[:] = params.bias
+    # the step's buffers, made once at full client count; an active prefix
+    # writes into their contiguous [:active] views
     probs_all = np.empty((num_clients, k, batch), dtype)
+    peak_all = np.empty((num_clients, 1, batch), dtype)
+    norm_all = np.empty((num_clients, 1, batch), dtype)
+    grad_all = np.empty((num_clients, k, dataset.num_features), dtype)
+    bias_grad_all = np.empty((num_clients, k), dtype)
     lr = cfg.learning_rate
     # rows [0, active) train during steps [ends[active], ends[active - 1]) of
-    # every epoch; each run of steps gets its views once
+    # every epoch; each run of steps gets its views once, and its step rows
+    # stay valid because the epoch tables are refilled in place
     ends = [per_epoch[c] for c in order] + [0]
     prefixes = []
     for active in range(num_clients, 0, -1):
         if ends[active] < ends[active - 1]:
             w, b, probs = w_t[:active], bias[:active], probs_all[:active]
             steps = slice(ends[active], ends[active - 1])
-            prefixes.append((steps, active, w, w.transpose(0, 2, 1), b, b[:, :, None], probs, probs.reshape(-1)))
+            rows = list(zip(index[steps, :active, 0], scale[steps, :active], target[steps, :active]))
+            views = (w, w.transpose(0, 2, 1), b, b[:, :, None], probs, probs.reshape(-1))
+            buffers = (peak_all[:active], norm_all[:active], grad_all[:active], bias_grad_all[:active])
+            prefixes.append((rows, *views, *buffers))
 
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,17 +205,23 @@ def train_clients(
             target[:] = dataset.labels[index]
             target *= batch
             target += offset
-            for steps, active, w, w_ct, b, b_col, probs, flat in prefixes:
-                for idx, lane, tg in zip(index[steps, :active, 0], scale[steps, :active], target[steps, :active]):
+            for rows, w, w_ct, b, b_col, probs, flat, peak, norm, grad, bias_grad in prefixes:
+                for idx, lane, tg in rows:
                     features = dataset.features.take(idx, axis=0)
-                    np.copyto(probs, np.matmul(features, w).transpose(0, 2, 1))
-                    probs += b_col
-                    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+                    np.add(np.matmul(features, w).transpose(0, 2, 1), b_col, out=probs)
+                    np.maximum.reduce(probs, axis=1, keepdims=True, out=peak)
+                    probs -= peak
                     np.exp(probs, out=probs)
-                    probs *= lane / np.add.reduce(probs, axis=1, keepdims=True)
+                    np.add.reduce(probs, axis=1, keepdims=True, out=norm)
+                    np.divide(lane, norm, out=norm)
+                    probs *= norm
                     flat[tg] -= lane
-                    w_ct -= lr * np.matmul(probs, features)
-                    b -= lr * np.add.reduce(probs, axis=2)
+                    np.matmul(probs, features, out=grad)
+                    grad *= lr
+                    w_ct -= grad
+                    np.add.reduce(probs, axis=2, out=bias_grad)
+                    bias_grad *= lr
+                    b -= bias_grad
 
     trained = [None] * num_clients
     for row, c in enumerate(order):
@@ -226,7 +244,9 @@ def evaluate(params: ModelParams, data: SyntheticDataset) -> float:
     `data.features` and `params`."""
     if data.num_samples == 0:
         raise EmptyClientData("cannot evaluate on empty client data")
-    predictions = np.argmax(data.features @ params.weights.T + params.bias, axis=1)
+    logits = data.features @ params.weights.T
+    logits += params.bias
+    predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == data.labels))
 
 

@@ -298,12 +298,6 @@ _HARDWARE = {
 @pytest.mark.parametrize(
     "override, message",
     [
-        # the power sum overflows: the init span lasts 0 s at inf W
-        pytest.param(
-            {"train_power_w": {"cpu_w": 1e308, "gpu_w": 1e308}},
-            "energy_kwh must be finite and non-negative",
-            id="power_sum",
-        ),
         # every span lasts inf s, so an idle span's end - start is inf - inf
         pytest.param({"throughput_steps_per_s": 5e-324}, "duration_s must be finite and non-negative", id="throughput"),
         # the init span lasts inf s, so every round span's end - start is inf - inf
@@ -320,6 +314,21 @@ def test_extreme_hardware_fails_with_one_error_line(tmp_path, capsys, override, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("power", ["train_power", "idle_power"])
+def test_overflowing_power_sum_fails_at_its_hardware_path(tmp_path, capsys, power):
+    # each component is finite, but their total is inf W
+    doc = small_doc(
+        hardware={"extreme": {**_HARDWARE, f"{power}_w": {"cpu_w": 1e308, "gpu_w": 1e308}}},
+        sites=[{"site_id": f"site-{i + 1}", "hardware": "extreme", "tier": "high", "region": "USA"} for i in range(3)],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: hardware.extreme: {power} total inf W overflows the float range\n"
     assert not out.exists()
 
 

@@ -146,6 +146,19 @@ def test_evaluate_random_params_near_chance():
     assert np.mean(accs) == pytest.approx(0.1, abs=0.05)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), num_classes=st.integers(2, 12))
+def test_evaluate_predicts_as_the_two_temporary_expression(dtype, seed, n, num_classes):
+    # the bias is added in place on the matmul result: the same fl(z) + b
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, 9)).astype(dtype)
+    params = ModelParams(rng.normal(size=(num_classes, 9)).astype(dtype), rng.normal(size=num_classes).astype(dtype))
+    predictions = np.argmax(features @ params.weights.T + params.bias, axis=1)
+    # labelled with the old predictions, the accuracy is 1 only if every prediction agrees
+    assert evaluate(params, SyntheticDataset(features, predictions, num_classes)) == 1.0
+
+
 def test_empty_data_rejected():
     empty = SyntheticDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
     with pytest.raises(EmptyClientData):
@@ -216,10 +229,9 @@ def client_sets(draw):
 FLOAT64_TOLERANCE = 1e-12
 
 
-def random_clients(sizes, seed, dtype):
+def random_clients(sizes, seed, dtype, num_classes=3, num_features=5):
     """A dataset, its shards, the client seeds and start params for `sizes`."""
     rng = np.random.default_rng(seed)
-    num_classes, num_features = 3, 5
     dataset = SyntheticDataset(
         rng.normal(size=(sum(sizes), num_features)).astype(dtype), rng.integers(0, num_classes, sum(sizes)), num_classes
     )
@@ -276,10 +288,35 @@ def test_lockstep_grouping_does_not_change_bits(dtype, case):
         assert np.array_equal(got.bias, alone.bias)
 
 
-def test_table_memory_is_per_epoch():
-    # at the cifar shape, a round-long [client, step, lane] table grew with
-    # the epoch count; the per-epoch tables and the step's buffers do not
-    spec = load_config(bundled_config_path("cifar_tiers_high")).trajectory_spec()
+# the other call's [classes, features] differ from random_clients' default [3, 5]
+OTHER_SHAPES = st.tuples(st.integers(2, 6), st.integers(1, 9)).filter(lambda shape: shape != (3, 5))
+
+
+@pytest.mark.parametrize("dtype, other_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+@settings(max_examples=50, deadline=None)
+@given(case=client_sets(), other=client_sets(), other_shape=OTHER_SHAPES)
+def test_train_clients_keeps_no_state_between_calls(dtype, other_dtype, case, other, other_shape):
+    # the step's buffers and views are made per call; none may leak into the
+    # next call, here one of another shape and dtype
+    sizes, cfg, seed = case
+    dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
+    first, _ = train_clients(params, dataset, shards, cfg, seeds)
+    other_sizes, other_cfg, other_seed = other
+    other_dataset, other_shards, other_seeds, other_params = random_clients(
+        other_sizes, other_seed, other_dtype, *other_shape
+    )
+    train_clients(other_params, other_dataset, other_shards, other_cfg, other_seeds)
+    again, _ = train_clients(params, dataset, shards, cfg, seeds)
+    for got, want in zip(again, first):
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
+
+
+@pytest.mark.parametrize("scenario", ["cifar_tiers_high", "retina_gpuswap_h100"])
+def test_table_memory_is_per_epoch(scenario):
+    # a round-long [client, step, lane] table grew with the epoch count; the
+    # per-epoch tables, the step's buffers and its views do not
+    spec = load_config(bundled_config_path(scenario)).trajectory_spec()
     dataset = build_dataset(spec)
     shards = build_shards(spec, dataset)
     params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.features.dtype)
