@@ -165,7 +165,7 @@ def build_ledger(
         train_ends = []
         for site, n in zip(plan.sites, shard_sizes, strict=True):
             duration = effective_train_duration(site.hardware, site.tier, steps_per_round(n, plan.train_cfg))
-            train_ends.append(barrier + duration.seconds)
+            train_ends.append(barrier + duration)
             add_span(site, ROUND, round_index, barrier, train_ends[-1])
 
         # stragglers' peers idle until the slowest site finishes; that site gets
@@ -179,7 +179,7 @@ def build_ledger(
             for site, n in zip(plan.sites, shard_sizes):
                 eval_steps = -(-n // plan.train_cfg.batch_size)  # one forward pass
                 duration = effective_train_duration(site.hardware, site.tier, eval_steps)
-                add_span(site, EVALUATE, round_index, train_end, train_end + duration.seconds)
-                barrier = max(barrier, train_end + duration.seconds)
+                add_span(site, EVALUATE, round_index, train_end, train_end + duration)
+                barrier = max(barrier, train_end + duration)
     rows.sort(key=lambda r: (r.start_s, r.site_id, r.phase))
     return rows

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
-from .units import EnergyKwh, PowerDrawW, SimDuration
+from .units import EnergyKwh, PowerDrawW
 
 INIT = "init"
 ROUND = "round"
@@ -76,11 +76,11 @@ class SiteConfig:
     region: GridRegion
 
 
-def effective_train_duration(profile: HardwareProfile, tier: EfficiencyTier, steps: int) -> SimDuration:
+def effective_train_duration(profile: HardwareProfile, tier: EfficiencyTier, steps: int) -> float:
     """Simulated seconds to run `steps` training steps on this site."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    return SimDuration(steps / profile.throughput_steps_per_s * tier.slowdown_factor)
+    return steps / profile.throughput_steps_per_s * tier.slowdown_factor
 
 
 def effective_power(profile: HardwareProfile, tier: EfficiencyTier, phase: str) -> PowerDrawW:

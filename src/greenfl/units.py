@@ -66,16 +66,6 @@ class PowerDrawW:
         return PowerDrawW(self.cpu_w * factor, self.gpu_w * factor, self.ram_w * factor)
 
 
-@dataclass(frozen=True)
-class SimDuration:
-    """A span of simulated time, in seconds."""
-
-    seconds: float
-
-    def __post_init__(self):
-        _require_non_negative("duration", self.seconds)
-
-
 def energy_of(power_w: float, seconds: float) -> float:
     """Energy (kWh) drawn at a constant `power_w` watts over `seconds`."""
     return power_w * seconds / JOULES_PER_KWH

@@ -11,6 +11,7 @@ host-independent.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import ceil
 
@@ -19,6 +20,11 @@ import numpy as np
 from .errors import Diverged, EmptyClientData
 
 FLOAT32_BYTES = 4
+# Multiply-adds one lockstep step must give each client group before the
+# clients split onto threads.  Below about 0.8M per group the split lost or
+# tied, because the GIL-bound numpy calls around the GEMMs serialise; at
+# 1.6M it won (README, "Client groups on threads").
+MIN_GROUP_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,31 @@ def steps_per_round(n: int, cfg: TrainConfig) -> int:
     return cfg.local_epochs * ceil(n / cfg.batch_size)
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _client_groups(sizes: list[int], lane: int, num_features: int, num_classes: int, cores: int) -> list[list[int]]:
+    """Client indices split into the groups `train_clients` trains side by side.
+
+    There are `min(cores, clients, step_work // MIN_GROUP_WORK)` groups, at
+    least one, where `step_work = lane * num_features * num_classes *
+    clients` is the multiply-adds of one full lockstep step.  Clients go
+    largest shard first to the group with the fewest samples so far.
+    """
+    step_work = lane * num_features * num_classes * len(sizes)
+    count = max(1, min(cores, len(sizes), step_work // MIN_GROUP_WORK))
+    groups = [[] for _ in range(count)]
+    loads = [0] * count
+    for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+        g = loads.index(min(loads))
+        groups[g].append(c)
+        loads[g] += sizes[c]
+    return groups
+
+
 def train_clients(
     params: ModelParams,
     dataset: SyntheticDataset,
@@ -114,6 +145,54 @@ def train_clients(
 ) -> tuple[list[ModelParams], list[int]]:
     """Mini-batch SGD from `params` for every client at once; returns each
     client's trained params and step count, in `shards` order.
+
+    Client i trains on the rows `shards[i]` of `dataset` and shuffles each
+    epoch with its own `default_rng(seeds[i])` stream; `cfg.seed` is not
+    used.  The clients are trained in lockstep (see `_lockstep`).  When one
+    lockstep step is large enough to be BLAS-bound, the clients split into
+    groups of balanced shard size (`_client_groups`), one per usable core:
+    the calling thread trains the first group and a thread pool the rest.
+    Every group steps at the lane width of the whole call, so a client's
+    trained bits do not depend on its group, and a group that diverges
+    raises `Diverged` here.
+    """
+    sizes = [len(shard) for shard in shards]
+    if min(sizes) == 0:
+        raise EmptyClientData("cannot train on empty client data")
+    # a batch wider than every shard holds each shard whole, one batch per epoch
+    lane = min(cfg.batch_size, max(sizes))
+    groups = _client_groups(sizes, lane, dataset.num_features, dataset.num_classes, _usable_cores())
+    steps = [steps_per_round(n, cfg) for n in sizes]
+    if len(groups) == 1:
+        return _lockstep(params, dataset, shards, cfg, seeds, lane), steps
+
+    # imported here, not at module level, so its import cost stays out of
+    # every start-up of `greenfl`
+    from concurrent.futures import ThreadPoolExecutor
+
+    def train(group):
+        return _lockstep(params, dataset, [shards[c] for c in group], cfg, [seeds[c] for c in group], lane)
+
+    with ThreadPoolExecutor(len(groups) - 1) as pool:
+        futures = [pool.submit(train, group) for group in groups[1:]]
+        parts = [train(groups[0])] + [future.result() for future in futures]
+    trained = [None] * len(shards)
+    for group, part in zip(groups, parts):
+        for c, client in zip(group, part):
+            trained[c] = client
+    return trained, steps
+
+
+def _lockstep(
+    params: ModelParams,
+    dataset: SyntheticDataset,
+    shards: list[np.ndarray],
+    cfg: TrainConfig,
+    seeds: list[int],
+    batch: int,
+) -> list[ModelParams]:
+    """`train_clients` for one group of clients, `batch` lanes wide; returns
+    each client's trained params in `shards` order.
 
     Client i trains on the rows `shards[i]` of `dataset` (global indices,
     gathered per step, never copied out) and shuffles each epoch with its
@@ -130,18 +209,13 @@ def train_clients(
     true-class gather.  A batch's gradient is the mean over its real
     samples: every sample carries weight 1/len(batch), folded into the
     softmax normalisation, and the lanes that pad an epoch's short last
-    batch carry weight 0.  There are at most as many lanes as the largest
-    shard has samples, whatever `cfg.batch_size` is.  Everything runs in
-    the dtype of `dataset.features`.  Finiteness is checked once, when the
+    batch carry weight 0.  Everything runs in the dtype of
+    `dataset.features`.  Finiteness is checked once, when the
     trained params are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
-    if min(sizes) == 0:
-        raise EmptyClientData("cannot train on empty client data")
     dtype = dataset.features.dtype
     num_clients, k = len(shards), dataset.num_classes
-    # a batch wider than every shard holds each shard whole, one batch per epoch
-    batch = min(cfg.batch_size, max(sizes))
     per_epoch = [-(-n // batch) for n in sizes]
     order = sorted(range(num_clients), key=lambda c: -per_epoch[c])
     num_steps = per_epoch[order[0]]
@@ -226,7 +300,7 @@ def train_clients(
     trained = [None] * num_clients
     for row, c in enumerate(order):
         trained[c] = ModelParams(np.ascontiguousarray(w_t[row].T), bias[row])
-    return trained, [steps_per_round(n, cfg) for n in sizes]
+    return trained
 
 
 def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):

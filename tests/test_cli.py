@@ -251,10 +251,18 @@ def retina_doc(**overrides):
     return doc
 
 
-@pytest.mark.parametrize("learning_rate", [1e40, 1e308])
-def test_diverging_run_fails_with_one_error_line(tmp_path, capsys, learning_rate):
+@pytest.mark.parametrize(
+    "scenario, learning_rate",
+    [
+        pytest.param("retina_gpuswap_h100", 1e40, id="1e+40"),
+        pytest.param("retina_gpuswap_h100", 1e308, id="1e+308"),
+        # a step large enough to train its clients in groups on threads
+        pytest.param("cifar_tiers_high", 1e40, id="cifar_tiers_high-1e+40"),
+    ],
+)
+def test_diverging_run_fails_with_one_error_line(tmp_path, capsys, scenario, learning_rate):
     # 1e40 fits in float64 but overflows the float32 parameters; 1e308 overflows both
-    doc = retina_doc()
+    doc = load_json(bundled_config_path(scenario), "config")
     doc["workload"]["learning_rate"] = learning_rate
     out = tmp_path / "out"
     assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1

@@ -31,20 +31,20 @@ HIGH = EfficiencyTier("high", 1.0, 1.0)
 
 
 def test_duration_is_steps_over_throughput():
-    assert effective_train_duration(profile(), HIGH, 600).seconds == pytest.approx(60.0)
+    assert effective_train_duration(profile(), HIGH, 600) == pytest.approx(60.0)
 
 
 def test_duration_scales_linearly_with_slowdown():
     tier = EfficiencyTier("medium", 2.0, 1.0)
-    assert effective_train_duration(profile(), tier, 600).seconds == pytest.approx(120.0)
+    assert effective_train_duration(profile(), tier, 600) == pytest.approx(120.0)
 
 
 def test_gpu_preset_duration_ratio():
     h100 = BUILTIN_HARDWARE["h100_like"]
     v100 = BUILTIN_HARDWARE["v100_like"]
     ratio = (
-        effective_train_duration(v100, HIGH, 1000).seconds
-        / effective_train_duration(h100, HIGH, 1000).seconds
+        effective_train_duration(v100, HIGH, 1000)
+        / effective_train_duration(h100, HIGH, 1000)
     )
     assert ratio == pytest.approx(GPU_SWAP_RUNTIME_RATIO, rel=1e-9)
     assert ratio == pytest.approx(1.734, abs=5e-4)
@@ -96,7 +96,7 @@ def test_high_tier_must_have_unit_factors():
 
 def test_slowdown_monotonicity():
     durations = [
-        effective_train_duration(profile(), EfficiencyTier(f"t{i}", s, 1.0), 100).seconds
+        effective_train_duration(profile(), EfficiencyTier(f"t{i}", s, 1.0), 100)
         for i, s in enumerate([1.0, 1.5, 4.0])
     ]
     assert durations == sorted(durations)

@@ -6,7 +6,6 @@ from greenfl.units import (
     EmissionsKg,
     EnergyKwh,
     PowerDrawW,
-    SimDuration,
     emissions_of,
     energy_of,
 )
@@ -40,7 +39,7 @@ def test_emissions_of_zero_energy():
     assert emissions_of(0.0, 123.0) == 0.0
 
 
-@pytest.mark.parametrize("cls", [EnergyKwh, EmissionsKg, SimDuration])
+@pytest.mark.parametrize("cls", [EnergyKwh, EmissionsKg])
 def test_negative_rejected_at_construction(cls):
     with pytest.raises(ValueError):
         cls(-1e-9)

@@ -1,4 +1,8 @@
+import contextlib
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,13 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from greenfl import workload
 from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config
-from greenfl.errors import EmptyClientData
+from greenfl.errors import Diverged, EmptyClientData
 from greenfl.orchestrator import fedavg_aggregate, run_job
 from greenfl.workload import (
     ModelParams,
     SyntheticDataset,
     TrainConfig,
+    _client_groups,
     evaluate,
     local_train,
     make_blobs,
@@ -288,6 +294,81 @@ def test_lockstep_grouping_does_not_change_bits(dtype, case):
         assert np.array_equal(got.bias, alone.bias)
 
 
+@contextlib.contextmanager
+def groups_on(cores):
+    """Within the block, clients split into up to `cores` groups, however small their step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "MIN_GROUP_WORK", 1)
+        mp.setattr(workload, "_usable_cores", lambda: cores)
+        yield
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=100, deadline=None)
+@given(case=client_sets(), cores=st.integers(2, 4))
+def test_threaded_groups_match_one_group(dtype, case, cores):
+    # shards narrower than the batch included: every group steps at the
+    # lane width of the whole call
+    sizes, cfg, seed = case
+    dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
+    with groups_on(1):
+        want, want_steps = train_clients(params, dataset, shards, cfg, seeds)
+    with groups_on(cores):
+        got, got_steps = train_clients(params, dataset, shards, cfg, seeds)
+    assert got_steps == want_steps
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.weights, w.weights)
+        assert np.array_equal(g.bias, w.bias)
+
+
+def test_divergence_in_a_worker_thread_is_raised():
+    # the calling thread trains the group with the largest shard; only the
+    # small shard, trained on the pool's thread, overflows
+    rng = np.random.default_rng(4)
+    features = rng.normal(size=(60, 4)).astype(np.float32)
+    features[:5] = 3e38
+    data = SyntheticDataset(features, rng.integers(0, 3, 60), 3)
+    cfg = TrainConfig(local_epochs=2, batch_size=7, learning_rate=0.05)
+    shards = [np.arange(5), np.arange(5, 60)]
+    params = ModelParams.zeros(3, 4, np.float32)
+    with groups_on(2):
+        assert _client_groups([5, 55], 7, 4, 3, 2) == [[1], [0]]
+        with pytest.raises(Diverged, match="model parameters must be finite"):
+            train_clients(params, data, shards, cfg, [0, 1])
+    (alone,), _ = train_clients(params, data, shards[1:], cfg, [1])
+    assert np.all(np.isfinite(alone.weights))
+
+
+@pytest.mark.parametrize(
+    "scenario, cores, count",
+    [
+        # 600 lanes x 90 features x 10 classes x 6 clients = 3.24M multiply-adds per step
+        ("cifar_tiers_high", 2, 2),
+        ("cifar_tiers_high", 1, 1),
+        # 20 x 64 x 2 x 5 = 12.8k: GIL-bound, a split is slower
+        ("retina_gpuswap_h100", 2, 1),
+        ("retina_gpuswap_h100", 1, 1),
+    ],
+)
+def test_client_groups_split_only_a_blas_bound_step(scenario, cores, count):
+    spec = load_config(bundled_config_path(scenario)).trajectory_spec()
+    dataset = build_dataset(spec)
+    sizes = [len(shard) for shard in build_shards(spec, dataset)]
+    lane = min(spec.train.batch_size, max(sizes))
+    groups = _client_groups(sizes, lane, dataset.num_features, dataset.num_classes, cores)
+    assert len(groups) == count
+    assert sorted(c for group in groups for c in group) == list(range(len(sizes)))
+    loads = [sum(sizes[c] for c in group) for group in groups]
+    assert max(loads) - min(loads) <= max(sizes)
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    src = os.path.dirname(os.path.dirname(workload.__file__))
+    code = "import sys, greenfl.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 # the other call's [classes, features] differ from random_clients' default [3, 5]
 OTHER_SHAPES = st.tuples(st.integers(2, 6), st.integers(1, 9)).filter(lambda shape: shape != (3, 5))
 
@@ -315,7 +396,8 @@ def test_train_clients_keeps_no_state_between_calls(dtype, other_dtype, case, ot
 @pytest.mark.parametrize("scenario", ["cifar_tiers_high", "retina_gpuswap_h100"])
 def test_table_memory_is_per_epoch(scenario):
     # a round-long [client, step, lane] table grew with the epoch count; the
-    # per-epoch tables, the step's buffers and its views do not
+    # per-epoch tables, the step's buffers and its views do not.  One group:
+    # with two, the peak depends on how the threads' step temporaries overlap
     spec = load_config(bundled_config_path(scenario)).trajectory_spec()
     dataset = build_dataset(spec)
     shards = build_shards(spec, dataset)
@@ -326,7 +408,8 @@ def test_table_memory_is_per_epoch(scenario):
         cfg = dataclasses.replace(spec.train, local_epochs=epochs)
         tracemalloc.start()
         try:
-            train_clients(params, dataset, shards, cfg, seeds)
+            with groups_on(1):
+                train_clients(params, dataset, shards, cfg, seeds)
             peaks[epochs] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
