@@ -199,11 +199,15 @@ def _lockstep(
     own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
     step in lockstep one epoch at a time: sorted by steps per epoch,
     longest first, the clients still training at step k of an epoch are a
-    prefix, and one batched forward and gradient serves them all.  Weights
-    are stored feature-major, `[client, feature, class]`, so the forward
-    multiplies two row-major operands; its `[client, lane, class]` result
-    plus the bias is written into a class-major buffer, `[client, class,
-    lane]`, so the softmax reductions run along the contiguous lane axis.
+    prefix, and one batched forward and gradient serves them all.  Each
+    client's weights and bias are one feature-major tensor, `[client,
+    feature + 1, class]`: the weights are rows [:F], so the forward
+    multiplies two row-major operands, and the bias is row F.  The
+    forward's `[client, lane, class]` result plus the bias is written into
+    a class-major buffer, `[client, class, lane]`, so the softmax
+    reductions run along the contiguous lane axis.  The class-major
+    gradient, `[client, class, feature + 1]`, takes the weight GEMM and the
+    bias reduce, and one `lr` scaling and one subtraction update both.
     The step's buffers are made once per call and written with `out=`, so
     a step allocates only its gathered batch, the forward's result and the
     true-class gather.  A batch's gradient is the mean over its real
@@ -237,20 +241,22 @@ def _lockstep(
     target = np.empty_like(index)
     rngs = [np.random.default_rng(seeds[c]) for c in order]
 
-    # feature-major weights: the forward is `features @ w_t`, both operands
-    # row-major; numpy's stacked matmul is slow on a transposed operand, and
-    # writing into a strided `out=` changes the bits at small shapes
-    w_t = np.empty((num_clients, dataset.num_features, k), dtype)
-    w_t[:] = params.weights.T
-    bias = np.empty((num_clients, k), dtype)
-    bias[:] = params.bias
+    # feature-major parameters, `[client, feature + 1, class]`: the forward
+    # is `features @ theta[:, :F]`, both operands row-major (numpy's stacked
+    # matmul is slow on a transposed operand), and row F is the bias.
+    # Writing into a transposed `out=` changes the bits at small shapes; the
+    # gradient GEMM's row-strided `out=` keeps them
+    num_features = dataset.num_features
+    theta = np.empty((num_clients, num_features + 1, k), dtype)
+    theta[:, :num_features] = params.weights.T
+    theta[:, num_features] = params.bias
     # the step's buffers, made once at full client count; an active prefix
-    # writes into their contiguous [:active] views
+    # writes into their [:active] views.  The gradient takes the weight GEMM
+    # in columns [:F] and the bias reduce in column F
     probs_all = np.empty((num_clients, k, batch), dtype)
     peak_all = np.empty((num_clients, 1, batch), dtype)
     norm_all = np.empty((num_clients, 1, batch), dtype)
-    grad_all = np.empty((num_clients, k, dataset.num_features), dtype)
-    bias_grad_all = np.empty((num_clients, k), dtype)
+    grad_all = np.empty((num_clients, k, num_features + 1), dtype)
     lr = cfg.learning_rate
     # rows [0, active) train during steps [ends[active], ends[active - 1]) of
     # every epoch; each run of steps gets its views once, and its step rows
@@ -259,12 +265,15 @@ def _lockstep(
     prefixes = []
     for active in range(num_clients, 0, -1):
         if ends[active] < ends[active - 1]:
-            w, b, probs = w_t[:active], bias[:active], probs_all[:active]
+            t, probs, grad = theta[:active], probs_all[:active], grad_all[:active]
             steps = slice(ends[active], ends[active - 1])
             rows = list(zip(index[steps, :active, 0], scale[steps, :active], target[steps, :active]))
-            views = (w, w.transpose(0, 2, 1), b, b[:, :, None], probs, probs.reshape(-1))
-            buffers = (peak_all[:active], norm_all[:active], grad_all[:active], bias_grad_all[:active])
+            views = (t[:, :num_features], t[:, num_features, :, None], t.transpose(0, 2, 1), probs, probs.reshape(-1))
+            buffers = (peak_all[:active], norm_all[:active], grad, grad[:, :, :num_features], grad[:, :, num_features])
             prefixes.append((rows, *views, *buffers))
+    # looked up once per call: at small shapes a step is bound by its calls
+    take, matmul, exp, divide = dataset.features.take, np.matmul, np.exp, np.divide
+    add, add_reduce, max_reduce = np.add, np.add.reduce, np.maximum.reduce
 
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,27 +288,25 @@ def _lockstep(
             target[:] = dataset.labels[index]
             target *= batch
             target += offset
-            for rows, w, w_ct, b, b_col, probs, flat, peak, norm, grad, bias_grad in prefixes:
+            for rows, w, b_col, t_ct, probs, flat, peak, norm, grad, grad_w, grad_b in prefixes:
                 for idx, lane, tg in rows:
-                    features = dataset.features.take(idx, axis=0)
-                    np.add(np.matmul(features, w).transpose(0, 2, 1), b_col, out=probs)
-                    np.maximum.reduce(probs, axis=1, keepdims=True, out=peak)
+                    features = take(idx, axis=0)
+                    add(matmul(features, w).transpose(0, 2, 1), b_col, out=probs)
+                    max_reduce(probs, axis=1, keepdims=True, out=peak)
                     probs -= peak
-                    np.exp(probs, out=probs)
-                    np.add.reduce(probs, axis=1, keepdims=True, out=norm)
-                    np.divide(lane, norm, out=norm)
+                    exp(probs, out=probs)
+                    add_reduce(probs, axis=1, keepdims=True, out=norm)
+                    divide(lane, norm, out=norm)
                     probs *= norm
                     flat[tg] -= lane
-                    np.matmul(probs, features, out=grad)
+                    matmul(probs, features, out=grad_w)
+                    add_reduce(probs, axis=2, out=grad_b)
                     grad *= lr
-                    w_ct -= grad
-                    np.add.reduce(probs, axis=2, out=bias_grad)
-                    bias_grad *= lr
-                    b -= bias_grad
+                    t_ct -= grad
 
     trained = [None] * num_clients
     for row, c in enumerate(order):
-        trained[c] = ModelParams(np.ascontiguousarray(w_t[row].T), bias[row])
+        trained[c] = ModelParams(np.ascontiguousarray(theta[row, :num_features].T), theta[row, num_features].copy())
     return trained
 
 

@@ -431,6 +431,30 @@ def test_stepper_leaves_input_params_untouched():
     np.testing.assert_array_equal(params.bias, np.zeros(3))
 
 
+def memory_of(array):
+    """The array that owns the memory `array` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_trained_params_are_contiguous_and_share_no_memory(dtype, cores):
+    # each client trains in a row of one shared parameter tensor; a param
+    # handed back as a view of it would alias the clients and keep the
+    # whole tensor alive for as long as any one client's params
+    dataset, shards, seeds, params = random_clients([7, 12, 30, 3], 5, dtype)
+    cfg = TrainConfig(local_epochs=2, batch_size=8, learning_rate=0.1)
+    with groups_on(cores):
+        trained, _ = train_clients(params, dataset, shards, cfg, seeds)
+    arrays = [array for client in trained for array in (client.weights, client.bias)]
+    assert all(array.flags.c_contiguous for array in arrays)
+    for i, array in enumerate(arrays):
+        for other in arrays[i + 1 :]:
+            assert not np.shares_memory(memory_of(array), memory_of(other))
+
+
 def test_diverging_learning_rate_rejected():
     rng = np.random.default_rng(2)
     data = SyntheticDataset(rng.normal(size=(60, 4)), rng.integers(0, 3, 60), 3)  # not separable
