@@ -7,6 +7,7 @@ validation failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -124,10 +125,11 @@ def cmd_report(args) -> int:
         return EXIT_OK
 
     if args.format == "csv":
-        print("run,site_id,energy_kwh,co2e_kg,busy_s")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["run", "site_id", "energy_kwh", "co2e_kg", "busy_s"])
         for run_dir, label, report in runs:
             for site, t in sorted(report.per_site.items()):
-                print(f"{label},{site},{t.energy_kwh!r},{t.co2e_kg!r},{t.busy_s!r}")
+                writer.writerow([label, site, repr(t.energy_kwh), repr(t.co2e_kg), repr(t.busy_s)])
         return EXIT_OK
 
     for run_dir, label, report in runs:

@@ -33,7 +33,7 @@ from .sites import (
     SiteConfig,
 )
 from .units import EnergyKwh, PowerDrawW
-from .workload import SyntheticDataset, TrainConfig, make_blobs
+from .workload import SyntheticDataset, TrainConfig, blob_labels, make_blobs
 
 REQUIRED = object()  # the default of a field that has none
 # samples_per_class x num_classes x num_features of the largest dataset:
@@ -137,14 +137,14 @@ class TrajectorySpec:
 
     Tiers, hardware, regions, the comm model and evaluation spans only
     change the ledger, so they are not here.  The dataset seed is
-    `train.seed`.
+    `train.seed`.  The ledger takes from it only the shard sizes
+    (`build_shards`) and the model's shape, never a trained value.
     """
 
     workload: WorkloadConfig
     train: TrainConfig
     partition: PartitionConfig
     num_rounds: int
-    num_sites: int
 
 
 @dataclass
@@ -152,23 +152,13 @@ class RunConfig:
     scenario: str
     seed: int
     plan: RunPlan
-    partition_cfg: PartitionConfig
-    workload_cfg: WorkloadConfig
+    spec: TrajectorySpec
     comm_attribution: str
     raw: dict = field(repr=False, default_factory=dict)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def trajectory_spec(self) -> TrajectorySpec:
-        return TrajectorySpec(
-            workload=self.workload_cfg,
-            train=self.plan.train_cfg,
-            partition=self.partition_cfg,
-            num_rounds=self.plan.num_rounds,
-            num_sites=len(self.plan.sites),
-        )
 
 
 def _join(path: str, key: str) -> str:
@@ -308,10 +298,16 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
         raise ConfigError("sites", "site_id values must be unique")
 
     seed = c["seed"]
-    plan = RunPlan(
+    spec = TrajectorySpec(
+        workload=WorkloadConfig(wl["num_classes"], wl["num_features"], wl["samples_per_class"], wl["separation"]),
+        train=TrainConfig(wl["local_epochs"], wl["batch_size"], wl["learning_rate"], seed),
+        partition=PartitionConfig(part["num_clients"], part["alpha"], seed if part["seed"] is None else part["seed"]),
         num_rounds=c["num_rounds"],
+    )
+    plan = RunPlan(
+        num_rounds=spec.num_rounds,
         sites=sites,
-        train_cfg=TrainConfig(wl["local_epochs"], wl["batch_size"], wl["learning_rate"], seed),
+        train_cfg=spec.train,
         comm_model=CommEnergyModel(comm["net_intensity_kwh_per_gb"]),
         evaluate_each_round=c["evaluate_each_round"],
     )
@@ -319,8 +315,7 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
         scenario=c["scenario"],
         seed=seed,
         plan=plan,
-        partition_cfg=PartitionConfig(part["num_clients"], part["alpha"], seed if part["seed"] is None else part["seed"]),
-        workload_cfg=WorkloadConfig(wl["num_classes"], wl["num_features"], wl["samples_per_class"], wl["separation"]),
+        spec=spec,
         comm_attribution=comm["attribution"],
         raw=doc,
     )
@@ -339,16 +334,18 @@ def build_dataset(spec: TrajectorySpec) -> SyntheticDataset:
     )
 
 
-def build_shards(spec: TrajectorySpec, dataset: SyntheticDataset) -> list[np.ndarray]:
-    """The sample indices of the first `spec.num_sites` Dirichlet partitions
-    of `dataset`, in site order."""
-    descriptor = LabeledDatasetDescriptor(
-        num_samples=dataset.num_samples,
-        num_classes=dataset.num_classes,
-        labels=dataset.labels,
-    )
-    parts = dirichlet_partition(descriptor, spec.partition)
-    return [part.sample_indices for part in parts[: spec.num_sites]]
+def build_shards(spec: TrajectorySpec) -> list[np.ndarray]:
+    """The sample indices of each site's Dirichlet partition of the run's
+    dataset, in site order.
+
+    The partition reads only the labels, which `blob_labels` lays out with
+    no random draw, so the shards need neither the features nor training.
+    More clients than samples is a ConfigError.
+    """
+    labels = blob_labels(spec.workload.num_classes, spec.workload.samples_per_class)
+    descriptor = LabeledDatasetDescriptor(len(labels), spec.workload.num_classes, labels)
+    parts = _entry("partition.num_clients", dirichlet_partition, descriptor, spec.partition)
+    return [part.sample_indices for part in parts]
 
 
 def bundled_config_path(name: str):

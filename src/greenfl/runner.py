@@ -2,10 +2,13 @@
 scenario, take its ledger's schema rows, and write run artifacts
 (rounds.csv, run.json, summary.json) to an output directory.
 
-A run is a learning trajectory plus a ledger.  The trajectory depends only
-on the `TrajectorySpec`, so it is trained once and reused in-process by
-every run that shares the spec: tier and hardware variants of a scenario
-cost only their ledger."""
+A run is a ledger plus a learning trajectory.  The ledger depends only on
+the plan, the client shard sizes and the update's shape, all of which
+follow from the config, so it is built and checked before any training: a
+span or total that overflows fails the run at the config path of its site
+without training.  The trajectory depends only on the `TrajectorySpec`, so
+it is trained once and reused in-process by every run that shares the
+spec: tier and hardware variants of a scenario cost only their ledger."""
 
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, TrajectorySpec, build_dataset, build_shards
+from .errors import ConfigError, NonFiniteTotal, SchemaViolation
 from .orchestrator import build_ledger, run_job
-from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
+from .reporting import RoundRecord, RunReport, summarize_run, validate_record, write_round_log
 from .workload import ModelParams, update_payload_bytes
 
 
@@ -27,28 +31,49 @@ class Trajectory:
 
     accuracy_by_round: tuple[float, ...]
     final_params: ModelParams  # arrays are read-only
-    shard_sizes: tuple[int, ...]
 
 
 # Small on purpose: an entry holds only the final parameters and per-round
 # floats, never the dataset or the shards.
 @lru_cache(maxsize=8)
 def train_trajectory(spec: TrajectorySpec) -> Trajectory:
-    dataset = build_dataset(spec)
-    shards = build_shards(spec, dataset)
-    accuracy_by_round, params = run_job(spec.num_rounds, spec.train, dataset, shards)
+    accuracy_by_round, params = run_job(spec.num_rounds, spec.train, build_dataset(spec), build_shards(spec))
     params.weights.flags.writeable = False
     params.bias.flags.writeable = False
-    return Trajectory(tuple(accuracy_by_round), params, tuple(len(s) for s in shards))
+    return Trajectory(tuple(accuracy_by_round), params)
+
+
+def check_ledger(cfg: RunConfig, records: list[RoundRecord]) -> None:
+    """ConfigError at `sites[<i>]` for the first row that `validate_record`
+    rejects, where i is its site's index in the config, and at `sites` for
+    a run total that overflows."""
+    index = {site.site_id: i for i, site in enumerate(cfg.plan.sites)}
+    for record in records:
+        try:
+            validate_record(record)
+        except SchemaViolation as exc:
+            raise ConfigError(
+                f"sites[{index[record.site_id]}]", f"{record.phase} span of round {record.round_index}: {exc}"
+            ) from None
+    try:
+        summarize_run(records)
+    except NonFiniteTotal as exc:
+        raise ConfigError("sites", str(exc)) from None
 
 
 def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
-    """The run's schema rows and the (possibly shared) trajectory they come from."""
-    trajectory = train_trajectory(cfg.trajectory_spec())
+    """The run's schema rows and the (possibly shared) trajectory trained
+    for it; the rows are built and checked first, from the config alone."""
+    workload = cfg.spec.workload
     records = build_ledger(
-        cfg.plan, trajectory.shard_sizes, cfg.scenario, cfg.seed, update_payload_bytes(trajectory.final_params)
+        cfg.plan,
+        [len(shard) for shard in build_shards(cfg.spec)],
+        cfg.scenario,
+        cfg.seed,
+        update_payload_bytes(workload.num_classes, workload.num_features),
     )
-    return records, trajectory
+    check_ledger(cfg, records)
+    return records, train_trajectory(cfg.spec)
 
 
 def run_metadata(cfg: RunConfig) -> dict:
@@ -76,7 +101,6 @@ def run_metadata(cfg: RunConfig) -> dict:
 
 
 def write_artifacts(out_dir, cfg: RunConfig, records, trajectory: Trajectory) -> RunReport:
-    # summarize first: a total that overflows fails the run before any file is written
     report = summarize_run(records, accuracy_by_round=list(trajectory.accuracy_by_round))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

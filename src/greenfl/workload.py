@@ -82,7 +82,7 @@ def make_blobs(
     """Unit-variance Gaussian blobs with minimum class-mean separation.
 
     Means are drawn isotropically and rescaled so the minimum pairwise
-    distance equals `separation`; labels are the block-ordered class ids.
+    distance equals `separation`; labels are `blob_labels`.
     Each class block is drawn in float64, into one reused buffer, and
     stored as float32.  A separation so large that a feature overflows
     float32 raises ValueError.
@@ -103,8 +103,13 @@ def make_blobs(
     # min and max propagate NaN and reach any inf, without an [n, F] temporary
     if not (np.isfinite(features.min()) and np.isfinite(features.max())):
         raise ValueError(f"separation {separation} overflows the float32 features")
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
-    return SyntheticDataset(features, labels, num_classes)
+    return SyntheticDataset(features, blob_labels(num_classes, samples_per_class), num_classes)
+
+
+def blob_labels(num_classes: int, samples_per_class: int) -> np.ndarray:
+    """The labels of `make_blobs` data: each class id repeated
+    `samples_per_class` times, in class order.  They take no random draw."""
+    return np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
 
 
 def steps_per_round(n: int, cfg: TrainConfig) -> int:
@@ -331,6 +336,7 @@ def evaluate(params: ModelParams, data: SyntheticDataset) -> float:
     return float(np.mean(predictions == data.labels))
 
 
-def update_payload_bytes(params: ModelParams) -> int:
-    """Bytes of one transmitted update under 32-bit serialization."""
-    return (params.weights.size + params.bias.size) * FLOAT32_BYTES
+def update_payload_bytes(num_classes: int, num_features: int) -> int:
+    """Bytes of one transmitted update of a `[num_classes, num_features]`
+    model, weights then bias, under 32-bit serialization."""
+    return (num_classes * num_features + num_classes) * FLOAT32_BYTES

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -75,6 +77,28 @@ def test_report_single_run_matches_summary(run_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     summary = json.loads((run_dir / "summary.json").read_text())
     assert payload[0]["total_co2e_kg"] == summary["total_co2e_kg"]
+
+
+def test_report_csv_quotes_its_cells(tmp_path, capsys):
+    # a comma or quote in a site id stays in its own cell; plain ids and the
+    # repr floats print as they did before the cells were quoted
+    ids = ['a,"b', "site-2", "site-3"]
+    doc = small_doc(sites=[{"site_id": i, "hardware": "h100_like", "tier": "high", "region": "USA"} for i in ids])
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", str(out), "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["run", "site_id", "energy_kwh", "co2e_kg", "busy_s"]
+    per_site = json.loads((out / "summary.json").read_text())["per_site"]
+    assert sorted(row[1] for row in rows) == sorted(ids)
+    for label, site, *values in rows:
+        assert label == "high"
+        want = per_site[site]
+        assert [float(v) for v in values] == [want["energy_kwh"], want["co2e_kg"], want["busy_s"]]
+    plain = per_site["site-2"]
+    assert f"high,site-2,{plain['energy_kwh']!r},{plain['co2e_kg']!r},{plain['busy_s']!r}\n" in text
 
 
 def test_report_empty_directory(tmp_path):
@@ -288,10 +312,24 @@ def test_overflowing_total_fails_before_writing(tmp_path, capsys):
     for site in doc["sites"]:
         site.update(hardware="spiky", region="HOT")
     out = tmp_path / "out"
-    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: compute_co2e_kg is inf: a run total overflows the float range\n"
+    assert captured.err == "error: sites: compute_co2e_kg is inf: a run total overflows the float range\n"
+    assert not out.exists()
+
+
+def test_overflowing_span_fails_at_its_site_before_training(tmp_path, capsys, monkeypatch):
+    # a tier whose power overflows makes every round span of site-3 draw inf kWh
+    monkeypatch.setattr("greenfl.runner.train_trajectory", lambda spec: pytest.fail("trained before the ledger check"))
+    doc = load_json(bundled_config_path("cifar_tiers_high"), "config")
+    doc["tiers"] = {"hot": {"slowdown_factor": 1.0, "power_scale": 1e308}}
+    doc["sites"][2]["tier"] = "hot"
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sites[2]: round span of round 1: energy_kwh must be finite and non-negative\n"
     assert not out.exists()
 
 
@@ -307,9 +345,17 @@ _HARDWARE = {
     "override, message",
     [
         # every span lasts inf s, so an idle span's end - start is inf - inf
-        pytest.param({"throughput_steps_per_s": 5e-324}, "duration_s must be finite and non-negative", id="throughput"),
+        pytest.param(
+            {"throughput_steps_per_s": 5e-324},
+            "sites[0]: round span of round 1: duration_s must be finite and non-negative",
+            id="throughput",
+        ),
         # the init span lasts inf s, so every round span's end - start is inf - inf
-        pytest.param({"init_spike_energy_kwh": 1e308}, "duration_s must be finite and non-negative", id="init_spike"),
+        pytest.param(
+            {"init_spike_energy_kwh": 1e308},
+            "sites[0]: init span of round 0: duration_s must be finite and non-negative",
+            id="init_spike",
+        ),
     ],
 )
 def test_extreme_hardware_fails_with_one_error_line(tmp_path, capsys, override, message):
@@ -318,7 +364,7 @@ def test_extreme_hardware_fails_with_one_error_line(tmp_path, capsys, override, 
         sites=[{"site_id": f"site-{i + 1}", "hardware": "extreme", "tier": "high", "region": "USA"} for i in range(3)],
     )
     out = tmp_path / "out"
-    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -349,6 +395,16 @@ def test_overflowing_separation_fails_at_its_path(tmp_path, capsys, separation):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: workload.separation: separation {separation!r} overflows the float32 features\n"
+    assert not out.exists()
+
+
+def test_more_clients_than_samples_fails_at_its_path(tmp_path, capsys):
+    doc = small_doc(workload=dict(small_doc()["workload"], num_classes=1, samples_per_class=2))
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partition.num_clients: more clients than samples\n"
     assert not out.exists()
 
 

@@ -162,9 +162,9 @@ def test_section_defaults_and_int_floats():
     assert str(exc.value) == "partition.alpha: missing required field"
     doc["partition"]["alpha"] = 1
     cfg = parse_config(doc)
-    assert cfg.workload_cfg.num_classes == 10 and cfg.plan.train_cfg.batch_size == 600
-    assert type(cfg.workload_cfg.separation) is float and type(cfg.partition_cfg.alpha) is float
-    assert cfg.partition_cfg.seed == cfg.seed == 0
+    assert cfg.spec.workload.num_classes == 10 and cfg.plan.train_cfg.batch_size == 600
+    assert type(cfg.spec.workload.separation) is float and type(cfg.spec.partition.alpha) is float
+    assert cfg.spec.partition.seed == cfg.seed == 0
     assert cfg.plan.evaluate_each_round is True
 
 
@@ -218,7 +218,7 @@ def test_dataset_size_is_bounded_at_samples_per_class(path, value):
 
 def test_dataset_size_bound_is_inclusive():
     doc = small_doc(workload=dict(small_doc()["workload"], samples_per_class=10**6, num_classes=10, num_features=10))
-    assert parse_config(doc).workload_cfg.samples_per_class == 10**6
+    assert parse_config(doc).spec.workload.samples_per_class == 10**6
     doc["workload"]["num_features"] = 11
     with pytest.raises(ConfigError, match="^workload.samples_per_class: "):
         parse_config(doc)

@@ -1,17 +1,20 @@
-"""Trajectory reuse: the cache key is exactly the inputs that shape learning."""
+"""Trajectory reuse and the ledger's inputs: the cache key is exactly the inputs
+that shape learning, and the ledger needs none of what training computes."""
 
 import contextlib
 import hashlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenfl.cli import main
-from greenfl.config import parse_config
+from greenfl.config import build_dataset, build_shards, parse_config
 from greenfl.errors import EmptyClientData
+from greenfl.partition import LabeledDatasetDescriptor, dirichlet_partition
 from greenfl.runner import execute_run, train_trajectory
-from greenfl.sites import BUILTIN_HARDWARE, BUILTIN_REGIONS, BUILTIN_TIERS
+from greenfl.sites import BUILTIN_HARDWARE, BUILTIN_REGIONS, BUILTIN_TIERS, ROUND
 
 from conftest import small_doc
 
@@ -108,6 +111,48 @@ def test_trajectory_fields_miss_the_cache(doc):
         execute_run(parse_config(doc))
     info = train_trajectory.cache_info()
     assert (info.hits, info.misses) == (0, 2)
+
+
+@st.composite
+def small_spec_docs(draw):
+    """small_doc() with a drawn dataset shape, partition and site count."""
+    doc = small_doc()
+    doc["workload"].update(
+        num_classes=draw(st.integers(1, 5)),
+        num_features=draw(st.integers(1, 12)),
+        samples_per_class=draw(st.integers(3, 40)),
+        local_epochs=draw(st.integers(0, 2)),
+    )
+    doc["partition"]["alpha"] = draw(st.floats(0.05, 100.0))
+    doc["partition"]["seed"] = draw(st.integers(0, 2**32 - 1))
+    _resize_sites(doc, draw(st.integers(1, 3)))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spec_docs())
+def test_shards_are_the_partition_of_the_dataset_labels(doc):
+    # the ledger's shards come from the labels alone; they equal the
+    # partition of the labels of the dataset that training builds
+    spec = parse_config(doc).spec
+    labels = build_dataset(spec).labels
+    descriptor = LabeledDatasetDescriptor(len(labels), spec.workload.num_classes, labels)
+    want = [part.sample_indices for part in dirichlet_partition(descriptor, spec.partition)]
+    got = build_shards(spec)
+    assert len(got) == len(want) == spec.partition.num_clients
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_spec_docs())
+def test_round_rows_carry_the_size_of_the_trained_update(doc):
+    cfg = parse_config(doc)
+    assume(min(len(shard) for shard in build_shards(cfg.spec)) > 0)  # else training raises EmptyClientData
+    records, trajectory = execute_run(cfg)
+    params = trajectory.final_params
+    rounds = [record for record in records if record.phase == ROUND]
+    assert len(rounds) == cfg.plan.num_rounds * len(cfg.plan.sites)
+    assert all(record.payload_bytes == (params.weights.size + params.bias.size) * 4 for record in rounds)
 
 
 def test_cached_final_params_are_read_only(small_cfg):
