@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from .config import bundled_config_path, load_json, load_targets, load_tiers, parse_config
-from .errors import CalibrationFailed, ConfigError, GreenflError, UnknownRegion
+from .errors import ConfigError, GreenflError, UnknownRegion
 from .reporting import (
     TierTarget,
     calibrate_tiers,
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownRegion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CalibrationFailed, GreenflError, OSError) as exc:
+    except (GreenflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

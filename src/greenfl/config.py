@@ -294,8 +294,6 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
             if raw[key] not in known:
                 raise ConfigError(f"sites[{i}].{key}", f"unknown {noun} {raw[key]!r}")
         sites.append(SiteConfig(raw["site_id"], hardware[raw["hardware"]], tiers[raw["tier"]], regions[raw["region"]]))
-    if len({s.site_id for s in sites}) != len(sites):
-        raise ConfigError("sites", "site_id values must be unique")
 
     seed = c["seed"]
     spec = TrajectorySpec(
@@ -304,7 +302,9 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
         partition=PartitionConfig(part["num_clients"], part["alpha"], seed if part["seed"] is None else part["seed"]),
         num_rounds=c["num_rounds"],
     )
-    plan = RunPlan(
+    plan = _entry(
+        "sites",
+        RunPlan,
         num_rounds=spec.num_rounds,
         sites=sites,
         train_cfg=spec.train,

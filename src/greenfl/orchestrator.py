@@ -116,7 +116,8 @@ def build_ledger(
     Site i holds `shard_sizes[i]` samples; its step counts follow from
     `steps_per_round`.  Every round row carries the `payload_bytes` of one
     client update.  A span's energy and CO2e are plain floats, so a value
-    that overflows is left for `validate_record` to reject.
+    that overflows reaches its row, which rejects it as it is made (the init
+    rows first, then each round's round, idle and evaluate rows, in site order).
     """
     rows = []
 

@@ -2,12 +2,13 @@
 
 The round log is a flat CSV (`rounds.csv`): one `RoundRecord` row per
 span of one site in one phase, as `orchestrator.build_ledger` emits them.
-Every row is self-describing enough to recompute its CO2e (stored energy,
-stored grid intensity) and its communication estimate (payload bytes,
-network intensity).  `validate_record` is the one check of a row, built
-or parsed.  Communication energy is therefore derived from round rows at
-summary time and reported as a separate category; it is never folded into
-the compute `energy_kwh` column, so nothing double-counts.
+A row runs `validate_record` once, as it is built, parsed or remapped, so
+no invalid row exists.  Every row is self-describing enough to recompute
+its CO2e (stored energy, stored grid intensity) and its communication
+estimate (payload bytes, network intensity).  Communication energy is
+therefore derived from round rows at summary time and reported as a
+separate category; it is never folded into the compute `energy_kwh`
+column, so nothing double-counts.
 
 Floats are serialized with `repr`, which round-trips bit-for-bit, making
 write -> parse lossless and identical runs byte-identical on disk.
@@ -21,10 +22,10 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 
-from .comm import CommEnergyModel, UpdatePayload, comm_emissions, comm_energy
+from .comm import CommEnergyModel, UpdatePayload, comm_energy
 from .errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
-from .sites import INIT, PHASES, ROUND, EfficiencyTier, GridRegion
-from .units import EnergyKwh
+from .sites import INIT, PHASES, ROUND, EfficiencyTier
+from .units import emissions_of
 
 SCHEMA_VERSION = "gfl-1"
 
@@ -33,7 +34,7 @@ CO2E_CONSISTENCY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One row of the mandatory reporting field set."""
+    """One row of the mandatory reporting field set, checked as it is made."""
 
     run_id: str
     site_id: str
@@ -51,6 +52,13 @@ class RoundRecord:
     net_intensity_kwh_per_gb: float
     seed: int
     schema_version: str = SCHEMA_VERSION
+
+    def __post_init__(self):
+        try:
+            validate_record(self)
+        except SchemaViolation as exc:
+            exc.record = self
+            raise
 
 
 FIELD_NAMES = [f.name for f in fields(RoundRecord)]
@@ -96,15 +104,14 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_round_log(records: list[RoundRecord], stream=None) -> str:
+def write_round_log(records: list[RoundRecord]) -> str:
     """Serialize records as CSV with a fixed header; returns the text."""
-    buf = stream or io.StringIO()
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FIELD_NAMES)
     for record in records:
-        validate_record(record)
         writer.writerow([_format(getattr(record, name)) for name in FIELD_NAMES])
-    return buf.getvalue() if stream is None else ""
+    return buf.getvalue()
 
 
 def _parse_cell(name: str, raw: str):
@@ -133,9 +140,7 @@ def parse_round_log(text: str) -> list[RoundRecord]:
             continue
         if len(row) != len(FIELD_NAMES):
             raise SchemaViolation("row", f"row {number}: {len(row)} fields, expected {len(FIELD_NAMES)}")
-        record = RoundRecord(**{name: _parse_cell(name, raw) for name, raw in zip(FIELD_NAMES, row)})
-        validate_record(record)
-        records.append(record)
+        records.append(RoundRecord(**{name: _parse_cell(name, raw) for name, raw in zip(FIELD_NAMES, row)}))
     return records
 
 
@@ -222,7 +227,6 @@ def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | N
     run_id = records[0].run_id if records else ""
 
     for record in records:
-        validate_record(record)
         totals = per_site.setdefault(record.site_id, SiteTotals())
         totals.energy_kwh += record.energy_kwh
         totals.co2e_kg += record.co2e_kg
@@ -237,7 +241,7 @@ def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | N
         ce = record_comm_energy(record)
         if ce == math.inf:  # its CO2e would be NaN on a zero-intensity grid
             raise NonFiniteTotal("comm_energy_kwh", ce)
-        cc = comm_emissions(EnergyKwh(ce), GridRegion(record.region_code, record.ci_kg_per_kwh)).value
+        cc = emissions_of(ce, record.ci_kg_per_kwh)
         comm_energy += ce
         comm_co2e += cc
         totals.comm_energy_kwh += ce

@@ -21,7 +21,7 @@ from . import __version__
 from .config import RunConfig, TrajectorySpec, build_dataset, build_shards
 from .errors import ConfigError, NonFiniteTotal, SchemaViolation
 from .orchestrator import build_ledger, run_job
-from .reporting import RoundRecord, RunReport, summarize_run, validate_record, write_round_log
+from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
 from .workload import ModelParams, update_payload_bytes
 
 
@@ -43,36 +43,28 @@ def train_trajectory(spec: TrajectorySpec) -> Trajectory:
     return Trajectory(tuple(accuracy_by_round), params)
 
 
-def check_ledger(cfg: RunConfig, records: list[RoundRecord]) -> None:
-    """ConfigError at `sites[<i>]` for the first row that `validate_record`
-    rejects, where i is its site's index in the config, and at `sites` for
-    a run total that overflows."""
-    index = {site.site_id: i for i, site in enumerate(cfg.plan.sites)}
-    for record in records:
-        try:
-            validate_record(record)
-        except SchemaViolation as exc:
-            raise ConfigError(
-                f"sites[{index[record.site_id]}]", f"{record.phase} span of round {record.round_index}: {exc}"
-            ) from None
+def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
+    """The run's schema rows and the (possibly shared) trajectory trained
+    for it.  The rows come first, from the config alone: a row that its type
+    rejects is a ConfigError at `sites[<i>]`, where i is its site's index in
+    the config, and a run total that overflows is one at `sites`."""
+    workload = cfg.spec.workload
+    try:
+        records = build_ledger(
+            cfg.plan,
+            [len(shard) for shard in build_shards(cfg.spec)],
+            cfg.scenario,
+            cfg.seed,
+            update_payload_bytes(workload.num_classes, workload.num_features),
+        )
+    except SchemaViolation as exc:
+        row = exc.record
+        i = [site.site_id for site in cfg.plan.sites].index(row.site_id)
+        raise ConfigError(f"sites[{i}]", f"{row.phase} span of round {row.round_index}: {exc}") from None
     try:
         summarize_run(records)
     except NonFiniteTotal as exc:
         raise ConfigError("sites", str(exc)) from None
-
-
-def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
-    """The run's schema rows and the (possibly shared) trajectory trained
-    for it; the rows are built and checked first, from the config alone."""
-    workload = cfg.spec.workload
-    records = build_ledger(
-        cfg.plan,
-        [len(shard) for shard in build_shards(cfg.spec)],
-        cfg.scenario,
-        cfg.seed,
-        update_payload_bytes(workload.num_classes, workload.num_features),
-    )
-    check_ledger(cfg, records)
     return records, train_trajectory(cfg.spec)
 
 

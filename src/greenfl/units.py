@@ -9,7 +9,7 @@ All values are in base units (watts, seconds, kWh, kg, kg/kWh); minutes
 only ever appear at report-formatting time.  The value types reject
 negative magnitudes at construction.  The two conversions take and return
 plain floats, so a ledger span never raises: a value that overflows
-reaches the span's row, where `reporting.validate_record` rejects it.
+reaches the span's row, which `reporting.RoundRecord` rejects.
 """
 
 from __future__ import annotations

@@ -333,6 +333,35 @@ def test_overflowing_span_fails_at_its_site_before_training(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_first_failing_row_built_names_its_site(tmp_path, capsys):
+    # both hot sites' round spans draw inf kWh; rows are made in config site
+    # order, so sites[0] is named although "site-b" sorts before "site-c"
+    doc = small_doc(
+        tiers={"hot": {"slowdown_factor": 1.0, "power_scale": 1e308}},
+        sites=[
+            {"site_id": site_id, "hardware": "h100_like", "tier": tier, "region": "USA"}
+            for site_id, tier in (("site-c", "hot"), ("site-b", "hot"), ("site-a", "high"))
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sites[0]: round span of round 1: energy_kwh must be finite and non-negative\n"
+    assert not out.exists()
+
+
+def test_duplicate_site_id_fails_with_one_error_line(tmp_path, capsys):
+    doc = small_doc()
+    doc["sites"][2]["site_id"] = doc["sites"][0]["site_id"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sites: site_id values must be unique\n"
+    assert not out.exists()
+
+
 _HARDWARE = {
     "train_power_w": {"cpu_w": 40.0, "gpu_w": 300.0, "ram_w": 20.0},
     "idle_power_w": {"cpu_w": 15.0},

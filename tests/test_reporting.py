@@ -64,6 +64,11 @@ def test_non_finite_or_negative_float_rejected(name, value):
     with pytest.raises(SchemaViolation) as err:
         validate_record(record(**{name: value}))
     assert err.value.field == name
+    # building the row checks it, and the error carries the rejected row
+    with pytest.raises(SchemaViolation) as err:
+        record(**{name: value})
+    assert err.value.field == name
+    assert getattr(err.value.record, name) is value
 
 
 def test_inconsistent_co2e_rejected():
@@ -138,6 +143,14 @@ def test_remap_identity_and_involution(small_cfg):
     for before, after in zip(records, doubled):
         assert after.co2e_kg == pytest.approx(14.0 * before.co2e_kg, rel=1e-12, abs=1e-300)
     assert remap_grid_intensity(doubled, original) == records
+
+
+def test_remap_overflowing_co2e_rejected():
+    # 10 kWh at 1e308 kg/kWh is inf kg
+    rec = record(energy_kwh=10.0, co2e_kg=10.0 * 0.4)
+    with pytest.raises(SchemaViolation) as err:
+        remap_grid_intensity([rec], {"USA": 1e308})
+    assert err.value.field == "co2e_kg"
 
 
 def test_remap_unknown_region():
