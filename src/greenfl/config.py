@@ -27,6 +27,7 @@ from .sites import (
     BUILTIN_HARDWARE,
     BUILTIN_REGIONS,
     BUILTIN_TIERS,
+    MAX_TIER_FACTOR,
     EfficiencyTier,
     GridRegion,
     HardwareProfile,
@@ -80,8 +81,8 @@ _HARDWARE = {
     "throughput_steps_per_s": Field(float, lo=0, lo_open=True),
 }
 _TIER = {
-    # calibrate fits slowdowns up to 1000 (`calibrate_tiers` max_factor)
-    "slowdown_factor": Field(float, lo=1, hi=1000),
+    # calibrate fits slowdowns up to the same bound, so this reads every tier file it writes
+    "slowdown_factor": Field(float, lo=1, hi=MAX_TIER_FACTOR),
     "power_scale": Field(float, lo=0, lo_open=True),
 }
 _SITE = {key: Field(str) for key in ("site_id", "hardware", "tier", "region")}

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 from .comm import CommEnergyModel, UpdatePayload, comm_energy
 from .errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
-from .sites import INIT, PHASES, ROUND, EfficiencyTier
+from .sites import INIT, MAX_TIER_FACTOR, PHASES, ROUND, EfficiencyTier
 from .units import emissions_of
 
 SCHEMA_VERSION = "gfl-1"
@@ -126,11 +126,12 @@ def _parse_cell(name: str, raw: str):
 
 def parse_round_log(text: str) -> list[RoundRecord]:
     """Records of a round log; a malformed or invalid row raises SchemaViolation."""
-    reader = csv.reader(io.StringIO(text))
+    rows = []  # the header is row 0
     try:
-        rows = list(reader)
+        for row in csv.reader(io.StringIO(text)):
+            rows.append(row)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise SchemaViolation("row", f"line {reader.line_num}: {exc}") from None
+        raise SchemaViolation("row", f"row {len(rows)}: {exc}") from None
     header = rows[0] if rows else None
     if header != FIELD_NAMES:
         raise SchemaViolation("header", f"unexpected header {header}")
@@ -138,9 +139,12 @@ def parse_round_log(text: str) -> list[RoundRecord]:
     for number, row in enumerate(rows[1:], start=1):
         if not row:
             continue
-        if len(row) != len(FIELD_NAMES):
-            raise SchemaViolation("row", f"row {number}: {len(row)} fields, expected {len(FIELD_NAMES)}")
-        records.append(RoundRecord(**{name: _parse_cell(name, raw) for name, raw in zip(FIELD_NAMES, row)}))
+        try:
+            if len(row) != len(FIELD_NAMES):
+                raise SchemaViolation("row", f"{len(row)} fields, expected {len(FIELD_NAMES)}")
+            records.append(RoundRecord(**{name: _parse_cell(name, raw) for name, raw in zip(FIELD_NAMES, row)}))
+        except SchemaViolation as exc:
+            raise SchemaViolation(exc.field, f"row {number}: {exc}") from None
     return records
 
 
@@ -304,32 +308,24 @@ class TierTarget:
     runtime_min: float
 
 
-def _bisect_scale(response, target: float, lo: float, hi: float, iters: int = 200) -> float:
-    """Deterministic bisection for a monotone-increasing scalar response."""
-    if not (response(lo) <= target <= response(hi)):
-        raise CalibrationFailed(f"target {target} outside reachable range [{response(lo)}, {response(hi)}]")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if response(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# how far the baseline run's mean round energy may be from the high-tier target
+CALIBRATION_TOLERANCE = 0.05
+# the smallest power_scale `calibrate_tiers` fits; the largest is MAX_TIER_FACTOR
+MIN_POWER_SCALE = 1e-6
 
 
 def calibrate_tiers(
     baseline_mean_energy_kwh_per_round: float,
     targets: dict[str, TierTarget],
-    tolerance: float = 0.05,
-    max_factor: float = 1000.0,
 ) -> dict[str, EfficiencyTier]:
     """Fit (slowdown_factor, power_scale) per tier to published per-round means.
 
     The duration*power model is linear in both knobs: mean round energy
-    scales by slowdown*power_scale and runtime by slowdown.  Slowdown is
-    fit to the runtime ratio against the high tier, power_scale to the
-    energy ratio, both by deterministic bisection.  The baseline run must
-    already match the high-tier energy target within `tolerance`.
+    scales by slowdown*power_scale and runtime by slowdown.  So the knobs
+    have a closed form against the high tier: slowdown is the runtime ratio
+    and power_scale the energy ratio over the slowdown.  The baseline run
+    must already match the high-tier energy target within
+    `CALIBRATION_TOLERANCE`.
     """
     if "high" not in targets:
         raise CalibrationFailed("targets must include the 'high' reference tier")
@@ -340,25 +336,21 @@ def calibrate_tiers(
     if not baseline_mean_energy_kwh_per_round > 0:
         raise CalibrationFailed("baseline mean energy must be > 0")
     rel = abs(baseline_mean_energy_kwh_per_round - ref.mean_energy_kwh_per_round) / ref.mean_energy_kwh_per_round
-    if rel > tolerance:
+    if rel > CALIBRATION_TOLERANCE:
         raise CalibrationFailed(
             f"baseline mean energy {baseline_mean_energy_kwh_per_round} is {rel:.1%} from the "
-            f"high-tier target {ref.mean_energy_kwh_per_round} (tolerance {tolerance:.0%})"
+            f"high-tier target {ref.mean_energy_kwh_per_round} (tolerance {CALIBRATION_TOLERANCE:.0%})"
         )
 
     tiers: dict[str, EfficiencyTier] = {}
     for label, t in sorted(targets.items()):
-        runtime_ratio = t.runtime_min / ref.runtime_min
-        energy_ratio = t.mean_energy_kwh_per_round / ref.mean_energy_kwh_per_round
-        if runtime_ratio < 1.0 - 1e-12 or energy_ratio < runtime_ratio * 1e-6:
-            raise CalibrationFailed(f"tier {label!r}: targets below the high-tier reference")
-        if label == "high":
-            tiers[label] = EfficiencyTier("high", 1.0, 1.0)
-            continue
-        slowdown = _bisect_scale(lambda s: s, runtime_ratio, 1.0, max_factor)
-        power_scale = _bisect_scale(lambda p: slowdown * p, energy_ratio, 1e-6, max_factor)
-        predicted = baseline_mean_energy_kwh_per_round * slowdown * power_scale
-        if abs(predicted - t.mean_energy_kwh_per_round) / t.mean_energy_kwh_per_round > tolerance:
-            raise CalibrationFailed(f"tier {label!r}: predicted mean energy misses target by > {tolerance:.0%}")
+        slowdown = t.runtime_min / ref.runtime_min
+        power_scale = t.mean_energy_kwh_per_round / ref.mean_energy_kwh_per_round / slowdown
+        if not 1 <= slowdown <= MAX_TIER_FACTOR:
+            raise CalibrationFailed(f"tier {label!r}: runtime ratio {slowdown} is outside [1, {MAX_TIER_FACTOR}]")
+        if not MIN_POWER_SCALE <= power_scale <= MAX_TIER_FACTOR:
+            raise CalibrationFailed(
+                f"tier {label!r}: power_scale {power_scale} is outside [{MIN_POWER_SCALE}, {MAX_TIER_FACTOR}]"
+            )
         tiers[label] = EfficiencyTier(label, slowdown, power_scale)
     return tiers

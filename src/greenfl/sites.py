@@ -24,6 +24,10 @@ IDLE = "idle"
 EVALUATE = "evaluate"
 PHASES = (INIT, ROUND, IDLE, EVALUATE)  # in the order a site passes through them
 
+# the largest slowdown_factor a config or tiers file may set, and the largest
+# slowdown_factor and power_scale `calibrate_tiers` fits
+MAX_TIER_FACTOR = 1000
+
 
 @dataclass(frozen=True)
 class HardwareProfile:
@@ -126,7 +130,7 @@ BUILTIN_HARDWARE = {
 
 # Medium/low numeric values reproduce the published per-round mean energy
 # and runtime ratios under the duration*power model; `calibrate_tiers`
-# re-derives them from targets.
+# re-derives them bit for bit from `configs/table1_targets.json`.
 BUILTIN_TIERS = {
     "high": EfficiencyTier("high", slowdown_factor=1.0, power_scale=1.0),
     "medium": EfficiencyTier("medium", slowdown_factor=1.52 / 0.75, power_scale=(0.000563 / 0.000062) / (1.52 / 0.75)),

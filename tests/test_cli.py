@@ -117,7 +117,7 @@ def test_nan_row_fails_with_one_error_line(run_dir, capsys, argv):
     assert main([argv[0], "--in", str(run_dir), *argv[1:]]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: energy_kwh must be finite and non-negative\n"
+    assert out.err == "error: row 1: energy_kwh must be finite and non-negative\n"
 
 
 def test_whatif_zero_ci_zeroes_emissions(run_dir, capsys):
@@ -168,13 +168,13 @@ def test_huge_int_cell_fails_with_one_error_line(run_dir, capsys, argv, field):
     # an int beyond the float range ended `report` in an OverflowError traceback
     csv_path = run_dir / "rounds.csv"
     header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()]
-    row = next(row for row in rows if row[header.index("phase")] == "round")
+    number, row = next((n, row) for n, row in enumerate(rows, start=1) if row[header.index("phase")] == "round")
     row[header.index(field)] = str(10**400)
     csv_path.write_text("".join(",".join(line) + "\n" for line in [header, *rows]))
     assert main([argv[0], "--in", str(run_dir), *argv[1:]]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: {field} must be") and out.err.endswith("within the float range\n")
+    assert out.err.startswith(f"error: row {number}: {field} must be") and out.err.endswith("within the float range\n")
     assert out.err.count("\n") == 1
 
 

@@ -1,14 +1,20 @@
 import csv
 import dataclasses
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from greenfl.cli import main
+from greenfl.config import bundled_config_path, load_targets, load_tiers
 from greenfl.errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
 from greenfl.reporting import (
     FIELD_NAMES,
+    MIN_POWER_SCALE,
     RoundRecord,
     TierTarget,
     calibrate_tiers,
@@ -21,6 +27,7 @@ from greenfl.reporting import (
     write_round_log,
 )
 from greenfl.runner import execute_run
+from greenfl.sites import BUILTIN_TIERS, MAX_TIER_FACTOR
 
 
 def record(**overrides):
@@ -172,15 +179,12 @@ def test_calibrate_identity_fixed_point():
 
 
 def test_calibrate_reproduces_closed_form_ratios():
-    tiers = calibrate_tiers(0.000062, TABLE1)
-    assert tiers["medium"].slowdown_factor == pytest.approx(1.52 / 0.75, rel=1e-9)
-    assert tiers["medium"].power_scale == pytest.approx((0.000563 / 0.000062) / (1.52 / 0.75), rel=1e-9)
-    assert tiers["low"].power_scale == pytest.approx((0.001449 / 0.000062) / (4.23 / 0.75), rel=1e-9)
-    # fitted knobs reproduce the target per-round means exactly under the model
-    for label, target in TABLE1.items():
-        t = tiers[label]
-        predicted = 0.000062 * t.slowdown_factor * t.power_scale
-        assert predicted == pytest.approx(target.mean_energy_kwh_per_round, rel=1e-6)
+    targets = {label: TierTarget(**t) for label, t in load_targets(bundled_config_path("table1_targets")).items()}
+    tiers = calibrate_tiers(6.2e-05, targets)
+    assert tiers.keys() == BUILTIN_TIERS.keys()
+    for label, builtin in BUILTIN_TIERS.items():
+        assert tiers[label].slowdown_factor == builtin.slowdown_factor, label
+        assert tiers[label].power_scale == builtin.power_scale, label
 
 
 def test_calibrate_rejects_drifted_baseline():
@@ -196,6 +200,55 @@ def test_calibrate_rejects_zero_target():
 def test_calibrate_requires_high_reference():
     with pytest.raises(CalibrationFailed):
         calibrate_tiers(0.000062, {"medium": TierTarget(0.000563, 1.52)})
+
+
+# ratios against the high tier: well inside the fitted ranges, just below 1,
+# near MAX_TIER_FACTOR, around MIN_POWER_SCALE, and any positive float
+_RATIOS = st.one_of(
+    st.floats(0.5, 50.0),
+    st.floats(1 - 1e-12, 1.0),
+    st.floats(MAX_TIER_FACTOR * (1 - 1e-9), MAX_TIER_FACTOR * (1 + 1e-9)),
+    st.floats(MIN_POWER_SCALE / 1e3, MIN_POWER_SCALE * 10),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@st.composite
+def calibration_cases(draw):
+    """A baseline within the tolerance of the high target, and targets for
+    one to three more tiers, each a runtime ratio and a power ratio away."""
+    high = TierTarget(draw(st.floats(1e-9, 1e3)), draw(st.floats(1e-3, 1e3)))
+    targets = {"high": high}
+    for label in draw(st.lists(st.sampled_from(["low", "medium", "x"]), min_size=1, unique=True)):
+        runtime_ratio, power_ratio = draw(_RATIOS), draw(_RATIOS)
+        target = TierTarget(high.mean_energy_kwh_per_round * runtime_ratio * power_ratio, high.runtime_min * runtime_ratio)
+        assume(0 < target.mean_energy_kwh_per_round < math.inf and 0 < target.runtime_min < math.inf)
+        targets[label] = target
+    return high.mean_energy_kwh_per_round * draw(st.floats(0.96, 1.04)), targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(calibration_cases())
+def test_calibrate_fits_closed_form_or_names_the_tier(case):
+    baseline, targets = case
+    try:
+        tiers = calibrate_tiers(baseline, targets)
+    except CalibrationFailed as exc:
+        assert any(str(exc).startswith(f"tier {label!r}: ") for label in targets), str(exc)
+        return
+    ref = targets["high"]
+    for label, t in targets.items():
+        runtime_ratio = t.runtime_min / ref.runtime_min
+        assert tiers[label].slowdown_factor == runtime_ratio
+        assert tiers[label].power_scale == t.mean_energy_kwh_per_round / ref.mean_energy_kwh_per_round / runtime_ratio
+    # `greenfl calibrate` writes them to a tier file that `load_tiers` accepts
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "rounds.csv").write_text(write_round_log([record(energy_kwh=baseline, co2e_kg=0.0, ci_kg_per_kwh=0.0)]))
+        (root / "targets.json").write_text(json.dumps({label: dataclasses.asdict(t) for label, t in targets.items()}))
+        argv = ["calibrate", "--baseline", tmp, "--targets", str(root / "targets.json"), "--out", str(root / "t.json")]
+        assert main(argv) == 0
+        assert load_tiers(root / "t.json") == tiers
 
 
 def test_records_are_frozen():
@@ -222,11 +275,13 @@ def _valid_rows():
 
 @st.composite
 def corrupted_logs(draw):
-    """A valid two-row log with one row broken, and the field the error must
-    name: a typed cell replaced by text that is not a valid value of its
-    type, or ("row") a cell dropped, added or over the csv field limit."""
+    """A valid two-row log with one row broken, the field the error must
+    name (a typed cell replaced by text that is not a valid value of its
+    type, or "row": a cell dropped, added or over the csv field limit), and
+    the broken row's number, counted from 1 after the header."""
     header, *rows = _valid_rows()
-    row = rows[draw(st.integers(0, len(rows) - 1))]
+    number = draw(st.integers(1, len(rows)))
+    row = rows[number - 1]
     kind = draw(st.sampled_from(["cell", "drop", "add", "huge"]))
     if kind == "cell":
         name = draw(st.sampled_from(sorted(_INVALID)))
@@ -241,13 +296,14 @@ def corrupted_logs(draw):
     else:
         name = "row"
         row[draw(st.integers(0, len(row) - 1))] = "9" * (csv.field_size_limit() + 1)
-    return "\n".join(",".join(r) for r in [header, *rows]) + "\n", name
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n", name, number
 
 
 @settings(max_examples=300, deadline=None)
 @given(corrupted_logs())
 def test_corrupted_row_raises_schema_violation(case):
-    text, name = case
+    text, name, number = case
     with pytest.raises(SchemaViolation) as err:
         parse_round_log(text)
     assert err.value.field == name
+    assert str(err.value).startswith(f"row {number}: ")
