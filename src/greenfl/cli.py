@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .reporting import (
     remap_grid_intensity,
     summarize_run,
 )
-from .runner import execute_run, write_artifacts
+from .runner import plan_run, train_trajectory, write_artifacts
 from .sites import BUILTIN_REGIONS
 
 EXIT_OK = 0
@@ -66,8 +67,10 @@ def cmd_run(args) -> int:
     overrides = load_tiers(args.tiers) if args.tiers else None
     cfg = parse_config(doc, tier_overrides=overrides)
     _check_out_dir(args.out)
-    records, trajectory = execute_run(cfg)
-    report = write_artifacts(args.out, cfg, records, trajectory)
+    records, report = plan_run(cfg)
+    trajectory = train_trajectory(cfg.spec)
+    report = dataclasses.replace(report, accuracy_by_round=list(trajectory.accuracy_by_round))
+    write_artifacts(args.out, cfg, records, report)
     print(
         f"{cfg.scenario}: {len(cfg.plan.sites)} sites x {cfg.plan.num_rounds} rounds -> {args.out}"
     )

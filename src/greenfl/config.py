@@ -117,8 +117,8 @@ _CONFIG = {
 # the file `greenfl calibrate` writes and `greenfl run --tiers` reads
 _TIERS_FILE = {"tiers": Field(MapOf(Field(_TIER)))}
 _TARGETS_FILE = MapOf(Field({
-    "mean_energy_kwh_per_round": Field(float, lo=0),
-    "runtime_min": Field(float, lo=0),
+    "mean_energy_kwh_per_round": Field(float, lo=0, lo_open=True),
+    "runtime_min": Field(float, lo=0, lo_open=True),
 }))
 
 

@@ -214,7 +214,7 @@ class RunReport:
         }
 
 
-def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | None = None) -> RunReport:
+def summarize_run(records: list[RoundRecord]) -> RunReport:
     """Fold the record stream into run-level totals and per-round means.
 
     Every record is finite, but their sums can still overflow: a total that
@@ -265,7 +265,6 @@ def summarize_run(records: list[RoundRecord], accuracy_by_round: list[float] | N
         total_co2e_kg=compute_co2e + comm_co2e,
         runtime_s=max((t.span_end_s for t in per_site.values()), default=0.0),
         busy_runtime_s=max((t.busy_s for t in per_site.values()), default=0.0),
-        accuracy_by_round=accuracy_by_round,
     )
     # every record is non-negative, so each per-site value is bounded by a run-level one
     for key, value in report.to_dict().items():

@@ -1,14 +1,14 @@
-"""Glue between the orchestrator and the reporting layer: run a configured
-scenario, take its ledger's schema rows, and write run artifacts
-(rounds.csv, run.json, summary.json) to an output directory.
+"""Glue between the orchestrator and the reporting layer: plan a configured
+scenario, train it, and write run artifacts (rounds.csv, run.json,
+summary.json) to an output directory.
 
 A run is a ledger plus a learning trajectory.  The ledger depends only on
-the plan, the client shard sizes and the update's shape, all of which
-follow from the config, so it is built and checked before any training: a
-span or total that overflows fails the run at the config path of its site
-without training.  The trajectory depends only on the `TrajectorySpec`, so
-it is trained once and reused in-process by every run that shares the
-spec: tier and hardware variants of a scenario cost only their ledger."""
+the plan, the client shard sizes and the update's shape, which all follow
+from the config, so `plan_run` builds it and its one checked report with no
+training: a span or total that overflows fails at the config path of its
+site.  The trajectory depends only on the `TrajectorySpec`, so it is trained
+once and reused in-process by every run that shares the spec, and a run
+attaches its accuracies to the report of `plan_run`."""
 
 from __future__ import annotations
 
@@ -43,11 +43,11 @@ def train_trajectory(spec: TrajectorySpec) -> Trajectory:
     return Trajectory(tuple(accuracy_by_round), params)
 
 
-def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
-    """The run's schema rows and the (possibly shared) trajectory trained
-    for it.  The rows come first, from the config alone: a row that its type
-    rejects is a ConfigError at `sites[<i>]`, where i is its site's index in
-    the config, and a run total that overflows is one at `sites`."""
+def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
+    """The run's schema rows and their checked report, from the config alone,
+    with no training.  A row that its type rejects is a ConfigError at
+    `sites[<i>]`, where i is its site's index in the config, and a run total
+    that overflows is one at `sites`."""
     workload = cfg.spec.workload
     try:
         records = build_ledger(
@@ -62,10 +62,13 @@ def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
         i = [site.site_id for site in cfg.plan.sites].index(row.site_id)
         raise ConfigError(f"sites[{i}]", f"{row.phase} span of round {row.round_index}: {exc}") from None
     try:
-        summarize_run(records)
+        return records, summarize_run(records)
     except NonFiniteTotal as exc:
         raise ConfigError("sites", str(exc)) from None
-    return records, train_trajectory(cfg.spec)
+
+
+def execute_run(cfg: RunConfig) -> tuple[list[RoundRecord], Trajectory]:
+    return plan_run(cfg)[0], train_trajectory(cfg.spec)
 
 
 def run_metadata(cfg: RunConfig) -> dict:
@@ -92,8 +95,7 @@ def run_metadata(cfg: RunConfig) -> dict:
     }
 
 
-def write_artifacts(out_dir, cfg: RunConfig, records, trajectory: Trajectory) -> RunReport:
-    report = summarize_run(records, accuracy_by_round=list(trajectory.accuracy_by_round))
+def write_artifacts(out_dir, cfg: RunConfig, records, report: RunReport) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rounds.csv").write_text(write_round_log(records), encoding="utf-8", newline="")

@@ -240,13 +240,21 @@ def test_calibrate_round_trip(run_dir, tmp_path, capsys):
     assert tiers["medium"]["power_scale"] == pytest.approx(4.5, rel=1e-9)
 
 
-def test_calibrate_unreachable_target(run_dir, tmp_path):
+def test_calibrate_unreachable_target(run_dir, tmp_path, capsys):
+    # a valid target that the baseline misses by 50%, outside the 5% tolerance
+    mean = json.loads((run_dir / "summary.json").read_text())["mean_energy_kwh_per_round"]
     targets_path = tmp_path / "targets.json"
     targets_path.write_text(json.dumps({
-        "high": {"mean_energy_kwh_per_round": 0.0, "runtime_min": 1.0},
+        "high": {"mean_energy_kwh_per_round": 2 * mean, "runtime_min": 1.0},
     }))
     code = main(["calibrate", "--baseline", str(run_dir), "--targets", str(targets_path), "--out", str(tmp_path / "t.json")])
     assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: baseline mean energy {mean} is 50.0% from the high-tier target {2 * mean} (tolerance 5%)\n"
+    )
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_run_with_tier_override(run_dir, tmp_path):
@@ -321,7 +329,7 @@ def test_overflowing_total_fails_before_writing(tmp_path, capsys):
 
 def test_overflowing_span_fails_at_its_site_before_training(tmp_path, capsys, monkeypatch):
     # a tier whose power overflows makes every round span of site-3 draw inf kWh
-    monkeypatch.setattr("greenfl.runner.train_trajectory", lambda spec: pytest.fail("trained before the ledger check"))
+    monkeypatch.setattr("greenfl.cli.train_trajectory", lambda spec: pytest.fail("trained before the ledger check"))
     doc = load_json(bundled_config_path("cifar_tiers_high"), "config")
     doc["tiers"] = {"hot": {"slowdown_factor": 1.0, "power_scale": 1e308}}
     doc["sites"][2]["tier"] = "hot"
@@ -439,7 +447,7 @@ def test_more_clients_than_samples_fails_at_its_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_run_out_under_a_file_exits_2_before_training(tmp_path, capsys, monkeypatch, sub):
-    monkeypatch.setattr("greenfl.cli.execute_run", lambda cfg: pytest.fail("trained before checking --out"))
+    monkeypatch.setattr("greenfl.cli.plan_run", lambda cfg: pytest.fail("planned before checking --out"))
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
     out = blocker / sub if sub else blocker

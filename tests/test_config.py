@@ -267,7 +267,8 @@ def test_non_object_targets_file_exits_2(run_dir, tmp_path):
         ({"mean_energy_kwh_per_round": "1e-4", "runtime_min": 1.0}, "targets.high.mean_energy_kwh_per_round: expected number"),
         ({"mean_energy_kwh_per_round": 1e-4, "runtime_min": NAN}, "targets.high.runtime_min: must be finite"),
         ({"mean_energy_kwh_per_round": 1e-4}, "targets.high.runtime_min: missing required field"),
-        ({"mean_energy_kwh_per_round": -1.0, "runtime_min": 1.0}, "targets.high.mean_energy_kwh_per_round: must be >= 0"),
+        ({"mean_energy_kwh_per_round": -1.0, "runtime_min": 1.0}, "targets.high.mean_energy_kwh_per_round: must be > 0"),
+        ({"mean_energy_kwh_per_round": 0.0, "runtime_min": 1.0}, "targets.high.mean_energy_kwh_per_round: must be > 0"),
     ],
 )
 def test_bad_targets_file_exits_2_with_its_path(run_dir, tmp_path, target, message):

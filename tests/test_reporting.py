@@ -102,8 +102,8 @@ def test_round_trip_of_real_run(small_cfg):
 
 
 def test_summary_folds_real_run(small_cfg):
-    records, result = execute_run(small_cfg)
-    report = summarize_run(records, result.accuracy_by_round)
+    records, _ = execute_run(small_cfg)
+    report = summarize_run(records)
     exp_energy = sum(r.energy_kwh for r in records)
     exp_co2e = sum(r.co2e_kg for r in records)
     exp_comm = sum(record_comm_energy(r) for r in records)

@@ -3,6 +3,7 @@ that shape learning, and the ledger needs none of what training computes."""
 
 import contextlib
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenfl.cli import main
-from greenfl.config import build_dataset, build_shards, parse_config
+from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config, parse_config
 from greenfl.errors import EmptyClientData
 from greenfl.partition import LabeledDatasetDescriptor, dirichlet_partition
-from greenfl.runner import execute_run, train_trajectory
+from greenfl.reporting import summarize_run, write_round_log
+from greenfl.runner import execute_run, plan_run, train_trajectory
 from greenfl.sites import BUILTIN_HARDWARE, BUILTIN_REGIONS, BUILTIN_TIERS, ROUND
 
 from conftest import small_doc
@@ -198,3 +200,27 @@ def test_warm_run_is_byte_identical_to_cold_run(scenario, tmp_path):
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
     for name, digest in PINNED_SHA256[scenario].items():
         assert hashlib.sha256((tmp_path / "cold" / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scenario", BUNDLED)
+def test_plan_run_is_the_run_without_training(scenario, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(records):
+        calls.append(len(records))
+        return summarize_run(records)
+
+    for site in ("greenfl.runner.summarize_run", "greenfl.cli.summarize_run"):
+        monkeypatch.setattr(site, counted)
+    out = tmp_path / "out"
+    assert main(["run", "--config", scenario, "--out", str(out)]) == 0
+    assert len(calls) == 1  # the run totals its ledger once
+
+    monkeypatch.setattr("greenfl.runner.train_trajectory", lambda spec: pytest.fail("plan_run trained"))
+    records, report = plan_run(load_config(bundled_config_path(scenario)))
+    assert write_round_log(records).encode("utf-8") == (out / "rounds.csv").read_bytes()
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    del summary["accuracy_by_round"]
+    planned = report.to_dict()
+    assert planned.pop("accuracy_by_round") is None
+    assert planned == summary
