@@ -38,7 +38,7 @@ from .workload import SyntheticDataset, TrainConfig, blob_labels, make_blobs
 
 REQUIRED = object()  # the default of a field that has none
 # samples_per_class x num_classes x num_features of the largest dataset:
-# its float32 features take 400 MB
+# its float32 features take 400 MB, plus one column of ones
 MAX_DATASET_VALUES = 10**8
 
 

@@ -1,7 +1,9 @@
 """Trainable local workload: multinomial logistic regression on Gaussian blobs.
 
 The learning problem is a desk-scale stand-in for an image-classification
-CNN: real gradients, real convergence, no heavyweight dependencies.  SGD,
+CNN: real gradients, real convergence, no heavyweight dependencies.  A
+dataset is held once, in homogeneous coordinates: a design matrix `[x, 1]`
+whose last column makes the bias one more weight in SGD.  SGD,
 aggregation and evaluation run in the dtype of the dataset's features:
 float32 for `make_blobs` data, float64 for float64 data.  The byte size of
 a transmitted update assumes 32-bit little-endian serialization of weights
@@ -43,9 +45,39 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    features: np.ndarray  # [n, num_features]
+    """Labelled samples, held once as a C-contiguous `[n, F + 1]` design
+    matrix `[x, 1]`: `features` is its `[:, :F]` view, `design` the whole.
+
+    Features that are not already the `[:, :F]` view of such a matrix
+    (last column exactly 1) are copied once into a new one, so a caller's
+    bare `[n, F]` array is neither aliased nor modified.
+    """
+
+    features: np.ndarray  # [n, num_features], a view of `design`
     labels: np.ndarray  # [n]
     num_classes: int
+
+    def __post_init__(self):
+        x = self.features
+        n, f = x.shape
+        base = x.base
+        if not (
+            isinstance(base, np.ndarray)
+            and base.shape == (n, f + 1)
+            and base.flags.c_contiguous
+            and x.strides == base.strides
+            and x.ctypes.data == base.ctypes.data
+            and np.all(base[:, f] == 1)
+        ):
+            design = np.empty((n, f + 1), x.dtype)
+            design[:, :f] = x
+            design[:, f] = 1
+            object.__setattr__(self, "features", design[:, :f])
+
+    @property
+    def design(self) -> np.ndarray:
+        """The `[n, num_features + 1]` matrix `[features, 1]`."""
+        return self.features.base
 
     @property
     def num_samples(self) -> int:
@@ -84,7 +116,8 @@ def make_blobs(
     Means are drawn isotropically and rescaled so the minimum pairwise
     distance equals `separation`; labels are `blob_labels`.
     Each class block is drawn in float64, into one reused buffer, and
-    stored as float32.  A separation so large that a feature overflows
+    stored as float32 straight into the first columns of the dataset's
+    design matrix.  A separation so large that a feature overflows
     float32 raises ValueError.
     """
     rng = np.random.default_rng(seed)
@@ -94,16 +127,17 @@ def make_blobs(
             dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
             min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
             means *= separation / min_dist
-        features = np.empty((num_classes * samples_per_class, num_features), dtype=np.float32)
+        design = np.empty((num_classes * samples_per_class, num_features + 1), dtype=np.float32)
+        design[:, num_features] = 1
         draw = np.empty((samples_per_class, num_features))
         for c in range(num_classes):
             rng.standard_normal(out=draw)
             draw += means[c]
-            features[c * samples_per_class : (c + 1) * samples_per_class] = draw
+            design[c * samples_per_class : (c + 1) * samples_per_class, :num_features] = draw
     # min and max propagate NaN and reach any inf, without an [n, F] temporary
-    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
+    if not (np.isfinite(design.min()) and np.isfinite(design.max())):
         raise ValueError(f"separation {separation} overflows the float32 features")
-    return SyntheticDataset(features, blob_labels(num_classes, samples_per_class), num_classes)
+    return SyntheticDataset(design[:, :num_features], blob_labels(num_classes, samples_per_class), num_classes)
 
 
 def blob_labels(num_classes: int, samples_per_class: int) -> np.ndarray:
@@ -204,26 +238,28 @@ def _lockstep(
     own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
     step in lockstep one epoch at a time: sorted by steps per epoch,
     longest first, the clients still training at step k of an epoch are a
-    prefix, and one batched forward and gradient serves them all.  Each
-    client's weights and bias are one feature-major tensor, `[client,
-    feature + 1, class]`: the weights are rows [:F], so the forward
-    multiplies two row-major operands, and the bias is row F.  The
-    forward's `[client, lane, class]` result plus the bias is written into
-    a class-major buffer, `[client, class, lane]`, so the softmax
-    reductions run along the contiguous lane axis.  The class-major
-    gradient, `[client, class, feature + 1]`, takes the weight GEMM and the
-    bias reduce, and one `lr` scaling and one subtraction update both.
-    The step's buffers are made once per call and written with `out=`, so
-    a step allocates only its gathered batch, the forward's result and the
-    true-class gather.  A batch's gradient is the mean over its real
-    samples: every sample carries weight 1/len(batch), folded into the
-    softmax normalisation, and the lanes that pad an epoch's short last
-    batch carry weight 0.  Everything runs in the dtype of
-    `dataset.features`.  Finiteness is checked once, when the
-    trained params are built after the last step.
+    prefix, and one batched forward and gradient serves them all.  Batches
+    are gathered from the design matrix `[x, 1]`, so the bias is one more
+    weight: each client's weights and bias are one feature-major tensor,
+    `[client, feature + 1, class]`, with the bias as row F, and the
+    forward `[x, 1] @ theta` multiplies two row-major operands.  Its
+    `[client, lane, class]` result is copied into a class-major buffer,
+    `[client, class, lane]`, so the softmax reductions run along the
+    contiguous lane axis.  The gradient GEMM `probs @ [x, 1]` writes the
+    whole class-major gradient, `[client, class, feature + 1]`, and one
+    subtraction updates weights and bias.  The step's buffers are made
+    once per call and written with `out=`, so a step allocates only its
+    gathered batch, the forward's result and the true-class gather.  A
+    batch's step is the learning rate times the mean gradient over its
+    real samples: every sample carries weight `lr / len(batch)`, folded
+    into the softmax normalisation, and the lanes that pad an epoch's
+    short last batch carry weight 0.  Everything runs in the dtype of
+    `dataset.features`.  Finiteness is checked once, when the trained
+    params are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
-    dtype = dataset.features.dtype
+    design = dataset.design
+    dtype = design.dtype
     num_clients, k = len(shards), dataset.num_classes
     per_epoch = [-(-n // batch) for n in sizes]
     order = sorted(range(num_clients), key=lambda c: -per_epoch[c])
@@ -231,14 +267,17 @@ def _lockstep(
 
     # [step, client, 1, lane] tables of one epoch in sorted-client order;
     # the unit class axis broadcasts over a [client, class, lane] block.
-    # The lane weights are the same every epoch.
+    # The lane weights are the same every epoch; a rate whose weight
+    # overflows the dtype gives inf weights, and the run then diverges
+    lr = cfg.learning_rate
     scale = np.zeros((num_steps, num_clients, 1, batch), dtype)
-    for row, c in enumerate(order):
-        n, p = sizes[c], per_epoch[c]
-        lanes = np.zeros(p * batch)
-        lanes[:n] = 1.0 / batch
-        lanes[(p - 1) * batch : n] = 1.0 / (n - (p - 1) * batch)
-        scale[:p, row, 0] = lanes.reshape(p, batch)
+    with np.errstate(over="ignore"):
+        for row, c in enumerate(order):
+            n, p = sizes[c], per_epoch[c]
+            lanes = np.zeros(p * batch)
+            lanes[:n] = lr / batch
+            lanes[(p - 1) * batch : n] = lr / (n - (p - 1) * batch)
+            scale[:p, row, 0] = lanes.reshape(p, batch)
     # a lane's true-class probability is at flat position
     # `label * batch + offset` of a [client, class, lane] block
     offset = np.arange(batch) + (k * batch) * np.arange(num_clients)[:, None, None]
@@ -247,22 +286,18 @@ def _lockstep(
     rngs = [np.random.default_rng(seeds[c]) for c in order]
 
     # feature-major parameters, `[client, feature + 1, class]`: the forward
-    # is `features @ theta[:, :F]`, both operands row-major (numpy's stacked
-    # matmul is slow on a transposed operand), and row F is the bias.
-    # Writing into a transposed `out=` changes the bits at small shapes; the
-    # gradient GEMM's row-strided `out=` keeps them
+    # is `[x, 1] @ theta`, both operands row-major (numpy's stacked matmul
+    # is slow on a transposed operand), and row F is the bias
     num_features = dataset.num_features
     theta = np.empty((num_clients, num_features + 1, k), dtype)
     theta[:, :num_features] = params.weights.T
     theta[:, num_features] = params.bias
     # the step's buffers, made once at full client count; an active prefix
-    # writes into their [:active] views.  The gradient takes the weight GEMM
-    # in columns [:F] and the bias reduce in column F
+    # writes into their [:active] views
     probs_all = np.empty((num_clients, k, batch), dtype)
     peak_all = np.empty((num_clients, 1, batch), dtype)
     norm_all = np.empty((num_clients, 1, batch), dtype)
     grad_all = np.empty((num_clients, k, num_features + 1), dtype)
-    lr = cfg.learning_rate
     # rows [0, active) train during steps [ends[active], ends[active - 1]) of
     # every epoch; each run of steps gets its views once, and its step rows
     # stay valid because the epoch tables are refilled in place
@@ -270,15 +305,14 @@ def _lockstep(
     prefixes = []
     for active in range(num_clients, 0, -1):
         if ends[active] < ends[active - 1]:
-            t, probs, grad = theta[:active], probs_all[:active], grad_all[:active]
+            t, probs = theta[:active], probs_all[:active]
             steps = slice(ends[active], ends[active - 1])
             rows = list(zip(index[steps, :active, 0], scale[steps, :active], target[steps, :active]))
-            views = (t[:, :num_features], t[:, num_features, :, None], t.transpose(0, 2, 1), probs, probs.reshape(-1))
-            buffers = (peak_all[:active], norm_all[:active], grad, grad[:, :, :num_features], grad[:, :, num_features])
-            prefixes.append((rows, *views, *buffers))
+            views = (t, t.transpose(0, 2, 1), probs, probs.reshape(-1))
+            prefixes.append((rows, *views, peak_all[:active], norm_all[:active], grad_all[:active]))
     # looked up once per call: at small shapes a step is bound by its calls
-    take, matmul, exp, divide = dataset.features.take, np.matmul, np.exp, np.divide
-    add, add_reduce, max_reduce = np.add, np.add.reduce, np.maximum.reduce
+    take, matmul, copyto, exp, divide = design.take, np.matmul, np.copyto, np.exp, np.divide
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
 
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,10 +327,10 @@ def _lockstep(
             target[:] = dataset.labels[index]
             target *= batch
             target += offset
-            for rows, w, b_col, t_ct, probs, flat, peak, norm, grad, grad_w, grad_b in prefixes:
+            for rows, t, t_ct, probs, flat, peak, norm, grad in prefixes:
                 for idx, lane, tg in rows:
-                    features = take(idx, axis=0)
-                    add(matmul(features, w).transpose(0, 2, 1), b_col, out=probs)
+                    x = take(idx, axis=0)
+                    copyto(probs, matmul(x, t).transpose(0, 2, 1))
                     max_reduce(probs, axis=1, keepdims=True, out=peak)
                     probs -= peak
                     exp(probs, out=probs)
@@ -304,9 +338,7 @@ def _lockstep(
                     divide(lane, norm, out=norm)
                     probs *= norm
                     flat[tg] -= lane
-                    matmul(probs, features, out=grad_w)
-                    add_reduce(probs, axis=2, out=grad_b)
-                    grad *= lr
+                    matmul(probs, x, out=grad)
                     t_ct -= grad
 
     trained = [None] * num_clients

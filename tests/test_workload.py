@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,67 @@ def test_evaluate_predicts_as_the_two_temporary_expression(dtype, seed, n, num_c
     predictions = np.argmax(features @ params.weights.T + params.bias, axis=1)
     # labelled with the old predictions, the accuracy is 1 only if every prediction agrees
     assert evaluate(params, SyntheticDataset(features, predictions, num_classes)) == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_on_the_design_view_matches_a_contiguous_copy(dtype):
+    # `features` is a view with a row stride of F + 1 values; the logits of
+    # every row must be those of the same rows stored contiguously
+    blobs = make_blobs(num_classes=5, num_features=11, samples_per_class=60, separation=1.5, seed=7)
+    data = SyntheticDataset(blobs.features.astype(dtype), blobs.labels, blobs.num_classes)
+    assert not data.features.flags.c_contiguous
+    rng = np.random.default_rng(8)
+    params = ModelParams(rng.normal(size=(5, 11)).astype(dtype), rng.normal(size=5).astype(dtype))
+    logits = np.ascontiguousarray(data.features) @ params.weights.T
+    logits += params.bias
+    predictions = np.argmax(logits, axis=1)
+    assert evaluate(params, data) == float(np.mean(predictions == data.labels))
+    # labelled with the contiguous predictions, the accuracy is 1 only if every prediction agrees
+    assert evaluate(params, SyntheticDataset(data.features, predictions, data.num_classes)) == 1.0
+
+
+def test_make_blobs_holds_its_features_in_the_design_matrix():
+    data = make_blobs(num_classes=3, num_features=5, samples_per_class=7, seed=2)
+    design = data.design
+    assert design.shape == (21, 6) and design.dtype == np.float32 and design.flags.c_contiguous
+    assert np.shares_memory(data.features, design)
+    np.testing.assert_array_equal(design[:, :5], data.features)
+    assert np.all(design[:, 5] == 1.0)
+
+
+def test_make_blobs_peak_memory_is_one_copy_of_the_features():
+    # cifar shape: a second copy of the float32 features would add 21.6 MB
+    num_classes, num_features, samples_per_class = 10, 90, 6000
+    make_blobs(2, 3, 4)  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        data = make_blobs(num_classes, num_features, samples_per_class, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = samples_per_class * num_features * np.dtype(np.float64).itemsize
+    # the labels, the class means and small temporaries fit in the slack
+    assert peak <= data.design.nbytes + block + data.labels.nbytes + (1 << 17), peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dataset_copies_a_callers_array_once(dtype):
+    rng = np.random.default_rng(1)
+    labels = rng.integers(0, 3, 9)
+    bare = rng.normal(size=(9, 4)).astype(dtype)
+    # a [:, :F] view whose last column is not all 1 is not a design matrix
+    wide = rng.normal(size=(9, 5)).astype(dtype)
+    for features in (bare, wide[:, :4]):
+        before = features.copy()
+        data = SyntheticDataset(features, labels, 3)
+        assert not np.shares_memory(data.design, features)
+        assert data.design.dtype == dtype and data.design.flags.c_contiguous
+        np.testing.assert_array_equal(data.features, before)
+        np.testing.assert_array_equal(data.design[:, 4], np.ones(9, dtype))
+        np.testing.assert_array_equal(features, before)
+    # the features of a dataset are kept: another labelling shares its matrix
+    relabelled = SyntheticDataset(data.features, labels[::-1].copy(), 3)
+    assert relabelled.design is data.design
 
 
 def test_empty_data_rejected():
@@ -458,6 +520,19 @@ def test_diverging_learning_rate_rejected():
     # one client diverges while the other stops early: the NaN survives to the end of the round
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="model parameters must be finite"):
         train_clients(ModelParams.zeros(3, 4), data, [np.arange(5), np.arange(5, 60)], cfg, [0, 1])
+
+
+@pytest.mark.parametrize("dtype, learning_rate", [(np.float32, 1e40), (np.float64, 1e308)])
+def test_overflowing_lane_weight_diverges_without_a_warning(dtype, learning_rate):
+    # the lane table holds learning_rate / len(batch): 1e40 / 4 overflows
+    # float32 in its cast, and 1e308 / 4 overflows float64 in the first
+    # steps; either must end in Diverged, not in a RuntimeWarning
+    dataset, shards, seeds, params = random_clients([7, 12], 3, dtype)
+    cfg = TrainConfig(local_epochs=2, batch_size=4, learning_rate=learning_rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged, match="model parameters must be finite"):
+            train_clients(params, dataset, shards, cfg, seeds)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
