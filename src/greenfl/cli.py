@@ -76,7 +76,7 @@ def cmd_run(args) -> int:
     )
     print(
         f"  total {report.total_co2e_kg:.6g} kg CO2e, {report.total_energy_kwh:.6g} kWh, "
-        f"runtime {report.runtime_s / 60.0:.4g} min, final accuracy "
+        f"runtime {report.runtime_min:.4g} min, final accuracy "
         f"{report.accuracy_by_round[-1]:.4f}"
     )
     return EXIT_OK
@@ -131,19 +131,19 @@ def cmd_report(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["run", "site_id", "energy_kwh", "co2e_kg", "busy_s"])
         for run_dir, label, report in runs:
-            for site, t in sorted(report.per_site.items()):
+            for site, t in report.per_site.items():
                 writer.writerow([label, site, repr(t.energy_kwh), repr(t.co2e_kg), repr(t.busy_s)])
         return EXIT_OK
 
     for run_dir, label, report in runs:
         print(f"run {label} ({run_dir}): {report.num_rounds} rounds")
         print(f"  {'site':<12} {'energy_kwh':>14} {'co2e_kg':>14} {'busy_min':>10}")
-        for site, t in sorted(report.per_site.items()):
+        for site, t in report.per_site.items():
             print(f"  {site:<12} {t.energy_kwh:>14.6g} {t.co2e_kg:>14.6g} {t.busy_s / 60.0:>10.4g}")
         print(
             f"  mean energy/round {report.mean_energy_kwh_per_round:.6g} kWh | "
             f"comm {report.comm_co2e_kg:.6g} kg | total {report.total_co2e_kg:.6g} kg CO2e | "
-            f"runtime {report.runtime_s / 60.0:.4g} min"
+            f"runtime {report.runtime_min:.4g} min"
         )
     if len(runs) > 1:
         parts = []
@@ -175,9 +175,7 @@ def cmd_whatif(args) -> int:
             "original_total_co2e_kg": original.total_co2e_kg,
             "remapped_total_co2e_kg": report.total_co2e_kg,
             "total_energy_kwh": report.total_energy_kwh,
-            "per_site_co2e_kg": {
-                site: t.co2e_kg + t.comm_co2e_kg for site, t in sorted(report.per_site.items())
-            },
+            "per_site_co2e_kg": {site: t.co2e_kg + t.comm_co2e_kg for site, t in report.per_site.items()},
         },
         indent=2,
         allow_nan=False,

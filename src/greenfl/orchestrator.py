@@ -61,7 +61,10 @@ def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
     total_n = 0
     for params, n in updates:
         if (params.weights.shape, params.bias.shape) != shape:
-            raise ShapeMismatch(f"update shape {params.weights.shape} != {shape[0]}")
+            raise ShapeMismatch(
+                f"update shapes (weights {params.weights.shape}, bias {params.bias.shape}) "
+                f"!= (weights {shape[0]}, bias {shape[1]})"
+            )
         total_n += n
     if total_n <= 0:
         raise EmptyUpdateSet("total sample count must be > 0")

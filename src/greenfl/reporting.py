@@ -12,6 +12,11 @@ column, so nothing double-counts.
 
 Floats are serialized with `repr`, which round-trips bit-for-bit, making
 write -> parse lossless and identical runs byte-identical on disk.
+
+A run's summary (`summary.json`, `report --format json`) is a `RunReport`:
+`schema_version` plus its fields, in their declared order, with the
+per-site entries in site-id order.  The dataclass is the schema's one
+declaration, so a new summary key is one new field.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .comm import CommEnergyModel, UpdatePayload, comm_energy
 from .errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
@@ -168,6 +173,8 @@ class SiteTotals:
 
 @dataclass
 class RunReport:
+    """Run-level totals; `summarize_run` builds them and `to_dict` is the summary."""
+
     run_id: str
     num_rounds: int
     per_site: dict[str, SiteTotals]
@@ -180,38 +187,12 @@ class RunReport:
     total_energy_kwh: float
     total_co2e_kg: float
     runtime_s: float  # max site span end (simulated wall clock)
+    runtime_min: float
     busy_runtime_s: float  # max per-site sum of span durations
     accuracy_by_round: list[float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "num_rounds": self.num_rounds,
-            "per_site": {
-                site: {
-                    "energy_kwh": t.energy_kwh,
-                    "co2e_kg": t.co2e_kg,
-                    "busy_s": t.busy_s,
-                    "span_end_s": t.span_end_s,
-                    "comm_energy_kwh": t.comm_energy_kwh,
-                    "comm_co2e_kg": t.comm_co2e_kg,
-                }
-                for site, t in sorted(self.per_site.items())
-            },
-            "mean_energy_kwh_per_round": self.mean_energy_kwh_per_round,
-            "mean_co2e_kg_per_round": self.mean_co2e_kg_per_round,
-            "compute_energy_kwh": self.compute_energy_kwh,
-            "compute_co2e_kg": self.compute_co2e_kg,
-            "comm_energy_kwh": self.comm_energy_kwh,
-            "comm_co2e_kg": self.comm_co2e_kg,
-            "total_energy_kwh": self.total_energy_kwh,
-            "total_co2e_kg": self.total_co2e_kg,
-            "runtime_s": self.runtime_s,
-            "runtime_min": self.runtime_s / 60.0,
-            "busy_runtime_s": self.busy_runtime_s,
-            "accuracy_by_round": self.accuracy_by_round,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def summarize_run(records: list[RoundRecord]) -> RunReport:
@@ -251,10 +232,11 @@ def summarize_run(records: list[RoundRecord]) -> RunReport:
         totals.comm_energy_kwh += ce
         totals.comm_co2e_kg += cc
 
+    runtime = max((t.span_end_s for t in per_site.values()), default=0.0)
     report = RunReport(
         run_id=run_id,
         num_rounds=num_rounds,
-        per_site=per_site,
+        per_site=dict(sorted(per_site.items())),
         mean_energy_kwh_per_round=round_energy / num_rounds if num_rounds else 0.0,
         mean_co2e_kg_per_round=round_co2e / num_rounds if num_rounds else 0.0,
         compute_energy_kwh=compute_energy,
@@ -263,7 +245,8 @@ def summarize_run(records: list[RoundRecord]) -> RunReport:
         comm_co2e_kg=comm_co2e,
         total_energy_kwh=compute_energy + comm_energy,
         total_co2e_kg=compute_co2e + comm_co2e,
-        runtime_s=max((t.span_end_s for t in per_site.values()), default=0.0),
+        runtime_s=runtime,
+        runtime_min=runtime / 60.0,
         busy_runtime_s=max((t.busy_s for t in per_site.values()), default=0.0),
     )
     # every record is non-negative, so each per-site value is bounded by a run-level one

@@ -124,8 +124,10 @@ def make_blobs(
     means = rng.normal(size=(num_classes, num_features))
     with np.errstate(over="ignore"):  # an overflow shows as a non-finite feature below
         if num_classes > 1:
-            dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-            min_dist = dists[~np.eye(num_classes, dtype=bool)].min()
+            # row by row, so no [K, K, F] difference array is built
+            min_dist = min(
+                np.linalg.norm(means[c + 1 :] - means[c], axis=-1).min() for c in range(num_classes - 1)
+            )
             means *= separation / min_dist
         design = np.empty((num_classes * samples_per_class, num_features + 1), dtype=np.float32)
         design[:, num_features] = 1

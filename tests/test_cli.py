@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 
 from greenfl.cli import main
 from greenfl.config import bundled_config_path, load_json
+from greenfl.reporting import RunReport, SiteTotals
 
 from conftest import small_doc
 
@@ -77,6 +79,25 @@ def test_report_single_run_matches_summary(run_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     summary = json.loads((run_dir / "summary.json").read_text())
     assert payload[0]["total_co2e_kg"] == summary["total_co2e_kg"]
+
+
+def test_report_json_is_each_summary_with_its_dir_and_label(run_dir, tmp_path, capsys):
+    other = tmp_path / "seed-5"
+    assert main(["run", "--config", write_doc(tmp_path, small_doc()), "--seed", "5", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", str(run_dir), str(other), "--format", "json"]) == 0
+    *entries, ratios = json.loads(capsys.readouterr().out)
+    assert list(ratios) == ["ratios"]
+    keys = ["dir", "label", "schema_version", *(f.name for f in dataclasses.fields(RunReport))]
+    site_keys = [f.name for f in dataclasses.fields(SiteTotals)]
+    for entry, d in zip(entries, (run_dir, other), strict=True):
+        summary = json.loads((d / "summary.json").read_text())
+        assert summary["accuracy_by_round"]
+        # the report reads rounds.csv, which holds no accuracies
+        assert entry == {"dir": str(d), "label": "high", **summary, "accuracy_by_round": None}
+        assert list(entry) == keys
+        assert list(entry["per_site"]) == sorted(summary["per_site"])
+        assert all(list(totals) == site_keys for totals in entry["per_site"].values())
 
 
 def test_report_csv_quotes_its_cells(tmp_path, capsys):

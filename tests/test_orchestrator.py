@@ -46,6 +46,14 @@ def test_aggregate_rejects_empty_and_mismatched(rng):
         fedavg_aggregate([(rand_params(rng, (3, 4)), 1), (rand_params(rng, (3, 5)), 1)])
 
 
+def test_aggregate_mismatch_names_the_bias_shape(rng):
+    good = rand_params(rng, (3, 4))
+    bad = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=5))
+    with pytest.raises(ShapeMismatch) as err:
+        fedavg_aggregate([(good, 1), (bad, 1)])
+    assert "bias (5,)" in str(err.value)
+
+
 def rows_by_phase(records, site_id):
     out = {}
     for record in records:

@@ -117,6 +117,19 @@ def test_summary_folds_real_run(small_cfg):
     assert report.runtime_s == pytest.approx(max(r.start_s + r.duration_s for r in records), rel=1e-12)
 
 
+def test_summary_lists_sites_in_site_id_order():
+    ids = ["s3", "s10", "s1", "s2"]
+    records = [
+        record(site_id=site, round_index=k, start_s=float(k), energy_kwh=e, co2e_kg=e * 0.4)
+        for k in (1, 2)
+        for site, e in zip(ids, (1e-4, 2e-4, 3e-4, 4e-4))
+    ]
+    for rows in (records, records[::-1]):
+        report = summarize_run(rows)
+        assert list(report.per_site) == sorted(ids)
+        assert list(report.to_dict()["per_site"]) == sorted(ids)
+
+
 def test_overflowing_comm_energy_fails_as_a_total():
     # 2 * 1000 GB * 1e308 kWh/GB overflows; on a 0 kg/kWh grid its CO2e would be inf * 0 = NaN
     rec = record(payload_bytes=10**12, net_intensity_kwh_per_gb=1e308, ci_kg_per_kwh=0.0, co2e_kg=0.0)

@@ -554,20 +554,47 @@ def test_params_keep_the_dataset_dtype(dtype):
     assert update_payload_bytes(*final.weights.shape) == (3 * 8 + 3) * 4
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_make_blobs_is_the_float64_draw_rounded_to_float32(seed):
-    num_classes, num_features, samples_per_class, separation = 4, 7, 30, 3.0
+def pairwise_blobs(num_classes, num_features, samples_per_class, separation, seed):
+    """`make_blobs` features, drawn block by block in float64 and rounded once,
+    with the class means scaled by the minimum of the whole pairwise distance matrix."""
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, num_features))
     dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
     means *= separation / dists[~np.eye(num_classes, dtype=bool)].min()
-    want = np.concatenate(
+    return np.concatenate(
         [means[c] + rng.normal(size=(samples_per_class, num_features)) for c in range(num_classes)]
     ).astype(np.float32)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_make_blobs_is_the_float64_draw_rounded_to_float32(seed):
+    num_classes, num_features, samples_per_class, separation = 4, 7, 30, 3.0
+    want = pairwise_blobs(num_classes, num_features, samples_per_class, separation, seed)
     got = make_blobs(num_classes, num_features, samples_per_class, separation, seed)
     assert got.features.dtype == np.float32
     assert got.features.tobytes() == want.tobytes()
     np.testing.assert_array_equal(got.labels, np.repeat(np.arange(num_classes), samples_per_class))
+
+
+# the cifar and retina shapes, many classes over few features, and the reverse
+@pytest.mark.parametrize("num_classes, num_features", [(10, 90), (2, 64), (40, 3), (3, 300)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_make_blobs_row_by_row_separation_is_bit_equal_to_the_pairwise_matrix(num_classes, num_features, seed):
+    got = make_blobs(num_classes, num_features, 3, 5.0, seed)
+    assert got.features.tobytes() == pairwise_blobs(num_classes, num_features, 3, 5.0, seed).tobytes()
+
+
+def test_make_blobs_builds_no_class_by_class_difference_array():
+    # 200 classes x 200 features: a [K, K, F] float64 difference array is 64 MB,
+    # while the design matrix, the labels and the class means are under 0.5 MB
+    make_blobs(2, 3, 4)  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        make_blobs(200, 200, 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 # float32 against the float64 reference on the same (float32-representable)
