@@ -15,12 +15,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .config import bundled_config_path, load_json, load_targets, load_tiers, parse_config
-from .errors import ConfigError, GreenflError, UnknownRegion
+from .config import bundled_config_path, load_accuracies, load_json, load_targets, load_tiers, parse_config
+from .errors import ConfigError, GreenflError
 from .reporting import (
     TierTarget,
     calibrate_tiers,
     parse_round_log,
+    region_cis,
     remap_grid_intensity,
     summarize_run,
 )
@@ -83,23 +84,15 @@ def cmd_run(args) -> int:
 
 
 def _read_run_dir(run_dir, what: str = "in"):
-    path = Path(run_dir)
-    csv_path = path / "rounds.csv"
+    csv_path = Path(run_dir) / "rounds.csv"
     if not csv_path.is_file():
         raise ConfigError(what, f"{run_dir} does not contain rounds.csv")
-    records = parse_round_log(csv_path.read_text(encoding="utf-8"))
-    meta = {}
-    meta_path = path / "run.json"
-    if meta_path.is_file():
-        meta = load_json(meta_path, "run.json")
-    return records, meta
+    return parse_round_log(csv_path.read_text(encoding="utf-8"))
 
 
-def _run_label(records, meta) -> str:
+def _run_label(records) -> str:
     tiers = Counter(r.tier_label for r in records)
-    if tiers:
-        return tiers.most_common(1)[0][0]
-    return meta.get("scenario", "run")
+    return tiers.most_common(1)[0][0] if tiers else "run"
 
 
 def _co2e_ratio(report, base) -> float | None:
@@ -114,9 +107,11 @@ def _co2e_ratio(report, base) -> float | None:
 def cmd_report(args) -> int:
     runs = []
     for run_dir in args.in_dirs:
-        records, meta = _read_run_dir(run_dir)
-        report = summarize_run(records)
-        runs.append((run_dir, _run_label(records, meta), report))
+        records = _read_run_dir(run_dir)
+        summary = Path(run_dir) / "summary.json"
+        accuracies = load_accuracies(summary) if summary.is_file() else None
+        report = dataclasses.replace(summarize_run(records), accuracy_by_round=accuracies)
+        runs.append((run_dir, _run_label(records), report))
 
     if args.format == "json":
         payload = [{"dir": str(d), "label": label, **r.to_dict()} for d, label, r in runs]
@@ -155,17 +150,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_whatif(args) -> int:
-    records, _ = _read_run_dir(args.in_dir)
-    regions = {r.region_code for r in records}
+    records = _read_run_dir(args.in_dir)
     if args.ci is not None:
         if not (math.isfinite(args.ci) and args.ci >= 0):
             raise ConfigError("ci", "carbon intensity must be finite and >= 0")
-        mapping = {code: args.ci for code in regions}
-    else:
-        if args.region not in BUILTIN_REGIONS:
-            raise UnknownRegion(args.region)
+        ci = args.ci
+    elif args.region in BUILTIN_REGIONS:
         ci = BUILTIN_REGIONS[args.region].ci_kg_per_kwh
-        mapping = {code: ci for code in regions}
+    else:
+        raise ConfigError("region", f"unknown region {args.region!r}")
+    mapping = {code: ci for code in region_cis(records)}  # regions in first-seen row order
     remapped = remap_grid_intensity(records, mapping)
     report = summarize_run(remapped)
     original = summarize_run(records)
@@ -185,7 +179,7 @@ def cmd_whatif(args) -> int:
 
 def cmd_calibrate(args) -> int:
     _check_out_file(args.out)
-    records, _ = _read_run_dir(args.baseline, "baseline")
+    records = _read_run_dir(args.baseline, "baseline")
     targets = {label: TierTarget(**t) for label, t in load_targets(args.targets).items()}
     tiers = calibrate_tiers(summarize_run(records).mean_energy_kwh_per_round, targets)
     out = {
@@ -237,7 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownRegion) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (GreenflError, OSError) as exc:

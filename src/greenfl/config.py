@@ -1,8 +1,9 @@
 """Run-configuration document: parsing, validation and plan construction.
 
-A run is one JSON document.  It, a `--tiers` preset file and a
-`calibrate --targets` file are each checked by one reader against a table
-of fields (`_CONFIG`, `_TIERS_FILE`, `_TARGETS_FILE`) before any
+A run is one JSON document.  It, a `--tiers` preset file, a
+`calibrate --targets` file and the accuracies `report` reads from a
+`summary.json` are each checked by one reader against a table of fields
+(`_CONFIG`, `_TIERS_FILE`, `_TARGETS_FILE`, `_ACCURACIES`) before any
 simulation starts: unknown keys are rejected, types are strict, floats
 must be finite, and every error carries a dotted field path so the CLI can
 point at the offending entry.  The rules between fields (site count, site
@@ -120,6 +121,7 @@ _TARGETS_FILE = MapOf(Field({
     "mean_energy_kwh_per_round": Field(float, lo=0, lo_open=True),
     "runtime_min": Field(float, lo=0, lo_open=True),
 }))
+_ACCURACIES = ListOf(Field(float, lo=0, hi=1))  # summary.json's accuracy_by_round
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,12 @@ def load_tiers(path) -> dict[str, EfficiencyTier]:
 def load_targets(path) -> dict[str, dict]:
     """Calibration targets: `{label: {"mean_energy_kwh_per_round": .., "runtime_min": ..}}`."""
     return _read(load_json(path, "targets"), Field(_TARGETS_FILE), "targets")
+
+
+def load_accuracies(path) -> list[float]:
+    """The per-round accuracies of a run's `summary.json`, as `greenfl run` writes it."""
+    doc = load_json(path, "summary.json")
+    return _read(doc.get("accuracy_by_round"), Field(_ACCURACIES), "summary.json.accuracy_by_round")
 
 
 def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = None) -> RunConfig:

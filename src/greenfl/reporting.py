@@ -16,7 +16,9 @@ write -> parse lossless and identical runs byte-identical on disk.
 A run's summary (`summary.json`, `report --format json`) is a `RunReport`:
 `schema_version` plus its fields, in their declared order, with the
 per-site entries in site-id order.  The dataclass is the schema's one
-declaration, so a new summary key is one new field.
+declaration, so a new summary key is one new field.  Its totals are one
+fold: `SiteTotals.add` fills the `SiteTotals` of the run, of each site and
+of the round phase row by row, so a new breakdown is one more of them.
 """
 
 from __future__ import annotations
@@ -163,12 +165,22 @@ def record_comm_energy(record: RoundRecord) -> float:
 
 @dataclass
 class SiteTotals:
+    """Sums over a set of rows, each taken in by one `add`."""
+
     energy_kwh: float = 0.0
     co2e_kg: float = 0.0
     busy_s: float = 0.0
     span_end_s: float = 0.0
     comm_energy_kwh: float = 0.0
     comm_co2e_kg: float = 0.0
+
+    def add(self, record: RoundRecord, comm_energy_kwh: float, comm_co2e_kg: float) -> None:
+        self.energy_kwh += record.energy_kwh
+        self.co2e_kg += record.co2e_kg
+        self.busy_s += record.duration_s
+        self.span_end_s = max(self.span_end_s, record.start_s + record.duration_s)
+        self.comm_energy_kwh += comm_energy_kwh
+        self.comm_co2e_kg += comm_co2e_kg
 
 
 @dataclass
@@ -196,57 +208,41 @@ class RunReport:
 
 
 def summarize_run(records: list[RoundRecord]) -> RunReport:
-    """Fold the record stream into run-level totals and per-round means.
+    """Fold the record stream, in row order, into the `SiteTotals` of the
+    run, of each site and of the round phase, and read the report off them.
 
     Every record is finite, but their sums can still overflow: a total that
     is not finite raises `NonFiniteTotal`.
     """
+    run, rounds = SiteTotals(), SiteTotals()
     per_site: dict[str, SiteTotals] = {}
     num_rounds = 0
-    round_energy = 0.0
-    round_co2e = 0.0
-    compute_energy = 0.0
-    compute_co2e = 0.0
-    comm_energy = 0.0
-    comm_co2e = 0.0
-    run_id = records[0].run_id if records else ""
-
     for record in records:
-        totals = per_site.setdefault(record.site_id, SiteTotals())
-        totals.energy_kwh += record.energy_kwh
-        totals.co2e_kg += record.co2e_kg
-        totals.busy_s += record.duration_s
-        totals.span_end_s = max(totals.span_end_s, record.start_s + record.duration_s)
-        compute_energy += record.energy_kwh
-        compute_co2e += record.co2e_kg
         num_rounds = max(num_rounds, record.round_index)
-        if record.phase == ROUND:
-            round_energy += record.energy_kwh
-            round_co2e += record.co2e_kg
         ce = record_comm_energy(record)
         if ce == math.inf:  # its CO2e would be NaN on a zero-intensity grid
             raise NonFiniteTotal("comm_energy_kwh", ce)
         cc = emissions_of(ce, record.ci_kg_per_kwh)
-        comm_energy += ce
-        comm_co2e += cc
-        totals.comm_energy_kwh += ce
-        totals.comm_co2e_kg += cc
+        run.add(record, ce, cc)
+        per_site.setdefault(record.site_id, SiteTotals()).add(record, ce, cc)
+        if record.phase == ROUND:
+            rounds.add(record, ce, cc)
 
-    runtime = max((t.span_end_s for t in per_site.values()), default=0.0)
     report = RunReport(
-        run_id=run_id,
+        run_id=records[0].run_id if records else "",
         num_rounds=num_rounds,
         per_site=dict(sorted(per_site.items())),
-        mean_energy_kwh_per_round=round_energy / num_rounds if num_rounds else 0.0,
-        mean_co2e_kg_per_round=round_co2e / num_rounds if num_rounds else 0.0,
-        compute_energy_kwh=compute_energy,
-        compute_co2e_kg=compute_co2e,
-        comm_energy_kwh=comm_energy,
-        comm_co2e_kg=comm_co2e,
-        total_energy_kwh=compute_energy + comm_energy,
-        total_co2e_kg=compute_co2e + comm_co2e,
-        runtime_s=runtime,
-        runtime_min=runtime / 60.0,
+        # with no rounds there are no round rows, so these are 0.0 / 1
+        mean_energy_kwh_per_round=rounds.energy_kwh / max(num_rounds, 1),
+        mean_co2e_kg_per_round=rounds.co2e_kg / max(num_rounds, 1),
+        compute_energy_kwh=run.energy_kwh,
+        compute_co2e_kg=run.co2e_kg,
+        comm_energy_kwh=run.comm_energy_kwh,
+        comm_co2e_kg=run.comm_co2e_kg,
+        total_energy_kwh=run.energy_kwh + run.comm_energy_kwh,
+        total_co2e_kg=run.co2e_kg + run.comm_co2e_kg,
+        runtime_s=run.span_end_s,
+        runtime_min=run.span_end_s / 60.0,
         busy_runtime_s=max((t.busy_s for t in per_site.values()), default=0.0),
     )
     # every record is non-negative, so each per-site value is bounded by a run-level one

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,8 +97,7 @@ def test_report_json_is_each_summary_with_its_dir_and_label(run_dir, tmp_path, c
     for entry, d in zip(entries, (run_dir, other), strict=True):
         summary = json.loads((d / "summary.json").read_text())
         assert summary["accuracy_by_round"]
-        # the report reads rounds.csv, which holds no accuracies
-        assert entry == {"dir": str(d), "label": "high", **summary, "accuracy_by_round": None}
+        assert entry == {"dir": str(d), "label": "high", **summary}
         assert list(entry) == keys
         assert list(entry["per_site"]) == sorted(summary["per_site"])
         assert all(list(totals) == site_keys for totals in entry["per_site"].values())
@@ -240,8 +243,79 @@ def test_report_overflowing_ratio_is_not_a_number(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "ratios: high/high=n/a"
 
 
-def test_whatif_unknown_region(run_dir):
+@pytest.mark.parametrize(
+    "accuracies, message",
+    [
+        pytest.param(float("nan"), "summary.json.accuracy_by_round: expected list", id="not_a_list"),
+        pytest.param([0.5, float("nan")], "summary.json.accuracy_by_round[1]: must be finite", id="nan"),
+        pytest.param(["0.5"], "summary.json.accuracy_by_round[0]: expected number", id="string"),
+        pytest.param([1.5], "summary.json.accuracy_by_round[0]: must be <= 1", id="above_one"),
+        pytest.param(None, "summary.json.accuracy_by_round: expected list", id="missing"),
+    ],
+)
+def test_report_corrupted_accuracies_fail_with_one_error_line(run_dir, capsys, accuracies, message):
+    path = run_dir / "summary.json"
+    summary = json.loads(path.read_text())
+    if accuracies is None:
+        del summary["accuracy_by_round"]
+    else:
+        summary["accuracy_by_round"] = accuracies
+    path.write_text(json.dumps(summary))  # writes a NaN as the bare token NaN
+    capsys.readouterr()
+    assert main(["report", "--in", str(run_dir), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_whatif_unknown_region(run_dir, capsys):
     assert main(["whatif", "--in", str(run_dir), "--region", "ATLANTIS"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: region: unknown region 'ATLANTIS'\n"
+
+
+def test_whatif_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # the regions are listed in first-seen row order, not in set order
+    doc = retina_doc()
+    for site, region in zip(doc["sites"], ("USA", "FRA", "SWE", "DEU", "POL"), strict=True):
+        site["region"] = region
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        argv = [sys.executable, "-m", "greenfl.cli", "whatif", "--in", str(out), "--ci", "0.1"]
+        outputs.append(subprocess.run(argv, env=env, capture_output=True, check=True, timeout=60).stdout)
+    assert outputs[0] == outputs[1]
+    assert list(json.loads(outputs[0])["ci_kg_per_kwh"]) == ["USA", "FRA", "SWE", "DEU", "POL"]
+
+
+def test_run_json_is_not_read_back(run_dir, tmp_path, capsys):
+    # report, whatif and calibrate read rounds.csv (and report summary.json), never run.json
+    targets = tmp_path / "targets.json"
+    mean = json.loads((run_dir / "summary.json").read_text())["mean_energy_kwh_per_round"]
+    targets.write_text(json.dumps({"high": {"mean_energy_kwh_per_round": mean, "runtime_min": 1.0}}))
+    argvs = [
+        ["report", "--in", str(run_dir)],
+        ["report", "--in", str(run_dir), "--format", "json"],
+        ["report", "--in", str(run_dir), "--format", "csv"],
+        ["whatif", "--in", str(run_dir), "--region", "FRA"],
+        ["calibrate", "--baseline", str(run_dir), "--targets", str(targets), "--out", str(tmp_path / "t.json")],
+    ]
+
+    def outputs():
+        printed = []
+        for argv in argvs:
+            assert main(argv) == 0
+            printed.append(capsys.readouterr())
+        return printed, (tmp_path / "t.json").read_bytes()
+
+    capsys.readouterr()
+    before = outputs()
+    (run_dir / "run.json").write_text("{bad")
+    assert outputs() == before
 
 
 def test_calibrate_round_trip(run_dir, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from greenfl.reporting import (
     write_round_log,
 )
 from greenfl.runner import execute_run
-from greenfl.sites import BUILTIN_TIERS, MAX_TIER_FACTOR
+from greenfl.sites import BUILTIN_TIERS, INIT, MAX_TIER_FACTOR, PHASES, ROUND
 
 
 def record(**overrides):
@@ -128,6 +130,75 @@ def test_summary_lists_sites_in_site_id_order():
         report = summarize_run(rows)
         assert list(report.per_site) == sorted(ids)
         assert list(report.to_dict()["per_site"]) == sorted(ids)
+
+
+# amounts of very different sizes, so that a sum in another order rounds differently
+_AMOUNTS = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.1, 1e6))
+
+
+@st.composite
+def random_records(draw):
+    phase = draw(st.sampled_from(PHASES))
+    energy, ci = draw(_AMOUNTS), draw(st.floats(0.0, 2.0))
+    return record(
+        site_id=draw(st.sampled_from(["s1", "s2", "s3"])),
+        phase=phase,
+        round_index=0 if phase == INIT else draw(st.integers(1, 6)),
+        start_s=draw(_AMOUNTS),
+        duration_s=draw(_AMOUNTS),
+        energy_kwh=energy,
+        co2e_kg=energy * ci,
+        ci_kg_per_kwh=ci,
+        payload_bytes=draw(st.none() | st.integers(0, 10**9)),
+        net_intensity_kwh_per_gb=draw(st.floats(0.0, 1.0)),
+    )
+
+
+def _reference_totals(rows):
+    """The totals of (record, comm kWh) rows, each a plain left-to-right fold."""
+    def add(values):  # not `sum`, which compensates its rounding from Python 3.12
+        return functools.reduce(operator.add, values, 0.0)
+
+    return {
+        "energy_kwh": add(r.energy_kwh for r, _ in rows),
+        "co2e_kg": add(r.co2e_kg for r, _ in rows),
+        "busy_s": add(r.duration_s for r, _ in rows),
+        "span_end_s": functools.reduce(max, (r.start_s + r.duration_s for r, _ in rows), 0.0),
+        "comm_energy_kwh": add(ce for _, ce in rows),
+        "comm_co2e_kg": add(ce * r.ci_kg_per_kwh for r, ce in rows),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(random_records(), max_size=40).flatmap(st.permutations))
+def test_summary_is_the_left_to_right_fold_bit_for_bit(records):
+    rows = [(r, record_comm_energy(r)) for r in records]
+    run = _reference_totals(rows)
+    rounds = _reference_totals([(r, ce) for r, ce in rows if r.phase == ROUND])
+    per_site = {
+        site: _reference_totals([(r, ce) for r, ce in rows if r.site_id == site])
+        for site in sorted({r.site_id for r in records})
+    }
+    num_rounds = max((r.round_index for r in records), default=0)
+    expected = {
+        "mean_energy_kwh_per_round": rounds["energy_kwh"] / num_rounds if num_rounds else 0.0,
+        "mean_co2e_kg_per_round": rounds["co2e_kg"] / num_rounds if num_rounds else 0.0,
+        "compute_energy_kwh": run["energy_kwh"],
+        "compute_co2e_kg": run["co2e_kg"],
+        "comm_energy_kwh": run["comm_energy_kwh"],
+        "comm_co2e_kg": run["comm_co2e_kg"],
+        "total_energy_kwh": run["energy_kwh"] + run["comm_energy_kwh"],
+        "total_co2e_kg": run["co2e_kg"] + run["comm_co2e_kg"],
+        "runtime_s": run["span_end_s"],
+        "runtime_min": run["span_end_s"] / 60.0,
+        "busy_runtime_s": max((t["busy_s"] for t in per_site.values()), default=0.0),
+    }
+    summary = summarize_run(records).to_dict()
+    assert {key for key, value in summary.items() if isinstance(value, float)} == expected.keys()
+    for key, value in expected.items():
+        assert summary[key] == value, key
+    assert summary["per_site"] == per_site
+    assert summary["num_rounds"] == num_rounds
 
 
 def test_overflowing_comm_energy_fails_as_a_total():
