@@ -27,6 +27,14 @@ FLOAT32_BYTES = 4
 # tied, because the GIL-bound numpy calls around the GEMMs serialise; at
 # 1.6M it won (README, "Client groups on threads").
 MIN_GROUP_WORK = 1 << 20
+# One client's multiply-adds per lockstep step, `lane * num_features *
+# num_classes`, below which θ is held class-major.  Such a step is bound
+# by its numpy calls, and the class-major forward writes `probs` directly
+# and the update is contiguous; above it, numpy's stacked matmul on the
+# transposed batch loses to the feature-major forward and its copy.  The
+# measured crossover lies between 64,000 and 90,000 (README, "Client-batched
+# local SGD"); like MIN_GROUP_WORK it depends on the BLAS build.
+CLASS_MAJOR_WORK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -158,15 +166,16 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _client_groups(sizes: list[int], lane: int, num_features: int, num_classes: int, cores: int) -> list[list[int]]:
+def _client_groups(sizes: list[int], client_work: int, cores: int) -> list[list[int]]:
     """Client indices split into the groups `train_clients` trains side by side.
 
     There are `min(cores, clients, step_work // MIN_GROUP_WORK)` groups, at
-    least one, where `step_work = lane * num_features * num_classes *
-    clients` is the multiply-adds of one full lockstep step.  Clients go
-    largest shard first to the group with the fewest samples so far.
+    least one, where `step_work = client_work * clients` is the
+    multiply-adds of one full lockstep step and `client_work = lane *
+    num_features * num_classes` one client's share.  Clients go largest
+    shard first to the group with the fewest samples so far.
     """
-    step_work = lane * num_features * num_classes * len(sizes)
+    step_work = client_work * len(sizes)
     count = max(1, min(cores, len(sizes), step_work // MIN_GROUP_WORK))
     groups = [[] for _ in range(count)]
     loads = [0] * count
@@ -193,26 +202,29 @@ def train_clients(
     lockstep step is large enough to be BLAS-bound, the clients split into
     groups of balanced shard size (`_client_groups`), one per usable core:
     the calling thread trains the first group and a thread pool the rest.
-    Every group steps at the lane width of the whole call, so a client's
-    trained bits do not depend on its group, and a group that diverges
-    raises `Diverged` here.
+    Every group steps at the lane width of the whole call, and in the θ
+    layout chosen from one client's step work alone, so a client's trained
+    bits do not depend on its group, and a group that diverges raises
+    `Diverged` here.
     """
     sizes = [len(shard) for shard in shards]
     if min(sizes) == 0:
         raise EmptyClientData("cannot train on empty client data")
     # a batch wider than every shard holds each shard whole, one batch per epoch
     lane = min(cfg.batch_size, max(sizes))
-    groups = _client_groups(sizes, lane, dataset.num_features, dataset.num_classes, _usable_cores())
+    client_work = lane * dataset.num_features * dataset.num_classes
+    class_major = client_work < CLASS_MAJOR_WORK
+    groups = _client_groups(sizes, client_work, _usable_cores())
     steps = [steps_per_round(n, cfg) for n in sizes]
     if len(groups) == 1:
-        return _lockstep(params, dataset, shards, cfg, seeds, lane), steps
+        return _lockstep(params, dataset, shards, cfg, seeds, lane, class_major), steps
 
     # imported here, not at module level, so its import cost stays out of
     # every start-up of `greenfl`
     from concurrent.futures import ThreadPoolExecutor
 
     def train(group):
-        return _lockstep(params, dataset, [shards[c] for c in group], cfg, [seeds[c] for c in group], lane)
+        return _lockstep(params, dataset, [shards[c] for c in group], cfg, [seeds[c] for c in group], lane, class_major)
 
     with ThreadPoolExecutor(len(groups) - 1) as pool:
         futures = [pool.submit(train, group) for group in groups[1:]]
@@ -231,6 +243,7 @@ def _lockstep(
     cfg: TrainConfig,
     seeds: list[int],
     batch: int,
+    class_major: bool,
 ) -> list[ModelParams]:
     """`train_clients` for one group of clients, `batch` lanes wide; returns
     each client's trained params in `shards` order.
@@ -242,16 +255,20 @@ def _lockstep(
     longest first, the clients still training at step k of an epoch are a
     prefix, and one batched forward and gradient serves them all.  Batches
     are gathered from the design matrix `[x, 1]`, so the bias is one more
-    weight: each client's weights and bias are one feature-major tensor,
-    `[client, feature + 1, class]`, with the bias as row F, and the
-    forward `[x, 1] @ theta` multiplies two row-major operands.  Its
-    `[client, lane, class]` result is copied into a class-major buffer,
+    weight: each client's weights and bias are one tensor θ, with the bias
+    as feature F.  The logits go to a class-major buffer `probs`,
     `[client, class, lane]`, so the softmax reductions run along the
-    contiguous lane axis.  The gradient GEMM `probs @ [x, 1]` writes the
+    contiguous lane axis.  θ's memory order follows `class_major`.  A
+    call-bound step holds θ class-major, `[client, class, feature + 1]`:
+    its forward `θ @ [x, 1]ᵀ` writes `probs` directly.  A BLAS-bound step
+    holds θ feature-major, `[client, feature + 1, class]`: its forward
+    `[x, 1] @ θ` multiplies two row-major operands, and the result is
+    copied into `probs`.  The gradient GEMM `probs @ [x, 1]` writes the
     whole class-major gradient, `[client, class, feature + 1]`, and one
-    subtraction updates weights and bias.  The step's buffers are made
-    once per call and written with `out=`, so a step allocates only its
-    gathered batch, the forward's result and the true-class gather.  A
+    subtraction updates weights and bias, through θ's class-major view
+    (contiguous or transposed).  The step's buffers are made once per call
+    and written with `out=`, so a step allocates only its gathered batch,
+    the feature-major forward's result and the true-class gather.  A
     batch's step is the learning rate times the mean gradient over its
     real samples: every sample carries weight `lr / len(batch)`, folded
     into the softmax normalisation, and the lanes that pad an epoch's
@@ -287,13 +304,17 @@ def _lockstep(
     target = np.empty_like(index)
     rngs = [np.random.default_rng(seeds[c]) for c in order]
 
-    # feature-major parameters, `[client, feature + 1, class]`: the forward
-    # is `[x, 1] @ theta`, both operands row-major (numpy's stacked matmul
-    # is slow on a transposed operand), and row F is the bias
+    # `theta` is θ in class-major order, `[client, class, feature + 1]`, with
+    # the bias as column F.  A call-bound step stores θ so; a BLAS-bound
+    # step stores it feature-major and `theta` is a transposed view, because
+    # at its shapes numpy's stacked matmul is slow on a transposed operand
     num_features = dataset.num_features
-    theta = np.empty((num_clients, num_features + 1, k), dtype)
-    theta[:, :num_features] = params.weights.T
-    theta[:, num_features] = params.bias
+    if class_major:
+        theta = np.empty((num_clients, k, num_features + 1), dtype)
+    else:
+        theta = np.empty((num_clients, num_features + 1, k), dtype).transpose(0, 2, 1)
+    theta[:, :, :num_features] = params.weights
+    theta[:, :, num_features] = params.bias
     # the step's buffers, made once at full client count; an active prefix
     # writes into their [:active] views
     probs_all = np.empty((num_clients, k, batch), dtype)
@@ -329,10 +350,13 @@ def _lockstep(
             target[:] = dataset.labels[index]
             target *= batch
             target += offset
-            for rows, t, t_ct, probs, flat, peak, norm, grad in prefixes:
+            for rows, t, t_fm, probs, flat, peak, norm, grad in prefixes:
                 for idx, lane, tg in rows:
                     x = take(idx, axis=0)
-                    copyto(probs, matmul(x, t).transpose(0, 2, 1))
+                    if class_major:
+                        matmul(t, x.transpose(0, 2, 1), out=probs)
+                    else:
+                        copyto(probs, matmul(x, t_fm).transpose(0, 2, 1))
                     max_reduce(probs, axis=1, keepdims=True, out=peak)
                     probs -= peak
                     exp(probs, out=probs)
@@ -341,11 +365,11 @@ def _lockstep(
                     probs *= norm
                     flat[tg] -= lane
                     matmul(probs, x, out=grad)
-                    t_ct -= grad
+                    t -= grad
 
     trained = [None] * num_clients
     for row, c in enumerate(order):
-        trained[c] = ModelParams(np.ascontiguousarray(theta[row, :num_features].T), theta[row, num_features].copy())
+        trained[c] = ModelParams(theta[row, :, :num_features].copy(), theta[row, :, num_features].copy())
     return trained
 
 

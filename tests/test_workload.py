@@ -305,6 +305,19 @@ def random_clients(sizes, seed, dtype, num_classes=3, num_features=5):
     return dataset, shards, seeds, params
 
 
+# CLASS_MAJOR_WORK values that step every drawn shape (at most 40 lanes x 5
+# features x 3 classes) feature-major, then class-major
+LAYOUTS = (0, 1 << 30)
+
+
+@contextlib.contextmanager
+def layout(class_major_work):
+    """Within the block, θ is class-major below `class_major_work` step work."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "CLASS_MAJOR_WORK", class_major_work)
+        yield
+
+
 def assert_matches_reference(sizes, cfg, seed):
     dataset, shards, seeds, params = random_clients(sizes, seed, np.float64)
 
@@ -325,7 +338,9 @@ def assert_matches_reference(sizes, cfg, seed):
 # a weight near zero that differed by 2.6e-17 (1.4e-12 relative) on a scale of 1.9
 @example(([1, 12], TrainConfig(local_epochs=3, batch_size=2, learning_rate=1.0), 172386))
 def test_lockstep_stepper_matches_per_client_reference(case):
-    assert_matches_reference(*case)
+    for work in LAYOUTS:
+        with layout(work):
+            assert_matches_reference(*case)
 
 
 def at_least_one_batch(case):
@@ -343,11 +358,13 @@ def test_lockstep_grouping_does_not_change_bits(dtype, case):
     # is the same whichever clients step beside it
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
-    together, _ = train_clients(params, dataset, shards, cfg, seeds)
-    for shard, client_seed, got in zip(shards, seeds, together):
-        (alone,), _ = train_clients(params, dataset, [shard], cfg, [client_seed])
-        assert np.array_equal(got.weights, alone.weights)
-        assert np.array_equal(got.bias, alone.bias)
+    for work in LAYOUTS:
+        with layout(work):
+            together, _ = train_clients(params, dataset, shards, cfg, seeds)
+            for shard, client_seed, got in zip(shards, seeds, together):
+                (alone,), _ = train_clients(params, dataset, [shard], cfg, [client_seed])
+                assert np.array_equal(got.weights, alone.weights)
+                assert np.array_equal(got.bias, alone.bias)
 
 
 @contextlib.contextmanager
@@ -367,14 +384,16 @@ def test_threaded_groups_match_one_group(dtype, case, cores):
     # lane width of the whole call
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
-    with groups_on(1):
-        want, want_steps = train_clients(params, dataset, shards, cfg, seeds)
-    with groups_on(cores):
-        got, got_steps = train_clients(params, dataset, shards, cfg, seeds)
-    assert got_steps == want_steps
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g.weights, w.weights)
-        assert np.array_equal(g.bias, w.bias)
+    for work in LAYOUTS:
+        with layout(work):
+            with groups_on(1):
+                want, want_steps = train_clients(params, dataset, shards, cfg, seeds)
+            with groups_on(cores):
+                got, got_steps = train_clients(params, dataset, shards, cfg, seeds)
+        assert got_steps == want_steps
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.weights, w.weights)
+            assert np.array_equal(g.bias, w.bias)
 
 
 def test_divergence_in_a_worker_thread_is_raised():
@@ -388,7 +407,7 @@ def test_divergence_in_a_worker_thread_is_raised():
     shards = [np.arange(5), np.arange(5, 60)]
     params = ModelParams.zeros(3, 4, np.float32)
     with groups_on(2):
-        assert _client_groups([5, 55], 7, 4, 3, 2) == [[1], [0]]
+        assert _client_groups([5, 55], 7 * 4 * 3, 2) == [[1], [0]]
         with pytest.raises(Diverged, match="model parameters must be finite"):
             train_clients(params, data, shards, cfg, [0, 1])
     (alone,), _ = train_clients(params, data, shards[1:], cfg, [1])
@@ -411,11 +430,52 @@ def test_client_groups_split_only_a_blas_bound_step(scenario, cores, count):
     dataset = build_dataset(spec)
     sizes = [len(shard) for shard in build_shards(spec)]
     lane = min(spec.train.batch_size, max(sizes))
-    groups = _client_groups(sizes, lane, dataset.num_features, dataset.num_classes, cores)
+    groups = _client_groups(sizes, lane * dataset.num_features * dataset.num_classes, cores)
     assert len(groups) == count
     assert sorted(c for group in groups for c in group) == list(range(len(sizes)))
     loads = [sum(sizes[c] for c in group) for group in groups]
     assert max(loads) - min(loads) <= max(sizes)
+
+
+@pytest.mark.parametrize("scenario, class_major", [("retina_gpuswap_h100", True), ("cifar_tiers_high", False)])
+def test_theta_layout_is_chosen_from_one_clients_step_work(scenario, class_major):
+    spec = load_config(bundled_config_path(scenario)).spec
+    dataset = build_dataset(spec)
+    shards = build_shards(spec)
+    params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.features.dtype)
+    seeds = list(range(len(shards)))
+    lane = min(spec.train.batch_size, max(len(shard) for shard in shards))
+    client_work = lane * dataset.num_features * dataset.num_classes
+    lockstep = workload._lockstep
+    chosen = []
+
+    def spy(*args):
+        chosen.append(args[-1])
+        return lockstep(*args)
+
+    # at its own value, then just above and at one client's step work, which
+    # is below the whole call's: a choice that read the client count, the
+    # groups or the cores would differ between the calls
+    no_epochs = dataclasses.replace(spec.train, local_epochs=0)
+    for work, want in [(workload.CLASS_MAJOR_WORK, class_major), (client_work + 1, True), (client_work, False)]:
+        for cores in (1, 2):
+            chosen.clear()
+            with layout(work), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(workload, "_lockstep", spy)
+                mp.setattr(workload, "_usable_cores", lambda: cores)
+                train_clients(params, dataset, shards, no_epochs, seeds)
+                train_clients(params, dataset, shards[:1], no_epochs, seeds[:1])
+            assert chosen and set(chosen) == {want}, (work, cores, chosen)
+
+    # the two layouts give equal bits at the bundled shapes, so no artifact
+    # depends on the constant
+    rounds = []
+    for work in LAYOUTS:
+        with layout(work):
+            rounds.append(train_clients(params, dataset, shards, spec.train, seeds)[0])
+    for a, b in zip(*rounds, strict=True):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.bias, b.bias)
 
 
 def test_cli_import_leaves_out_the_thread_pool():
@@ -612,18 +672,22 @@ FLOAT32_TOLERANCE = 1e-4
 def test_float32_stepper_tracks_float64_reference(case):
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, np.float32)
-
-    trained, steps = train_clients(params, dataset, shards, cfg, seeds)
-
-    assert steps == [steps_per_round(n, cfg) for n in sizes]
     start = ModelParams(params.weights.astype(np.float64), params.bias.astype(np.float64))
-    for shard, client_seed, got in zip(shards, seeds, trained):
-        assert got.weights.dtype == np.float32
+    wants = []
+    for shard, client_seed in zip(shards, seeds):
         client_cfg = TrainConfig(cfg.local_epochs, cfg.batch_size, cfg.learning_rate, client_seed)
         client_data = SyntheticDataset(
             dataset.features[shard].astype(np.float64), dataset.labels[shard], dataset.num_classes
         )
-        want, _ = reference_local_train(start, client_data, client_cfg)
-        scale = max(1.0, np.abs(want.weights).max(), np.abs(want.bias).max())
-        np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=FLOAT32_TOLERANCE * scale)
-        np.testing.assert_allclose(got.bias, want.bias, rtol=0, atol=FLOAT32_TOLERANCE * scale)
+        wants.append(reference_local_train(start, client_data, client_cfg)[0])
+
+    for work in LAYOUTS:
+        with layout(work):
+            trained, steps = train_clients(params, dataset, shards, cfg, seeds)
+
+        assert steps == [steps_per_round(n, cfg) for n in sizes]
+        for got, want in zip(trained, wants):
+            assert got.weights.dtype == np.float32
+            scale = max(1.0, np.abs(want.weights).max(), np.abs(want.bias).max())
+            np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=FLOAT32_TOLERANCE * scale)
+            np.testing.assert_allclose(got.bias, want.bias, rtol=0, atol=FLOAT32_TOLERANCE * scale)
