@@ -2,23 +2,26 @@
 """Remap a finished run across the builtin grid-intensity table.
 
 Shows how identical energy use maps to different CO2e totals by region.
-Emits a plot-ready CSV on stdout.
+Emits a plot-ready CSV on stdout.  Exits as `greenfl` does: 2 for a
+directory without rounds.csv, 1 for a bad row, each with one `error:` line.
 """
 
 import argparse
 import sys
 
-from greenfl.reporting import parse_round_log, region_cis, remap_grid_intensity, summarize_run
+from greenfl.cli import guarded, read_run_dir
+from greenfl.reporting import region_cis, remap_grid_intensity, summarize_run
 from greenfl.sites import BUILTIN_REGIONS
 
 
 def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("run_dir", help="directory containing rounds.csv")
-    args = parser.parse_args(argv)
+    return guarded(whatif_grid, parser.parse_args(argv))
 
-    with open(f"{args.run_dir}/rounds.csv", encoding="utf-8") as fh:
-        records = parse_round_log(fh.read())
+
+def whatif_grid(args):
+    records = read_run_dir(args.run_dir, "run_dir")
     base = summarize_run(records)
     print("region,ci_kg_per_kwh,total_energy_kwh,total_co2e_kg")
     for code, region in sorted(BUILTIN_REGIONS.items()):

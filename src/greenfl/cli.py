@@ -83,7 +83,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _read_run_dir(run_dir, what: str = "in"):
+def read_run_dir(run_dir, what: str = "in"):
     csv_path = Path(run_dir) / "rounds.csv"
     if not csv_path.is_file():
         raise ConfigError(what, f"{run_dir} does not contain rounds.csv")
@@ -107,9 +107,9 @@ def _co2e_ratio(report, base) -> float | None:
 def cmd_report(args) -> int:
     runs = []
     for run_dir in args.in_dirs:
-        records = _read_run_dir(run_dir)
+        records = read_run_dir(run_dir)
         summary = Path(run_dir) / "summary.json"
-        accuracies = load_accuracies(summary) if summary.is_file() else None
+        accuracies = load_accuracies(summary) if args.format == "json" and summary.is_file() else None
         report = dataclasses.replace(summarize_run(records), accuracy_by_round=accuracies)
         runs.append((run_dir, _run_label(records), report))
 
@@ -150,7 +150,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_whatif(args) -> int:
-    records = _read_run_dir(args.in_dir)
+    records = read_run_dir(args.in_dir)
     if args.ci is not None:
         if not (math.isfinite(args.ci) and args.ci >= 0):
             raise ConfigError("ci", "carbon intensity must be finite and >= 0")
@@ -179,7 +179,7 @@ def cmd_whatif(args) -> int:
 
 def cmd_calibrate(args) -> int:
     _check_out_file(args.out)
-    records = _read_run_dir(args.baseline, "baseline")
+    records = read_run_dir(args.baseline, "baseline")
     targets = {label: TierTarget(**t) for label, t in load_targets(args.targets).items()}
     tiers = calibrate_tiers(summarize_run(records).mean_energy_kwh_per_round, targets)
     out = {
@@ -226,17 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def guarded(command, args) -> int:
+    """`command(args)`'s exit code; a failure prints one `error:` line: 2 for a ConfigError, else 1."""
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (GreenflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return guarded(args.func, args)
 
 
 if __name__ == "__main__":

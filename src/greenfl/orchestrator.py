@@ -27,6 +27,7 @@ from .workload import (
     ModelParams,
     SyntheticDataset,
     TrainConfig,
+    batches,
     evaluate,
     steps_per_round,
     train_clients,
@@ -97,7 +98,7 @@ def run_job(
     aggregate is evaluated on the full `dataset`.  Non-finite parameters
     raise `Diverged` naming the round.
     """
-    params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.features.dtype)
+    params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.design.dtype)
     sizes = [len(shard) for shard in shards]
     accuracy_by_round = []
     for round_index in range(1, num_rounds + 1):
@@ -181,7 +182,7 @@ def build_ledger(
         barrier = train_end
         if plan.evaluate_each_round:
             for site, n in zip(plan.sites, shard_sizes):
-                eval_steps = -(-n // plan.train_cfg.batch_size)  # one forward pass
+                eval_steps = batches(n, plan.train_cfg.batch_size)  # one forward pass
                 duration = effective_train_duration(site.hardware, site.tier, eval_steps)
                 add_span(site, EVALUATE, round_index, train_end, train_end + duration)
                 barrier = max(barrier, train_end + duration)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -54,46 +53,36 @@ class ModelParams:
 @dataclass(frozen=True)
 class SyntheticDataset:
     """Labelled samples, held once as a C-contiguous `[n, F + 1]` design
-    matrix `[x, 1]`: `features` is its `[:, :F]` view, `design` the whole.
+    matrix `[x, 1]`: `features` is its `[:, :F]` view.  Another labelling
+    of a dataset shares its `design`."""
 
-    Features that are not already the `[:, :F]` view of such a matrix
-    (last column exactly 1) are copied once into a new one, so a caller's
-    bare `[n, F]` array is neither aliased nor modified.
-    """
-
-    features: np.ndarray  # [n, num_features], a view of `design`
+    design: np.ndarray  # [n, num_features + 1], last column 1
     labels: np.ndarray  # [n]
     num_classes: int
 
     def __post_init__(self):
-        x = self.features
-        n, f = x.shape
-        base = x.base
-        if not (
-            isinstance(base, np.ndarray)
-            and base.shape == (n, f + 1)
-            and base.flags.c_contiguous
-            and x.strides == base.strides
-            and x.ctypes.data == base.ctypes.data
-            and np.all(base[:, f] == 1)
-        ):
-            design = np.empty((n, f + 1), x.dtype)
-            design[:, :f] = x
-            design[:, f] = 1
-            object.__setattr__(self, "features", design[:, :f])
+        d = self.design
+        if not (d.ndim == 2 and d.shape[1] > 0 and d.flags.c_contiguous and np.all(d[:, -1] == 1)):
+            raise ValueError("design must be a C-contiguous [n, F + 1] matrix whose last column is 1")
+
+    @classmethod
+    def of(cls, features: np.ndarray, labels: np.ndarray, num_classes: int) -> "SyntheticDataset":
+        """A dataset of `[n, F]` features, copied once into a new design
+        matrix, so the caller's array is neither aliased nor modified."""
+        ones = np.ones((len(features), 1), features.dtype)
+        return cls(np.hstack([features, ones]), labels, num_classes)
 
     @property
-    def design(self) -> np.ndarray:
-        """The `[n, num_features + 1]` matrix `[features, 1]`."""
-        return self.features.base
+    def features(self) -> np.ndarray:
+        return self.design[:, :-1]
 
     @property
     def num_samples(self) -> int:
-        return self.features.shape[0]
+        return self.design.shape[0]
 
     @property
     def num_features(self) -> int:
-        return self.features.shape[1]
+        return self.design.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -147,7 +136,7 @@ def make_blobs(
     # min and max propagate NaN and reach any inf, without an [n, F] temporary
     if not (np.isfinite(design.min()) and np.isfinite(design.max())):
         raise ValueError(f"separation {separation} overflows the float32 features")
-    return SyntheticDataset(design[:, :num_features], blob_labels(num_classes, samples_per_class), num_classes)
+    return SyntheticDataset(design, blob_labels(num_classes, samples_per_class), num_classes)
 
 
 def blob_labels(num_classes: int, samples_per_class: int) -> np.ndarray:
@@ -156,8 +145,13 @@ def blob_labels(num_classes: int, samples_per_class: int) -> np.ndarray:
     return np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
 
 
+def batches(n: int, batch_size: int) -> int:
+    """Batches of at most `batch_size` that cover `n` samples, an integer ceiling."""
+    return -(-n // batch_size)
+
+
 def steps_per_round(n: int, cfg: TrainConfig) -> int:
-    return cfg.local_epochs * ceil(n / cfg.batch_size)
+    return cfg.local_epochs * batches(n, cfg.batch_size)
 
 
 def _usable_cores() -> int:
@@ -273,14 +267,14 @@ def _lockstep(
     real samples: every sample carries weight `lr / len(batch)`, folded
     into the softmax normalisation, and the lanes that pad an epoch's
     short last batch carry weight 0.  Everything runs in the dtype of
-    `dataset.features`.  Finiteness is checked once, when the trained
+    `dataset.design`.  Finiteness is checked once, when the trained
     params are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
     design = dataset.design
     dtype = design.dtype
     num_clients, k = len(shards), dataset.num_classes
-    per_epoch = [-(-n // batch) for n in sizes]
+    per_epoch = [batches(n, batch) for n in sizes]
     order = sorted(range(num_clients), key=lambda c: -per_epoch[c])
     num_steps = per_epoch[order[0]]
 
@@ -385,7 +379,7 @@ def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):
 
 def evaluate(params: ModelParams, data: SyntheticDataset) -> float:
     """Fraction of argmax-correct predictions, computed in the dtype of
-    `data.features` and `params`."""
+    `data.design` and `params`."""
     if data.num_samples == 0:
         raise EmptyClientData("cannot evaluate on empty client data")
     logits = data.features @ params.weights.T

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from greenfl.cli import main
-from greenfl.config import bundled_config_path, load_json
+from greenfl.config import build_shards, bundled_config_path, load_json, parse_config
 from greenfl.reporting import RunReport, SiteTotals
 
 from conftest import small_doc
@@ -268,6 +268,38 @@ def test_report_corrupted_accuracies_fail_with_one_error_line(run_dir, capsys, a
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_report_text_and_csv_do_not_read_the_accuracies(run_dir, capsys, fmt):
+    argv = ["report", "--in", str(run_dir), "--format", fmt]
+    assert main(argv) == 0
+    intact = capsys.readouterr()
+    path = run_dir / "summary.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "accuracy_by_round": [1.5]}))
+    assert main(argv) == 0
+    assert capsys.readouterr() == intact
+
+
+def run_grid_whatif(run_dir):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, str(root / "scripts" / "grid_whatif.py"), str(run_dir)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_grid_whatif_script_fails_with_one_error_line(run_dir, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    missing = run_grid_whatif(empty)
+    assert (missing.returncode, missing.stdout) == (2, "")
+    assert missing.stderr == f"error: run_dir: {empty} does not contain rounds.csv\n"
+
+    csv_path = run_dir / "rounds.csv"
+    csv_path.write_text(csv_path.read_text().replace("energy_kwh", "energy_j", 1))
+    bad = run_grid_whatif(run_dir)
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, bad.stderr
+
+
 def test_whatif_unknown_region(run_dir, capsys):
     assert main(["whatif", "--in", str(run_dir), "--region", "ATLANTIS"]) == 2
     captured = capsys.readouterr()
@@ -290,6 +322,20 @@ def test_whatif_output_does_not_depend_on_the_hash_seed(tmp_path):
         outputs.append(subprocess.run(argv, env=env, capture_output=True, check=True, timeout=60).stdout)
     assert outputs[0] == outputs[1]
     assert list(json.loads(outputs[0])["ci_kg_per_kwh"]) == ["USA", "FRA", "SWE", "DEU", "POL"]
+
+
+def test_a_batch_wider_than_every_shard_is_one_batch_in_sgd_and_the_ledger(tmp_path):
+    # both runs train each shard whole, one batch per epoch, so the ledger
+    # must charge them the same steps; 10**400 / n is 0.0 as a float
+    doc = small_doc()
+    largest = max(len(shard) for shard in build_shards(parse_config(doc).spec))
+    outs = []
+    for batch_size in (largest, 10**400):
+        doc["workload"]["batch_size"] = batch_size
+        outs.append(tmp_path / f"batch_{len(outs)}")
+        assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(outs[-1])]) == 0
+    for name in ("rounds.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_run_json_is_not_read_back(run_dir, tmp_path, capsys):

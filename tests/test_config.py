@@ -281,7 +281,8 @@ def test_bad_targets_file_exits_2_with_its_path(run_dir, tmp_path, target, messa
 def test_report_on_non_object_summary_json_exits_2(tmp_path):
     (tmp_path / "rounds.csv").write_text(write_round_log([]))
     (tmp_path / "summary.json").write_text("[1]")
-    code, out, err = cli("report", "--in", str(tmp_path))
+    # the JSON report is the one that reads summary.json
+    code, out, err = cli("report", "--format", "json", "--in", str(tmp_path))
     assert (code, out, err) == (2, "", f"error: summary.json: {tmp_path / 'summary.json'} does not hold a JSON object\n")
 
 

@@ -117,7 +117,7 @@ def test_zero_learning_rate_leaves_params_bitwise_unchanged():
 
 def test_single_step_applies_gradient_exactly():
     rng = np.random.default_rng(5)
-    data = SyntheticDataset(rng.normal(size=(1, 4)), np.array([1]), 3)
+    data = SyntheticDataset.of(rng.normal(size=(1, 4)), np.array([1]), 3)
     params = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=3))
     lr = 0.2
     _, grad_w, grad_b = loss_and_grad(params, data.features, data.labels)
@@ -137,7 +137,7 @@ def test_separable_classes_reach_high_training_accuracy():
 def test_evaluate_perfect_prototype_classifier():
     # weights equal to class means -> nearest-mean behaviour on noiseless points
     means = np.eye(4, 12) * 9.0
-    data = SyntheticDataset(means, np.arange(4), 4)
+    data = SyntheticDataset.of(means, np.arange(4), 4)
     params = ModelParams(means, np.zeros(4))
     assert evaluate(params, data) == 1.0
 
@@ -149,7 +149,7 @@ def test_evaluate_random_params_near_chance():
         features = rng.normal(size=(2000, 6))
         labels = rng.integers(0, 10, size=2000)
         params = ModelParams(rng.normal(size=(10, 6)), rng.normal(size=10))
-        accs.append(evaluate(params, SyntheticDataset(features, labels, 10)))
+        accs.append(evaluate(params, SyntheticDataset.of(features, labels, 10)))
     assert np.mean(accs) == pytest.approx(0.1, abs=0.05)
 
 
@@ -163,7 +163,7 @@ def test_evaluate_predicts_as_the_two_temporary_expression(dtype, seed, n, num_c
     params = ModelParams(rng.normal(size=(num_classes, 9)).astype(dtype), rng.normal(size=num_classes).astype(dtype))
     predictions = np.argmax(features @ params.weights.T + params.bias, axis=1)
     # labelled with the old predictions, the accuracy is 1 only if every prediction agrees
-    assert evaluate(params, SyntheticDataset(features, predictions, num_classes)) == 1.0
+    assert evaluate(params, SyntheticDataset.of(features, predictions, num_classes)) == 1.0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -171,7 +171,7 @@ def test_evaluate_on_the_design_view_matches_a_contiguous_copy(dtype):
     # `features` is a view with a row stride of F + 1 values; the logits of
     # every row must be those of the same rows stored contiguously
     blobs = make_blobs(num_classes=5, num_features=11, samples_per_class=60, separation=1.5, seed=7)
-    data = SyntheticDataset(blobs.features.astype(dtype), blobs.labels, blobs.num_classes)
+    data = SyntheticDataset.of(blobs.features.astype(dtype), blobs.labels, blobs.num_classes)
     assert not data.features.flags.c_contiguous
     rng = np.random.default_rng(8)
     params = ModelParams(rng.normal(size=(5, 11)).astype(dtype), rng.normal(size=5).astype(dtype))
@@ -180,7 +180,7 @@ def test_evaluate_on_the_design_view_matches_a_contiguous_copy(dtype):
     predictions = np.argmax(logits, axis=1)
     assert evaluate(params, data) == float(np.mean(predictions == data.labels))
     # labelled with the contiguous predictions, the accuracy is 1 only if every prediction agrees
-    assert evaluate(params, SyntheticDataset(data.features, predictions, data.num_classes)) == 1.0
+    assert evaluate(params, SyntheticDataset(data.design, predictions, data.num_classes)) == 1.0
 
 
 def test_make_blobs_holds_its_features_in_the_design_matrix():
@@ -212,23 +212,51 @@ def test_dataset_copies_a_callers_array_once(dtype):
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 3, 9)
     bare = rng.normal(size=(9, 4)).astype(dtype)
-    # a [:, :F] view whose last column is not all 1 is not a design matrix
+    # a [:, :F] view is copied whatever its last column holds, ones included
     wide = rng.normal(size=(9, 5)).astype(dtype)
-    for features in (bare, wide[:, :4]):
+    ones = np.ones((9, 5), dtype)
+    for features in (bare, wide[:, :4], ones[:, :4]):
         before = features.copy()
-        data = SyntheticDataset(features, labels, 3)
+        data = SyntheticDataset.of(features, labels, 3)
         assert not np.shares_memory(data.design, features)
         assert data.design.dtype == dtype and data.design.flags.c_contiguous
         np.testing.assert_array_equal(data.features, before)
         np.testing.assert_array_equal(data.design[:, 4], np.ones(9, dtype))
         np.testing.assert_array_equal(features, before)
     # the features of a dataset are kept: another labelling shares its matrix
-    relabelled = SyntheticDataset(data.features, labels[::-1].copy(), 3)
+    relabelled = SyntheticDataset(data.design, labels[::-1].copy(), 3)
     assert relabelled.design is data.design
 
 
+def with_one_last_entry_not_one(design):
+    design = design.copy()
+    design[5, -1] = 0.5
+    return design
+
+
+NOT_DESIGN_MATRICES = {
+    "bare": lambda design: design[:, :-1].copy(),
+    "strided_rows": lambda design: np.repeat(design, 2, axis=0)[::2],
+    "column_major": np.asfortranarray,
+    "last_column_not_1": with_one_last_entry_not_one,
+    "one_dimensional": lambda design: design[:, -1].copy(),
+    "no_columns": lambda design: design[:, :0].copy(),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", NOT_DESIGN_MATRICES)
+def test_dataset_takes_only_a_contiguous_design_matrix(kind, dtype):
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 3, 8)
+    design = SyntheticDataset.of(rng.normal(size=(8, 4)).astype(dtype), labels, 3).design
+    assert SyntheticDataset(design, labels, 3).num_features == 4
+    with pytest.raises(ValueError, match="design must be a C-contiguous"):
+        SyntheticDataset(NOT_DESIGN_MATRICES[kind](design), labels, 3)
+
+
 def test_empty_data_rejected():
-    empty = SyntheticDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
+    empty = SyntheticDataset.of(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
     with pytest.raises(EmptyClientData):
         evaluate(ModelParams.zeros(2, 3), empty)
     with pytest.raises(EmptyClientData):
@@ -246,6 +274,18 @@ def test_steps_per_round_formula():
     cfg = TrainConfig(local_epochs=10, batch_size=600)
     assert steps_per_round(10_000, cfg) == 10 * 17
     assert steps_per_round(600, cfg) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10**8),
+    local_epochs=st.integers(0, 1000),
+    batch_size=st.one_of(st.integers(1, 10**9), st.integers(1, 2**1100)),
+)
+def test_steps_per_round_counts_the_batches_of_range(n, local_epochs, batch_size):
+    # a batch_size beyond the float range is still one batch per epoch
+    cfg = TrainConfig(local_epochs=local_epochs, batch_size=batch_size)
+    assert steps_per_round(n, cfg) == cfg.local_epochs * len(range(0, n, cfg.batch_size))
 
 
 def test_training_is_deterministic_for_fixed_seed():
@@ -294,7 +334,7 @@ FLOAT64_TOLERANCE = 1e-12
 def random_clients(sizes, seed, dtype, num_classes=3, num_features=5):
     """A dataset, its shards, the client seeds and start params for `sizes`."""
     rng = np.random.default_rng(seed)
-    dataset = SyntheticDataset(
+    dataset = SyntheticDataset.of(
         rng.normal(size=(sum(sizes), num_features)).astype(dtype), rng.integers(0, num_classes, sum(sizes)), num_classes
     )
     shards = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
@@ -326,7 +366,7 @@ def assert_matches_reference(sizes, cfg, seed):
     assert steps == [steps_per_round(n, cfg) for n in sizes]
     for shard, client_seed, got in zip(shards, seeds, trained):
         client_cfg = TrainConfig(cfg.local_epochs, cfg.batch_size, cfg.learning_rate, client_seed)
-        client_data = SyntheticDataset(dataset.features[shard], dataset.labels[shard], dataset.num_classes)
+        client_data = SyntheticDataset.of(dataset.features[shard], dataset.labels[shard], dataset.num_classes)
         want, _ = reference_local_train(params, client_data, client_cfg)
         atol = FLOAT64_TOLERANCE * max(1.0, np.abs(want.weights).max(), np.abs(want.bias).max())
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-12, atol=atol)
@@ -402,7 +442,7 @@ def test_divergence_in_a_worker_thread_is_raised():
     rng = np.random.default_rng(4)
     features = rng.normal(size=(60, 4)).astype(np.float32)
     features[:5] = 3e38
-    data = SyntheticDataset(features, rng.integers(0, 3, 60), 3)
+    data = SyntheticDataset.of(features, rng.integers(0, 3, 60), 3)
     cfg = TrainConfig(local_epochs=2, batch_size=7, learning_rate=0.05)
     shards = [np.arange(5), np.arange(5, 60)]
     params = ModelParams.zeros(3, 4, np.float32)
@@ -573,7 +613,7 @@ def test_trained_params_are_contiguous_and_share_no_memory(dtype, cores):
 
 def test_diverging_learning_rate_rejected():
     rng = np.random.default_rng(2)
-    data = SyntheticDataset(rng.normal(size=(60, 4)), rng.integers(0, 3, 60), 3)  # not separable
+    data = SyntheticDataset.of(rng.normal(size=(60, 4)), rng.integers(0, 3, 60), 3)  # not separable
     cfg = TrainConfig(local_epochs=20, batch_size=7, learning_rate=1e308)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="model parameters must be finite"):
         local_train(ModelParams.zeros(3, 4), data, cfg)
@@ -598,7 +638,7 @@ def test_overflowing_lane_weight_diverges_without_a_warning(dtype, learning_rate
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_params_keep_the_dataset_dtype(dtype):
     blobs = tiny_blobs()
-    data = SyntheticDataset(blobs.features.astype(dtype), blobs.labels, blobs.num_classes)
+    data = SyntheticDataset.of(blobs.features.astype(dtype), blobs.labels, blobs.num_classes)
     shards = [np.arange(0, 50), np.arange(50, 120)]
     cfg = TrainConfig(local_epochs=2, batch_size=16, learning_rate=0.3)
     # float64 params are cast to the data's dtype, as criterion 6 passes them
@@ -676,7 +716,7 @@ def test_float32_stepper_tracks_float64_reference(case):
     wants = []
     for shard, client_seed in zip(shards, seeds):
         client_cfg = TrainConfig(cfg.local_epochs, cfg.batch_size, cfg.learning_rate, client_seed)
-        client_data = SyntheticDataset(
+        client_data = SyntheticDataset.of(
             dataset.features[shard].astype(np.float64), dataset.labels[shard], dataset.num_classes
         )
         wants.append(reference_local_train(start, client_data, client_cfg)[0])
