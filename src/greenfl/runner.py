@@ -96,6 +96,9 @@ def run_metadata(cfg: RunConfig) -> dict:
 
 
 def write_artifacts(out_dir, cfg: RunConfig, records, report: RunReport) -> RunReport:
+    """Write the run's three artifacts; returns `report`, the summary
+    written, which perfbench's tracer reads for the accuracies that reach
+    summary.json (`workload.evaluate.useful_ratio`)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rounds.csv").write_text(write_round_log(records), encoding="utf-8", newline="")

@@ -34,6 +34,11 @@ MIN_GROUP_WORK = 1 << 20
 # measured crossover lies between 64,000 and 90,000 (README, "Client-batched
 # local SGD"); like MIN_GROUP_WORK it depends on the BLAS build.
 CLASS_MAJOR_WORK = 1 << 16
+# Bytes of gathered batches one lockstep call holds: a `take` gathers as
+# many consecutive steps of one active prefix as fit, and at least one.
+# A call-bound step then pays a fraction of a `take`; a whole epoch's
+# batches (about 22 MB on cifar) would raise the peak memory for nothing.
+GATHER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -199,11 +204,16 @@ def train_clients(
     Every group steps at the lane width of the whole call, and in the θ
     layout chosen from one client's step work alone, so a client's trained
     bits do not depend on its group, and a group that diverges raises
-    `Diverged` here.
+    `Diverged` here.  A shard index outside `[0, dataset.num_samples)`
+    raises IndexError naming its client, before anything is trained.
     """
     sizes = [len(shard) for shard in shards]
     if min(sizes) == 0:
         raise EmptyClientData("cannot train on empty client data")
+    # the batches are gathered in `clip` mode, which never raises
+    for i, shard in enumerate(shards):
+        if shard.min() < 0 or shard.max() >= dataset.num_samples:
+            raise IndexError(f"client {i}: shard indices must lie in [0, {dataset.num_samples})")
     # a batch wider than every shard holds each shard whole, one batch per epoch
     lane = min(cfg.batch_size, max(sizes))
     client_work = lane * dataset.num_features * dataset.num_classes
@@ -243,7 +253,7 @@ def _lockstep(
     each client's trained params in `shards` order.
 
     Client i trains on the rows `shards[i]` of `dataset` (global indices,
-    gathered per step, never copied out) and shuffles each epoch with its
+    gathered by chunk, never copied out) and shuffles each epoch with its
     own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
     step in lockstep one epoch at a time: sorted by steps per epoch,
     longest first, the clients still training at step k of an epoch are a
@@ -260,14 +270,17 @@ def _lockstep(
     copied into `probs`.  The gradient GEMM `probs @ [x, 1]` writes the
     whole class-major gradient, `[client, class, feature + 1]`, and one
     subtraction updates weights and bias, through θ's class-major view
-    (contiguous or transposed).  The step's buffers are made once per call
-    and written with `out=`, so a step allocates only its gathered batch,
-    the feature-major forward's result and the true-class gather.  A
-    batch's step is the learning rate times the mean gradient over its
-    real samples: every sample carries weight `lr / len(batch)`, folded
-    into the softmax normalisation, and the lanes that pad an epoch's
-    short last batch carry weight 0.  Everything runs in the dtype of
-    `dataset.design`.  Finiteness is checked once, when the trained
+    (contiguous or transposed).  The batches of consecutive steps of one
+    active prefix are gathered by one `take`, up to `GATHER_BYTES` and at
+    least one step, into a buffer made once per call; each step's batch
+    and its transpose are views of it, made once per call.  The step's
+    buffers are made once per call and written with `out=`, so a step
+    allocates only the feature-major forward's result and the true-class
+    gather.  A batch's step is the learning rate times the mean gradient
+    over its real samples: every sample carries weight `lr / len(batch)`,
+    folded into the softmax normalisation, and the lanes that pad an
+    epoch's short last batch carry weight 0.  Everything runs in the dtype
+    of `dataset.design`.  Finiteness is checked once, when the trained
     params are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
@@ -297,6 +310,8 @@ def _lockstep(
     index = np.zeros((num_steps, num_clients, 1, batch), dtype=np.intp)
     target = np.empty_like(index)
     rngs = [np.random.default_rng(seeds[c]) for c in order]
+    # each client's epoch order, its shard shuffled in place and padded
+    shuffled = [np.empty(per_epoch[c] * batch, np.intp) for c in order]
 
     # `theta` is θ in class-major order, `[client, class, feature + 1]`, with
     # the bias as column F.  A call-bound step stores θ so; a BLAS-bound
@@ -316,17 +331,30 @@ def _lockstep(
     norm_all = np.empty((num_clients, 1, batch), dtype)
     grad_all = np.empty((num_clients, k, num_features + 1), dtype)
     # rows [0, active) train during steps [ends[active], ends[active - 1]) of
-    # every epoch; each run of steps gets its views once, and its step rows
-    # stay valid because the epoch tables are refilled in place
+    # every epoch; each run of steps is gathered in chunks of `chunk` steps
     ends = [per_epoch[c] for c in order] + [0]
-    prefixes = []
+    row_values = batch * (num_features + 1)  # one client's batch
+    runs = []
     for active in range(num_clients, 0, -1):
         if ends[active] < ends[active - 1]:
-            t, probs = theta[:active], probs_all[:active]
-            steps = slice(ends[active], ends[active - 1])
-            rows = list(zip(index[steps, :active, 0], scale[steps, :active], target[steps, :active]))
-            views = (t, t.transpose(0, 2, 1), probs, probs.reshape(-1))
-            prefixes.append((rows, *views, peak_all[:active], norm_all[:active], grad_all[:active]))
+            chunk = max(1, GATHER_BYTES // (active * row_values * design.itemsize))
+            runs.append((active, range(ends[active], ends[active - 1]), chunk))
+    gathered = np.empty(max(active * min(chunk, len(steps)) for active, steps, chunk in runs) * row_values, dtype)
+    # each run of steps gets its views once, and they stay valid because the
+    # epoch tables are refilled in place
+    prefixes = []
+    for active, steps, chunk in runs:
+        chunks = []
+        for lo in steps[::chunk]:
+            hi = min(lo + chunk, steps.stop)
+            xs = gathered[: (hi - lo) * active * row_values].reshape(hi - lo, active, batch, num_features + 1)
+            rows = [
+                (x, x.transpose(0, 2, 1), scale[s, :active], target[s, :active]) for s, x in zip(range(lo, hi), xs)
+            ]
+            chunks.append((index[lo:hi, :active, 0], xs, rows))
+        t, probs = theta[:active], probs_all[:active]
+        views = (t, t.transpose(0, 2, 1), probs, probs.reshape(-1))
+        prefixes.append((chunks, *views, peak_all[:active], norm_all[:active], grad_all[:active]))
     # looked up once per call: at small shapes a step is bound by its calls
     take, matmul, copyto, exp, divide = design.take, np.matmul, np.copyto, np.exp, np.divide
     add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
@@ -334,32 +362,38 @@ def _lockstep(
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
-            # a padded lane repeats the last sample of its batch, so its
-            # logits stay finite whenever the batch's are
+            # the shuffle makes the swaps of `permutation(n)`, so `buf[:n]` is
+            # `shards[c][permutation(n)]`; a padded lane repeats the last
+            # sample of its batch, so its logits stay finite whenever the
+            # batch's are
             for row, c in enumerate(order):
-                n, p = sizes[c], per_epoch[c]
-                perm = rngs[row].permutation(n)
-                perm = np.concatenate([perm, np.full(p * batch - n, perm[-1])])
-                index[:p, row, 0] = shards[c][perm].reshape(p, batch)
+                n, buf = sizes[c], shuffled[row]
+                buf[:n] = shards[c]
+                rngs[row].shuffle(buf[:n])
+                buf[n:] = buf[n - 1]
+                index[: per_epoch[c], row, 0] = buf.reshape(-1, batch)
             target[:] = dataset.labels[index]
             target *= batch
             target += offset
-            for rows, t, t_fm, probs, flat, peak, norm, grad in prefixes:
-                for idx, lane, tg in rows:
-                    x = take(idx, axis=0)
-                    if class_major:
-                        matmul(t, x.transpose(0, 2, 1), out=probs)
-                    else:
-                        copyto(probs, matmul(x, t_fm).transpose(0, 2, 1))
-                    max_reduce(probs, axis=1, keepdims=True, out=peak)
-                    probs -= peak
-                    exp(probs, out=probs)
-                    add_reduce(probs, axis=1, keepdims=True, out=norm)
-                    divide(lane, norm, out=norm)
-                    probs *= norm
-                    flat[tg] -= lane
-                    matmul(probs, x, out=grad)
-                    t -= grad
+            for chunks, t, t_fm, probs, flat, peak, norm, grad in prefixes:
+                for idx, xs, rows in chunks:
+                    # `clip` writes straight into `out=`; `train_clients`
+                    # has checked every index
+                    take(idx, axis=0, out=xs, mode="clip")
+                    for x, x_t, lane, tg in rows:
+                        if class_major:
+                            matmul(t, x_t, out=probs)
+                        else:
+                            copyto(probs, matmul(x, t_fm).transpose(0, 2, 1))
+                        max_reduce(probs, axis=1, keepdims=True, out=peak)
+                        probs -= peak
+                        exp(probs, out=probs)
+                        add_reduce(probs, axis=1, keepdims=True, out=norm)
+                        divide(lane, norm, out=norm)
+                        probs *= norm
+                        flat[tg] -= lane
+                        matmul(probs, x, out=grad)
+                        t -= grad
 
     trained = [None] * num_clients
     for row, c in enumerate(order):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from greenfl.workload import (
     SyntheticDataset,
     TrainConfig,
     _client_groups,
+    batches,
     evaluate,
     local_train,
     make_blobs,
@@ -358,6 +360,19 @@ def layout(class_major_work):
         yield
 
 
+# GATHER_BYTES values that gather one step per `take`; a few steps, so a
+# run's last chunk is often shorter than the others; and a whole prefix run
+GATHERS = (0, 1000, 1 << 30)
+
+
+@contextlib.contextmanager
+def gather(gather_bytes):
+    """Within the block, a `take` gathers up to `gather_bytes` of batches, and at least one step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "GATHER_BYTES", gather_bytes)
+        yield
+
+
 def assert_matches_reference(sizes, cfg, seed):
     dataset, shards, seeds, params = random_clients(sizes, seed, np.float64)
 
@@ -378,8 +393,8 @@ def assert_matches_reference(sizes, cfg, seed):
 # a weight near zero that differed by 2.6e-17 (1.4e-12 relative) on a scale of 1.9
 @example(([1, 12], TrainConfig(local_epochs=3, batch_size=2, learning_rate=1.0), 172386))
 def test_lockstep_stepper_matches_per_client_reference(case):
-    for work in LAYOUTS:
-        with layout(work):
+    for work, chunk in itertools.product(LAYOUTS, GATHERS):
+        with layout(work), gather(chunk):
             assert_matches_reference(*case)
 
 
@@ -398,8 +413,8 @@ def test_lockstep_grouping_does_not_change_bits(dtype, case):
     # is the same whichever clients step beside it
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
-    for work in LAYOUTS:
-        with layout(work):
+    for work, chunk in itertools.product(LAYOUTS, GATHERS):
+        with layout(work), gather(chunk):
             together, _ = train_clients(params, dataset, shards, cfg, seeds)
             for shard, client_seed, got in zip(shards, seeds, together):
                 (alone,), _ = train_clients(params, dataset, [shard], cfg, [client_seed])
@@ -424,8 +439,8 @@ def test_threaded_groups_match_one_group(dtype, case, cores):
     # lane width of the whole call
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
-    for work in LAYOUTS:
-        with layout(work):
+    for work, chunk in itertools.product(LAYOUTS, GATHERS):
+        with layout(work), gather(chunk):
             with groups_on(1):
                 want, want_steps = train_clients(params, dataset, shards, cfg, seeds)
             with groups_on(cores):
@@ -570,6 +585,56 @@ def test_table_memory_is_per_epoch(scenario):
         finally:
             tracemalloc.stop()
     assert peaks[10] <= 1.1 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("scenario", ["cifar_tiers_high", "retina_gpuswap_h100"])
+def test_gathered_batches_are_bounded(scenario):
+    # a whole epoch's batches would be about 22 MB on cifar; a call holds at
+    # most max(GATHER_BYTES, one step's bytes) of them.  The rest of a
+    # call's peak does not depend on GATHER_BYTES, so the peaks are compared
+    # with that of one step per `take`.  One group, as above
+    spec = load_config(bundled_config_path(scenario)).spec
+    dataset = build_dataset(spec)
+    shards = build_shards(spec)
+    params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.features.dtype)
+    cfg = dataclasses.replace(spec.train, local_epochs=1)
+    sizes = [len(shard) for shard in shards]
+    lane = min(cfg.batch_size, max(sizes))
+    row = lane * (dataset.num_features + 1) * dataset.design.itemsize  # one client's batch
+    step = len(sizes) * row
+    peaks = {}
+    for gather_bytes in (0, workload.GATHER_BYTES, 1 << 30):
+        tracemalloc.start()
+        try:
+            with groups_on(1), gather(gather_bytes):
+                train_clients(params, dataset, shards, cfg, list(range(len(shards))))
+            peaks[gather_bytes] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a whole prefix run per `take` holds the largest run's batches, so one
+    # step per `take` holds one step.  With one step per `take` there is a
+    # chunk per step of an epoch, and each holds views of well under 1 KiB
+    ends = sorted((batches(n, lane) for n in sizes), reverse=True) + [0]
+    whole_run = max(active * (ends[active - 1] - ends[active]) for active in range(1, len(sizes) + 1)) * row
+    views = (1 << 10) * ends[0]
+    assert peaks[1 << 30] - peaks[0] >= whole_run - step - views, (peaks, whole_run, step)
+    assert peaks[workload.GATHER_BYTES] - peaks[0] <= max(workload.GATHER_BYTES, step) - step, (peaks, step)
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+def test_shard_index_out_of_range_is_rejected_before_training(past_end):
+    # the batches are gathered in `clip` mode: unchecked, -1 would train on
+    # row 0 and n on row n - 1, each beside another row's label
+    dataset, shards, seeds, params = random_clients([4, 6], 3, np.float32)
+    shards[1] = np.append(shards[1], dataset.num_samples if past_end else -1)
+    cfg = TrainConfig(local_epochs=1, batch_size=3)
+    trained = []
+    for work in LAYOUTS:
+        with layout(work), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workload, "_lockstep", lambda *args: trained.append(args))
+            with pytest.raises(IndexError, match=r"^client 1: shard indices must lie in \[0, 10\)$"):
+                train_clients(params, dataset, shards, cfg, seeds)
+    assert not trained
 
 
 @pytest.mark.parametrize("sizes", [[40], [5, 17, 40]])
