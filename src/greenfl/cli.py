@@ -25,7 +25,7 @@ from .reporting import (
     remap_grid_intensity,
     summarize_run,
 )
-from .runner import plan_run, train_trajectory, write_artifacts
+from .runner import plan_run, train_trajectory, write_artifacts, write_json
 from .sites import BUILTIN_REGIONS
 
 EXIT_OK = 0
@@ -114,11 +114,10 @@ def cmd_report(args) -> int:
         runs.append((run_dir, _run_label(records), report))
 
     if args.format == "json":
-        payload = [{"dir": str(d), "label": label, **r.to_dict()} for d, label, r in runs]
-        if len(runs) > 1:
-            payload.append(
-                {"ratios": {f"{label}/{runs[0][1]}": _co2e_ratio(r, runs[0][2]) for _, label, r in runs[1:]}}
-            )
+        base = runs[0][2]
+        payload = [
+            {"dir": str(d), "label": label, "co2e_ratio": _co2e_ratio(r, base), **r.to_dict()} for d, label, r in runs
+        ]
         print(json.dumps(payload, indent=2, allow_nan=False))
         return EXIT_OK
 
@@ -182,15 +181,8 @@ def cmd_calibrate(args) -> int:
     records = read_run_dir(args.baseline, "baseline")
     targets = {label: TierTarget(**t) for label, t in load_targets(args.targets).items()}
     tiers = calibrate_tiers(summarize_run(records).mean_energy_kwh_per_round, targets)
-    out = {
-        "tiers": {
-            label: {"slowdown_factor": t.slowdown_factor, "power_scale": t.power_scale}
-            for label, t in sorted(tiers.items())
-        }
-    }
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    knobs = {label: {"slowdown_factor": t.slowdown_factor, "power_scale": t.power_scale} for label, t in tiers.items()}
+    write_json(args.out, {"tiers": knobs})
     print(f"calibrated {len(tiers)} tiers -> {args.out}")
     return EXIT_OK
 

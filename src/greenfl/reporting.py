@@ -55,7 +55,7 @@ class RoundRecord:
     region_code: str
     hardware_name: str
     tier_label: str
-    payload_bytes: int | None  # null for non-round phases
+    payload_bytes: int | None  # set on round rows, null on all others
     net_intensity_kwh_per_gb: float
     seed: int
     schema_version: str = SCHEMA_VERSION
@@ -93,6 +93,8 @@ def validate_record(record: RoundRecord) -> None:
         raise SchemaViolation(
             "round_index", f"round_index must be 0 for init and >= 1 for other phases, got {record.round_index}"
         )
+    if (record.payload_bytes is None) == (record.phase == ROUND):
+        raise SchemaViolation("payload_bytes", "payload_bytes must be set on round rows and empty on others")
     if record.schema_version != SCHEMA_VERSION:
         raise SchemaViolation(
             "schema_version", f"schema_version must be {SCHEMA_VERSION}, got {record.schema_version!r}"
@@ -156,8 +158,9 @@ def parse_round_log(text: str) -> list[RoundRecord]:
 
 
 def record_comm_energy(record: RoundRecord) -> float:
-    """Communication energy attributed to one round row (kWh)."""
-    if record.phase != ROUND or record.payload_bytes is None:
+    """Communication energy attributed to one row (kWh); only a round row
+    carries a payload, so any other row's is 0."""
+    if record.payload_bytes is None:
         return 0.0
     payload = UpdatePayload(record.site_id, record.round_index, record.payload_bytes)
     return comm_energy(payload, CommEnergyModel(record.net_intensity_kwh_per_gb)).value

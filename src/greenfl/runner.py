@@ -95,6 +95,14 @@ def run_metadata(cfg: RunConfig) -> dict:
     }
 
 
+def write_json(path, doc) -> None:
+    """Write `doc` as every JSON artifact is written: indented, keys sorted,
+    no NaN or inf, and one final newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def write_artifacts(out_dir, cfg: RunConfig, records, report: RunReport) -> RunReport:
     """Write the run's three artifacts; returns `report`, the summary
     written, which perfbench's tracer reads for the accuracies that reach
@@ -102,10 +110,6 @@ def write_artifacts(out_dir, cfg: RunConfig, records, report: RunReport) -> RunR
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "rounds.csv").write_text(write_round_log(records), encoding="utf-8", newline="")
-    with open(out / "run.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(run_metadata(cfg), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    with open(out / "summary.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(out / "run.json", run_metadata(cfg))
+    write_json(out / "summary.json", report.to_dict())
     return report

@@ -172,7 +172,9 @@ def _client_groups(sizes: list[int], client_work: int, cores: int) -> list[list[
     least one, where `step_work = client_work * clients` is the
     multiply-adds of one full lockstep step and `client_work = lane *
     num_features * num_classes` one client's share.  Clients go largest
-    shard first to the group with the fewest samples so far.
+    shard first to the group with the fewest samples so far.  This is the
+    one place that orders the clients: each group lists them largest shard
+    first, as `_lockstep` takes them.
     """
     step_work = client_work * len(sizes)
     count = max(1, min(cores, len(sizes), step_work // MIN_GROUP_WORK))
@@ -197,15 +199,17 @@ def train_clients(
 
     Client i trains on the rows `shards[i]` of `dataset` and shuffles each
     epoch with its own `default_rng(seeds[i])` stream; `cfg.seed` is not
-    used.  The clients are trained in lockstep (see `_lockstep`).  When one
-    lockstep step is large enough to be BLAS-bound, the clients split into
-    groups of balanced shard size (`_client_groups`), one per usable core:
-    the calling thread trains the first group and a thread pool the rest.
-    Every group steps at the lane width of the whole call, and in the θ
-    layout chosen from one client's step work alone, so a client's trained
-    bits do not depend on its group, and a group that diverges raises
-    `Diverged` here.  A shard index outside `[0, dataset.num_samples)`
-    raises IndexError naming its client, before anything is trained.
+    used.  `_client_groups` orders the clients and deals them into groups;
+    each group is trained in lockstep (see `_lockstep`), and its params are
+    scattered back to `shards` order.  There is one group unless one
+    lockstep step is large enough to be BLAS-bound; then the groups, of
+    balanced shard size, are one per usable core, and the calling thread
+    trains the first group and a thread pool the rest.  Every group steps at
+    the lane width of the whole call, and in the θ layout chosen from one
+    client's step work alone, so a client's trained bits do not depend on
+    its group, and a group that diverges raises `Diverged` here.  A shard
+    index outside `[0, dataset.num_samples)` raises IndexError naming its
+    client, before anything is trained.
     """
     sizes = [len(shard) for shard in shards]
     if min(sizes) == 0:
@@ -219,25 +223,25 @@ def train_clients(
     client_work = lane * dataset.num_features * dataset.num_classes
     class_major = client_work < CLASS_MAJOR_WORK
     groups = _client_groups(sizes, client_work, _usable_cores())
-    steps = [steps_per_round(n, cfg) for n in sizes]
-    if len(groups) == 1:
-        return _lockstep(params, dataset, shards, cfg, seeds, lane, class_major), steps
-
-    # imported here, not at module level, so its import cost stays out of
-    # every start-up of `greenfl`
-    from concurrent.futures import ThreadPoolExecutor
 
     def train(group):
         return _lockstep(params, dataset, [shards[c] for c in group], cfg, [seeds[c] for c in group], lane, class_major)
 
-    with ThreadPoolExecutor(len(groups) - 1) as pool:
-        futures = [pool.submit(train, group) for group in groups[1:]]
-        parts = [train(groups[0])] + [future.result() for future in futures]
+    if len(groups) == 1:
+        parts = [train(groups[0])]
+    else:
+        # imported here, not at module level, so its import cost stays out of
+        # every start-up of `greenfl`
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(len(groups) - 1) as pool:
+            futures = [pool.submit(train, group) for group in groups[1:]]
+            parts = [train(groups[0])] + [future.result() for future in futures]
     trained = [None] * len(shards)
     for group, part in zip(groups, parts):
         for c, client in zip(group, part):
             trained[c] = client
-    return trained, steps
+    return trained, [steps_per_round(n, cfg) for n in sizes]
 
 
 def _lockstep(
@@ -249,57 +253,55 @@ def _lockstep(
     batch: int,
     class_major: bool,
 ) -> list[ModelParams]:
-    """`train_clients` for one group of clients, `batch` lanes wide; returns
-    each client's trained params in `shards` order.
+    """`train_clients` for one group of clients, `batch` lanes wide, which
+    come largest shard first; returns their trained params in that order.
 
     Client i trains on the rows `shards[i]` of `dataset` (global indices,
     gathered by chunk, never copied out) and shuffles each epoch with its
     own `default_rng(seeds[i])` stream; `cfg.seed` is not used.  Clients
-    step in lockstep one epoch at a time: sorted by steps per epoch,
-    longest first, the clients still training at step k of an epoch are a
-    prefix, and one batched forward and gradient serves them all.  Batches
-    are gathered from the design matrix `[x, 1]`, so the bias is one more
-    weight: each client's weights and bias are one tensor θ, with the bias
-    as feature F.  The logits go to a class-major buffer `probs`,
-    `[client, class, lane]`, so the softmax reductions run along the
-    contiguous lane axis.  θ's memory order follows `class_major`.  A
-    call-bound step holds θ class-major, `[client, class, feature + 1]`:
-    its forward `θ @ [x, 1]ᵀ` writes `probs` directly.  A BLAS-bound step
-    holds θ feature-major, `[client, feature + 1, class]`: its forward
-    `[x, 1] @ θ` multiplies two row-major operands, and the result is
-    copied into `probs`.  The gradient GEMM `probs @ [x, 1]` writes the
-    whole class-major gradient, `[client, class, feature + 1]`, and one
-    subtraction updates weights and bias, through θ's class-major view
-    (contiguous or transposed).  The batches of consecutive steps of one
-    active prefix are gathered by one `take`, up to `GATHER_BYTES` and at
-    least one step, into a buffer made once per call; each step's batch
+    step in lockstep one epoch at a time.  Steps per epoch, `batches(n,
+    batch)`, do not increase as the shard shrinks, so the clients still
+    training at step k of an epoch are a prefix, and one batched forward and
+    gradient serves them all.  Batches are gathered from the design matrix
+    `[x, 1]`, so the bias is one more weight: each client's weights and bias
+    are one tensor θ, with the bias as feature F.  The logits go to a
+    class-major buffer `probs`, `[client, class, lane]`, so the softmax
+    reductions run along the contiguous lane axis.  θ's memory order follows
+    `class_major`.  A call-bound step holds θ class-major, `[client, class,
+    feature + 1]`: its forward `θ @ [x, 1]ᵀ` writes `probs` directly.  A
+    BLAS-bound step holds θ feature-major, `[client, feature + 1, class]`:
+    its forward `[x, 1] @ θ` multiplies two row-major operands, and the
+    result is copied into `probs`.  The gradient GEMM `probs @ [x, 1]`
+    writes the whole class-major gradient, `[client, class, feature + 1]`,
+    and one subtraction updates weights and bias, through θ's class-major
+    view (contiguous or transposed).  The batches of consecutive steps of
+    one active prefix are gathered by one `take`, up to `GATHER_BYTES` and
+    at least one step, into a buffer made once per call; each step's batch
     and its transpose are views of it, made once per call.  The step's
     buffers are made once per call and written with `out=`, so a step
     allocates only the feature-major forward's result and the true-class
     gather.  A batch's step is the learning rate times the mean gradient
     over its real samples: every sample carries weight `lr / len(batch)`,
-    folded into the softmax normalisation, and the lanes that pad an
-    epoch's short last batch carry weight 0.  Everything runs in the dtype
-    of `dataset.design`.  Finiteness is checked once, when the trained
-    params are built after the last step.
+    folded into the softmax normalisation, and the lanes that pad an epoch's
+    short last batch carry weight 0.  Everything runs in the dtype of
+    `dataset.design`.  Finiteness is checked once, when the trained params
+    are built after the last step.
     """
     sizes = [len(shard) for shard in shards]
     design = dataset.design
     dtype = design.dtype
     num_clients, k = len(shards), dataset.num_classes
     per_epoch = [batches(n, batch) for n in sizes]
-    order = sorted(range(num_clients), key=lambda c: -per_epoch[c])
-    num_steps = per_epoch[order[0]]
+    num_steps = per_epoch[0]
 
-    # [step, client, 1, lane] tables of one epoch in sorted-client order;
-    # the unit class axis broadcasts over a [client, class, lane] block.
-    # The lane weights are the same every epoch; a rate whose weight
-    # overflows the dtype gives inf weights, and the run then diverges
+    # [step, client, 1, lane] tables of one epoch, a row per client in
+    # `shards` order; the unit class axis broadcasts over a [client, class,
+    # lane] block.  The lane weights are the same every epoch; a rate whose
+    # weight overflows the dtype gives inf weights, and the run then diverges
     lr = cfg.learning_rate
     scale = np.zeros((num_steps, num_clients, 1, batch), dtype)
     with np.errstate(over="ignore"):
-        for row, c in enumerate(order):
-            n, p = sizes[c], per_epoch[c]
+        for row, (n, p) in enumerate(zip(sizes, per_epoch)):
             lanes = np.zeros(p * batch)
             lanes[:n] = lr / batch
             lanes[(p - 1) * batch : n] = lr / (n - (p - 1) * batch)
@@ -309,9 +311,9 @@ def _lockstep(
     offset = np.arange(batch) + (k * batch) * np.arange(num_clients)[:, None, None]
     index = np.zeros((num_steps, num_clients, 1, batch), dtype=np.intp)
     target = np.empty_like(index)
-    rngs = [np.random.default_rng(seeds[c]) for c in order]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # each client's epoch order, its shard shuffled in place and padded
-    shuffled = [np.empty(per_epoch[c] * batch, np.intp) for c in order]
+    shuffled = [np.empty(p * batch, np.intp) for p in per_epoch]
 
     # `theta` is θ in class-major order, `[client, class, feature + 1]`, with
     # the bias as column F.  A call-bound step stores θ so; a BLAS-bound
@@ -325,14 +327,14 @@ def _lockstep(
     theta[:, :, :num_features] = params.weights
     theta[:, :, num_features] = params.bias
     # the step's buffers, made once at full client count; an active prefix
-    # writes into their [:active] views
+    # writes into their [:active] views.  The softmax's class-axis max and
+    # its normaliser are live at disjoint times and share `per_lane_all`
     probs_all = np.empty((num_clients, k, batch), dtype)
-    peak_all = np.empty((num_clients, 1, batch), dtype)
-    norm_all = np.empty((num_clients, 1, batch), dtype)
+    per_lane_all = np.empty((num_clients, 1, batch), dtype)
     grad_all = np.empty((num_clients, k, num_features + 1), dtype)
     # rows [0, active) train during steps [ends[active], ends[active - 1]) of
     # every epoch; each run of steps is gathered in chunks of `chunk` steps
-    ends = [per_epoch[c] for c in order] + [0]
+    ends = per_epoch + [0]
     row_values = batch * (num_features + 1)  # one client's batch
     runs = []
     for active in range(num_clients, 0, -1):
@@ -354,7 +356,7 @@ def _lockstep(
             chunks.append((index[lo:hi, :active, 0], xs, rows))
         t, probs = theta[:active], probs_all[:active]
         views = (t, t.transpose(0, 2, 1), probs, probs.reshape(-1))
-        prefixes.append((chunks, *views, peak_all[:active], norm_all[:active], grad_all[:active]))
+        prefixes.append((chunks, *views, per_lane_all[:active], grad_all[:active]))
     # looked up once per call: at small shapes a step is bound by its calls
     take, matmul, copyto, exp, divide = design.take, np.matmul, np.copyto, np.exp, np.divide
     add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
@@ -363,19 +365,19 @@ def _lockstep(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
             # the shuffle makes the swaps of `permutation(n)`, so `buf[:n]` is
-            # `shards[c][permutation(n)]`; a padded lane repeats the last
+            # `shard[permutation(n)]`; a padded lane repeats the last
             # sample of its batch, so its logits stay finite whenever the
             # batch's are
-            for row, c in enumerate(order):
-                n, buf = sizes[c], shuffled[row]
-                buf[:n] = shards[c]
-                rngs[row].shuffle(buf[:n])
+            for row, (shard, rng, buf) in enumerate(zip(shards, rngs, shuffled)):
+                n = len(shard)
+                buf[:n] = shard
+                rng.shuffle(buf[:n])
                 buf[n:] = buf[n - 1]
-                index[: per_epoch[c], row, 0] = buf.reshape(-1, batch)
+                index[: per_epoch[row], row, 0] = buf.reshape(-1, batch)
             target[:] = dataset.labels[index]
             target *= batch
             target += offset
-            for chunks, t, t_fm, probs, flat, peak, norm, grad in prefixes:
+            for chunks, t, t_fm, probs, flat, per_lane, grad in prefixes:
                 for idx, xs, rows in chunks:
                     # `clip` writes straight into `out=`; `train_clients`
                     # has checked every index
@@ -385,20 +387,17 @@ def _lockstep(
                             matmul(t, x_t, out=probs)
                         else:
                             copyto(probs, matmul(x, t_fm).transpose(0, 2, 1))
-                        max_reduce(probs, axis=1, keepdims=True, out=peak)
-                        probs -= peak
+                        max_reduce(probs, axis=1, keepdims=True, out=per_lane)
+                        probs -= per_lane
                         exp(probs, out=probs)
-                        add_reduce(probs, axis=1, keepdims=True, out=norm)
-                        divide(lane, norm, out=norm)
-                        probs *= norm
+                        add_reduce(probs, axis=1, keepdims=True, out=per_lane)
+                        divide(lane, per_lane, out=per_lane)
+                        probs *= per_lane
                         flat[tg] -= lane
                         matmul(probs, x, out=grad)
                         t -= grad
 
-    trained = [None] * num_clients
-    for row, c in enumerate(order):
-        trained[c] = ModelParams(theta[row, :, :num_features].copy(), theta[row, :, num_features].copy())
-    return trained
+    return [ModelParams(t[:, :num_features].copy(), t[:, num_features].copy()) for t in theta]
 
 
 def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):

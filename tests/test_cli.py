@@ -90,17 +90,33 @@ def test_report_json_is_each_summary_with_its_dir_and_label(run_dir, tmp_path, c
     assert main(["run", "--config", write_doc(tmp_path, small_doc()), "--seed", "5", "--out", str(other)]) == 0
     capsys.readouterr()
     assert main(["report", "--in", str(run_dir), str(other), "--format", "json"]) == 0
-    *entries, ratios = json.loads(capsys.readouterr().out)
-    assert list(ratios) == ["ratios"]
-    keys = ["dir", "label", "schema_version", *(f.name for f in dataclasses.fields(RunReport))]
+    entries = json.loads(capsys.readouterr().out)
+    keys = ["dir", "label", "co2e_ratio", "schema_version", *(f.name for f in dataclasses.fields(RunReport))]
     site_keys = [f.name for f in dataclasses.fields(SiteTotals)]
+    base = json.loads((run_dir / "summary.json").read_text())["total_co2e_kg"]
     for entry, d in zip(entries, (run_dir, other), strict=True):
         summary = json.loads((d / "summary.json").read_text())
         assert summary["accuracy_by_round"]
-        assert entry == {"dir": str(d), "label": "high", **summary}
+        assert entry == {"dir": str(d), "label": "high", "co2e_ratio": summary["total_co2e_kg"] / base, **summary}
         assert list(entry) == keys
         assert list(entry["per_site"]) == sorted(summary["per_site"])
         assert all(list(totals) == site_keys for totals in entry["per_site"].values())
+
+
+def test_report_json_gives_every_run_its_co2e_ratio(tmp_path, capsys):
+    # all three runs are labelled `high`: a map keyed `label/label` kept one
+    # ratio for two runs, and lost the GPU swap's v100/h100 ratio
+    dirs = [tmp_path / name for name in ("h100", "v100", "small")]
+    configs = ["retina_gpuswap_h100", "retina_gpuswap_v100", write_doc(tmp_path, small_doc())]
+    for config, out in zip(configs, dirs):
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", *map(str, dirs), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    totals = [json.loads((d / "summary.json").read_text())["total_co2e_kg"] for d in dirs]
+    assert [(entry["dir"], entry["label"]) for entry in payload] == [(str(d), "high") for d in dirs]
+    assert [entry["co2e_ratio"] for entry in payload] == [total / totals[0] for total in totals]
+    assert payload[1]["co2e_ratio"] == pytest.approx(1.51, abs=0.005)
 
 
 def test_report_csv_quotes_its_cells(tmp_path, capsys):
@@ -202,6 +218,21 @@ def test_huge_int_cell_fails_with_one_error_line(run_dir, capsys, argv, field):
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("phase, cell", [("idle", str(10**12)), ("round", "")], ids=["idle_payload", "round_without"])
+def test_payload_off_round_rows_fails_with_one_error_line(run_dir, capsys, phase, cell):
+    # a payload on an idle row, or none on a round row, parsed: `report`
+    # exited 0 and the run's comm CO2e silently changed
+    csv_path = run_dir / "rounds.csv"
+    header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    number, row = next((n, row) for n, row in enumerate(rows, start=1) if row[header.index("phase")] == phase)
+    row[header.index("payload_bytes")] = cell
+    csv_path.write_text("".join(",".join(line) + "\n" for line in [header, *rows]))
+    assert main(["report", "--in", str(run_dir)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: row {number}: payload_bytes must be set on round rows and empty on others\n"
+
+
 @pytest.fixture
 def zero_run_dir(tmp_path):
     doc = small_doc(
@@ -224,7 +255,7 @@ def test_report_zero_co2e_baseline_json(zero_run_dir, run_dir, capsys):
     assert main(["report", "--in", str(zero_run_dir), str(run_dir), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
     assert payload[0]["total_co2e_kg"] == 0.0
-    assert payload[-1] == {"ratios": {"high/high": None}}
+    assert [entry["co2e_ratio"] for entry in payload] == [None, None]
 
 
 def test_report_overflowing_ratio_is_not_a_number(tmp_path, capsys):
@@ -238,7 +269,8 @@ def test_report_overflowing_ratio_is_not_a_number(tmp_path, capsys):
         assert main(["run", "--config", write_doc(tmp_path, doc, f"{code}.json"), "--out", dirs[-1]]) == 0
     capsys.readouterr()
     assert main(["report", "--in", *dirs, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail)[-1] == {"ratios": {"high/high": None}}
+    payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert [entry["co2e_ratio"] for entry in payload] == [1.0, None]
     assert main(["report", "--in", *dirs]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ratios: high/high=n/a"
 

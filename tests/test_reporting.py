@@ -149,7 +149,7 @@ def random_records(draw):
         energy_kwh=energy,
         co2e_kg=energy * ci,
         ci_kg_per_kwh=ci,
-        payload_bytes=draw(st.none() | st.integers(0, 10**9)),
+        payload_bytes=draw(st.integers(0, 10**9)) if phase == ROUND else None,
         net_intensity_kwh_per_gb=draw(st.floats(0.0, 1.0)),
     )
 

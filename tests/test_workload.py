@@ -451,6 +451,36 @@ def test_threaded_groups_match_one_group(dtype, case, cores):
             assert np.array_equal(g.bias, w.bias)
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_lockstep_takes_each_group_largest_shard_first(cores):
+    # `_client_groups` is the one place that orders the clients; `_lockstep`
+    # takes them as given, and the clients still stepping form a prefix only
+    # if they come largest shard first.  The shards come smallest first, and
+    # each holds at least one batch, so every call steps at the batch width
+    sizes = [3, 4, 7, 11, 18]
+    cfg = TrainConfig(local_epochs=2, batch_size=3, learning_rate=0.3)
+    dataset, shards, seeds, params = random_clients(sizes, 5, np.float64)
+    lockstep = workload._lockstep
+    received = []
+
+    def spy(params, dataset, shards, *args):
+        received.append([len(shard) for shard in shards])
+        return lockstep(params, dataset, shards, *args)
+
+    with groups_on(cores), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "_lockstep", spy)
+        got, _ = train_clients(params, dataset, shards, cfg, seeds)
+    assert len(received) == cores
+    assert all(lengths == sorted(lengths, reverse=True) for lengths in received), received
+    with groups_on(1):
+        want, _ = train_clients(params, dataset, shards, cfg, seeds)
+    for shard, seed, g, w in zip(shards, seeds, got, want, strict=True):
+        (alone,), _ = train_clients(params, dataset, [shard], cfg, [seed])
+        for trained in (g, w):
+            assert np.array_equal(trained.weights, alone.weights)
+            assert np.array_equal(trained.bias, alone.bias)
+
+
 def test_divergence_in_a_worker_thread_is_raised():
     # the calling thread trains the group with the largest shard; only the
     # small shard, trained on the pool's thread, overflows
