@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -47,7 +48,7 @@ def _check_out_dir(out: str) -> None:
     """ConfigError at `out` unless `out` is, or can be made, a directory:
     its nearest existing ancestor, itself included, must be a directory."""
     path = Path(out)
-    existing = next(p for p in (path, *path.parents) if p.exists())
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise ConfigError("out", f"{existing} is not a directory")
 
@@ -112,11 +113,12 @@ def cmd_report(args) -> int:
         accuracies = load_accuracies(summary) if args.format == "json" and summary.is_file() else None
         report = dataclasses.replace(summarize_run(records), accuracy_by_round=accuracies)
         runs.append((run_dir, _run_label(records), report))
+    _, base_label, base = runs[0]
+    runs = [(d, label, r, _co2e_ratio(r, base)) for d, label, r in runs]
 
     if args.format == "json":
-        base = runs[0][2]
         payload = [
-            {"dir": str(d), "label": label, "co2e_ratio": _co2e_ratio(r, base), **r.to_dict()} for d, label, r in runs
+            {"dir": str(d), "label": label, "co2e_ratio": ratio, **r.to_dict()} for d, label, r, ratio in runs
         ]
         print(json.dumps(payload, indent=2, allow_nan=False))
         return EXIT_OK
@@ -124,12 +126,12 @@ def cmd_report(args) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["run", "site_id", "energy_kwh", "co2e_kg", "busy_s"])
-        for run_dir, label, report in runs:
+        for _, label, report, _ in runs:
             for site, t in report.per_site.items():
                 writer.writerow([label, site, repr(t.energy_kwh), repr(t.co2e_kg), repr(t.busy_s)])
         return EXIT_OK
 
-    for run_dir, label, report in runs:
+    for run_dir, label, report, ratio in runs:
         print(f"run {label} ({run_dir}): {report.num_rounds} rounds")
         print(f"  {'site':<12} {'energy_kwh':>14} {'co2e_kg':>14} {'busy_min':>10}")
         for site, t in report.per_site.items():
@@ -137,14 +139,8 @@ def cmd_report(args) -> int:
         print(
             f"  mean energy/round {report.mean_energy_kwh_per_round:.6g} kWh | "
             f"comm {report.comm_co2e_kg:.6g} kg | total {report.total_co2e_kg:.6g} kg CO2e | "
-            f"runtime {report.runtime_min:.4g} min"
+            f"runtime {report.runtime_min:.4g} min | {label}/{base_label}={'n/a' if ratio is None else f'{ratio:.2f}'}"
         )
-    if len(runs) > 1:
-        parts = []
-        for _, label, r in runs[1:]:
-            ratio = _co2e_ratio(r, runs[0][2])
-            parts.append(f"{label}/{runs[0][1]}=" + ("n/a" if ratio is None else f"{ratio:.2f}"))
-        print("ratios: " + " ".join(parts))
     return EXIT_OK
 
 

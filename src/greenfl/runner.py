@@ -47,15 +47,16 @@ def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
     """The run's schema rows and their checked report, from the config alone,
     with no training.  A row that its type rejects is a ConfigError at
     `sites[<i>]`, where i is its site's index in the config, and a run total
-    that overflows is one at `sites`."""
+    that overflows is one at `sites`.  An empty Dirichlet shard is a
+    ConfigError at `partition.alpha`, naming the first site that would get it."""
     workload = cfg.spec.workload
+    sizes = [len(shard) for shard in build_shards(cfg.spec)]
+    if 0 in sizes:
+        i = sizes.index(0)
+        raise ConfigError("partition.alpha", f"sites[{i}] ({cfg.plan.sites[i].site_id}) gets an empty shard")
     try:
         records = build_ledger(
-            cfg.plan,
-            [len(shard) for shard in build_shards(cfg.spec)],
-            cfg.scenario,
-            cfg.seed,
-            update_payload_bytes(workload.num_classes, workload.num_features),
+            cfg.plan, sizes, cfg.scenario, cfg.seed, update_payload_bytes(workload.num_classes, workload.num_features)
         )
     except SchemaViolation as exc:
         row = exc.record

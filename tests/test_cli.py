@@ -247,7 +247,8 @@ def zero_run_dir(tmp_path):
 def test_report_zero_co2e_baseline_text(zero_run_dir, run_dir, capsys):
     assert main(["report", "--in", str(zero_run_dir), str(run_dir)]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "ratios: high/high=n/a"
+    summaries = [line for line in out.splitlines() if line.startswith("  mean energy/round")]
+    assert len(summaries) == 2 and all(line.endswith(" | high/high=n/a") for line in summaries)
     assert "inf" not in out and "nan" not in out.lower()
 
 
@@ -272,7 +273,36 @@ def test_report_overflowing_ratio_is_not_a_number(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
     assert [entry["co2e_ratio"] for entry in payload] == [1.0, None]
     assert main(["report", "--in", *dirs]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "ratios: high/high=n/a"
+    lines = capsys.readouterr().out.splitlines()
+    first = next(line for line in lines if line.startswith("  mean energy/round"))
+    assert first.endswith(" | high/high=1.00")
+    assert lines[-1].endswith(" | high/high=n/a")
+
+
+def test_report_text_gives_each_run_its_own_ratio(tmp_path, capsys):
+    # three `high` runs, like the GPU swap pair plus a reseeded baseline: each
+    # run's block ends with its own ratio to the first run
+    dirs = []
+    runs = (("h100", "h100_like", "0"), ("v100", "v100_like", "0"), ("h100-seed-5", "h100_like", "5"))
+    for name, hardware, seed in runs:
+        sites = [{"site_id": f"site-{i + 1}", "hardware": hardware, "tier": "high", "region": "USA"} for i in range(3)]
+        doc = small_doc(sites=sites)
+        dirs.append(tmp_path / name)
+        config = write_doc(tmp_path, doc, f"{name}.json")
+        assert main(["run", "--config", config, "--seed", seed, "--out", str(dirs[-1])]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", *map(str, dirs)]) == 0
+    blocks = []
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("run "):
+            blocks.append([])
+        blocks[-1].append(line)
+    totals = [json.loads((d / "summary.json").read_text())["total_co2e_kg"] for d in dirs]
+    assert len(blocks) == len(dirs)
+    for block, d, total in zip(blocks, dirs, totals):
+        assert block[0] == f"run high ({d}): 2 rounds"
+        assert block[-1].endswith(f" | high/high={total / totals[0]:.2f}")
+    assert totals[1] != totals[0]
 
 
 @pytest.mark.parametrize(
@@ -629,6 +659,32 @@ def test_run_out_under_a_file_exits_2_before_training(tmp_path, capsys, monkeypa
     assert captured.out == ""
     assert captured.err == f"error: out: {blocker} is not a directory\n"
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_run_out_dangling_symlink_exits_2_before_training(tmp_path, capsys, monkeypatch, sub):
+    monkeypatch.setattr("greenfl.cli.plan_run", lambda cfg: pytest.fail("planned before checking --out"))
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing")
+    out = link / sub if sub else link
+    assert main(["run", "--config", write_doc(tmp_path, small_doc()), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out: {link} is not a directory\n"
+    assert link.is_symlink() and not (tmp_path / "missing").exists()
+
+
+def test_empty_dirichlet_shard_fails_at_alpha_before_training(tmp_path, capsys, monkeypatch):
+    # alpha 0.01 draws the shard sizes [20, 0, 160] from small_doc's 180 samples
+    monkeypatch.setattr("greenfl.cli.train_trajectory", lambda spec: pytest.fail("trained on an empty shard"))
+    doc = small_doc(partition={"num_clients": 3, "alpha": 0.01, "seed": 0})
+    assert [len(shard) for shard in build_shards(parse_config(doc).spec)] == [20, 0, 160]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partition.alpha: sites[1] (site-2) gets an empty shard\n"
+    assert not out.exists()
 
 
 @pytest.fixture

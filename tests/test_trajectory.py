@@ -110,7 +110,7 @@ def test_trajectory_fields_miss_the_cache(doc):
     execute_run(parse_config(small_doc()))
     # an empty Dirichlet shard is only found by building the partition
     with contextlib.suppress(EmptyClientData):
-        execute_run(parse_config(doc))
+        train_trajectory(parse_config(doc).spec)
     info = train_trajectory.cache_info()
     assert (info.hits, info.misses) == (0, 2)
 
