@@ -6,8 +6,10 @@ A run is one JSON document.  It, a `--tiers` preset file, a
 (`_CONFIG`, `_TIERS_FILE`, `_TARGETS_FILE`, `_ACCURACIES`) before any
 simulation starts: unknown keys are rejected, types are strict, floats
 must be finite, and every error carries a dotted field path so the CLI can
-point at the offending entry.  The rules between fields (site count, site
-references, unique site ids) follow the table as a few explicit checks.
+point at the offending entry.  The rules between fields (the size
+products, the class count, site count, site references, unique site ids)
+follow the table as a few explicit checks; `RunPlan` checks none of them
+again.
 """
 
 from __future__ import annotations
@@ -39,8 +41,16 @@ from .workload import SyntheticDataset, TrainConfig, blob_labels, make_blobs
 
 REQUIRED = object()  # the default of a field that has none
 # samples_per_class x num_classes x num_features of the largest dataset:
-# its float32 features take 400 MB, plus one column of ones
+# its float32 features take 400 MB, plus one column of ones.  It also bounds
+# the lockstep SGD's per-step state, θ, its gradient and the logits
 MAX_DATASET_VALUES = 10**8
+# `dirichlet_partition` scans every label once per class, and `make_blobs`
+# compares every pair of class means over all features
+MAX_CLASSES = 1000
+# partition.num_clients x num_rounds: the ledger holds clients x (1 + 3 x
+# rounds) rows, about 530 bytes each with their CSV line, so at this bound
+# it takes about the dataset's 400 MB
+MAX_SITE_ROUNDS = 250_000
 
 
 @dataclass(frozen=True)
@@ -152,8 +162,10 @@ class TrajectorySpec:
 
 @dataclass
 class RunConfig:
+    """A parsed run: its ledger plan, its trajectory spec and its source
+    document.  The top-level seed is `spec.train.seed`."""
+
     scenario: str
-    seed: int
     plan: RunPlan
     spec: TrajectorySpec
     comm_attribution: str
@@ -276,6 +288,16 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
             "workload.samples_per_class",
             f"samples_per_class x num_classes x num_features must be <= {MAX_DATASET_VALUES}",
         )
+    if wl["num_classes"] > MAX_CLASSES:
+        raise ConfigError("workload.num_classes", f"must be <= {MAX_CLASSES}")
+    # a lane is at most a batch and at most the whole dataset
+    lane = min(wl["batch_size"], wl["num_classes"] * wl["samples_per_class"])
+    if part["num_clients"] * wl["num_classes"] * (wl["num_features"] + 1 + lane) > MAX_DATASET_VALUES:
+        raise ConfigError(
+            "partition.num_clients",
+            "num_clients x num_classes x (num_features + 1 + min(batch_size, num_classes x samples_per_class))"
+            f" must be <= {MAX_DATASET_VALUES}",
+        )
 
     hardware = dict(BUILTIN_HARDWARE)
     for name, hw in c["hardware"].items():
@@ -293,6 +315,8 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
 
     if len(c["sites"]) != part["num_clients"]:
         raise ConfigError("sites", f"{len(c['sites'])} sites but partition.num_clients = {part['num_clients']}")
+    if part["num_clients"] * c["num_rounds"] > MAX_SITE_ROUNDS:
+        raise ConfigError("num_rounds", f"partition.num_clients x num_rounds must be <= {MAX_SITE_ROUNDS}")
     sites = []
     for i, raw in enumerate(c["sites"]):
         for key, known, noun in (
@@ -303,6 +327,8 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
             if raw[key] not in known:
                 raise ConfigError(f"sites[{i}].{key}", f"unknown {noun} {raw[key]!r}")
         sites.append(SiteConfig(raw["site_id"], hardware[raw["hardware"]], tiers[raw["tier"]], regions[raw["region"]]))
+    if len({site.site_id for site in sites}) != len(sites):
+        raise ConfigError("sites", "site_id values must be unique")
 
     seed = c["seed"]
     spec = TrajectorySpec(
@@ -311,9 +337,7 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
         partition=PartitionConfig(part["num_clients"], part["alpha"], seed if part["seed"] is None else part["seed"]),
         num_rounds=c["num_rounds"],
     )
-    plan = _entry(
-        "sites",
-        RunPlan,
+    plan = RunPlan(
         num_rounds=spec.num_rounds,
         sites=sites,
         train_cfg=spec.train,
@@ -322,7 +346,6 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
     )
     return RunConfig(
         scenario=c["scenario"],
-        seed=seed,
         plan=plan,
         spec=spec,
         comm_attribution=comm["attribution"],

@@ -36,20 +36,14 @@ from .workload import (
 
 @dataclass(frozen=True)
 class RunPlan:
+    """What `build_ledger` reads of a run, as `config.parse_config` checked it:
+    at least one round, at least one site, and unique site ids."""
+
     num_rounds: int
     sites: list[SiteConfig]
     train_cfg: TrainConfig
     comm_model: CommEnergyModel
     evaluate_each_round: bool = True
-
-    def __post_init__(self):
-        if self.num_rounds < 1:
-            raise ValueError("num_rounds must be >= 1")
-        if not self.sites:
-            raise ValueError("at least one site is required")
-        ids = [s.site_id for s in self.sites]
-        if len(set(ids)) != len(ids):
-            raise ValueError("site_id values must be unique")
 
 
 def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
@@ -104,7 +98,7 @@ def run_job(
     for round_index in range(1, num_rounds + 1):
         seeds = [_client_seed(train_cfg.seed, i, round_index) for i in range(len(shards))]
         try:
-            trained, _ = train_clients(params, dataset, shards, train_cfg, seeds)
+            trained = train_clients(params, dataset, shards, train_cfg, seeds)
             params = fedavg_aggregate(list(zip(trained, sizes)))
         except Diverged:
             raise Diverged(round_index) from None

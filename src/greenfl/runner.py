@@ -55,9 +55,8 @@ def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
         i = sizes.index(0)
         raise ConfigError("partition.alpha", f"sites[{i}] ({cfg.plan.sites[i].site_id}) gets an empty shard")
     try:
-        records = build_ledger(
-            cfg.plan, sizes, cfg.scenario, cfg.seed, update_payload_bytes(workload.num_classes, workload.num_features)
-        )
+        payload = update_payload_bytes(workload.num_classes, workload.num_features)
+        records = build_ledger(cfg.plan, sizes, cfg.scenario, cfg.spec.train.seed, payload)
     except SchemaViolation as exc:
         row = exc.record
         i = [site.site_id for site in cfg.plan.sites].index(row.site_id)
@@ -77,7 +76,7 @@ def run_metadata(cfg: RunConfig) -> dict:
         "tool": "greenfl",
         "version": __version__,
         "scenario": cfg.scenario,
-        "seed": cfg.seed,
+        "seed": cfg.spec.train.seed,
         "config_sha256": cfg.config_hash(),
         "comm_attribution": cfg.comm_attribution,
         "tiers": {

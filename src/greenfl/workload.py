@@ -193,9 +193,10 @@ def train_clients(
     shards: list[np.ndarray],
     cfg: TrainConfig,
     seeds: list[int],
-) -> tuple[list[ModelParams], list[int]]:
+) -> list[ModelParams]:
     """Mini-batch SGD from `params` for every client at once; returns each
-    client's trained params and step count, in `shards` order.
+    client's trained params, in `shards` order.  Each client takes
+    `steps_per_round` of its shard size, the count the ledger charges.
 
     Client i trains on the rows `shards[i]` of `dataset` and shuffles each
     epoch with its own `default_rng(seeds[i])` stream; `cfg.seed` is not
@@ -241,7 +242,7 @@ def train_clients(
     for group, part in zip(groups, parts):
         for c, client in zip(group, part):
             trained[c] = client
-    return trained, [steps_per_round(n, cfg) for n in sizes]
+    return trained
 
 
 def _lockstep(
@@ -404,10 +405,11 @@ def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):
     """Mini-batch SGD on all of `data`; returns (updated params, steps taken).
 
     The one-client case of `train_clients`, shuffled by `cfg.seed`, so
-    fixed seeds give bit-identical trained parameters.
+    fixed seeds give bit-identical trained parameters.  The step count is
+    `steps_per_round`, the ledger's rule.
     """
-    trained, steps = train_clients(params, data, [np.arange(data.num_samples)], cfg, [cfg.seed])
-    return trained[0], steps[0]
+    (trained,) = train_clients(params, data, [np.arange(data.num_samples)], cfg, [cfg.seed])
+    return trained, steps_per_round(data.num_samples, cfg)
 
 
 def evaluate(params: ModelParams, data: SyntheticDataset) -> float:

@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from greenfl.cli import main
@@ -164,7 +164,7 @@ def test_section_defaults_and_int_floats():
     cfg = parse_config(doc)
     assert cfg.spec.workload.num_classes == 10 and cfg.plan.train_cfg.batch_size == 600
     assert type(cfg.spec.workload.separation) is float and type(cfg.spec.partition.alpha) is float
-    assert cfg.spec.partition.seed == cfg.seed == 0
+    assert cfg.spec.partition.seed == cfg.spec.train.seed == 0
     assert cfg.plan.evaluate_each_round is True
 
 
@@ -222,6 +222,87 @@ def test_dataset_size_bound_is_inclusive():
     doc["workload"]["num_features"] = 11
     with pytest.raises(ConfigError, match="^workload.samples_per_class: "):
         parse_config(doc)
+
+
+def sized_doc(num_clients=3, num_rounds=2, **workload):
+    """small_doc with `num_clients` sites, `num_rounds` rounds and the given workload fields."""
+    doc = small_doc(num_rounds=num_rounds, workload=dict(small_doc()["workload"], **workload))
+    doc["partition"]["num_clients"] = num_clients
+    doc["sites"] = [dict(doc["sites"][0], site_id=f"site-{i + 1}") for i in range(num_clients)]
+    return doc
+
+
+LOCKSTEP_RULE = (
+    "partition.num_clients: num_clients x num_classes x (num_features + 1 + min(batch_size, num_classes x "
+    "samples_per_class)) must be <= 100000000"
+)
+# (a config exactly at a size rule's bound, a field and the value that takes
+# it one past the bound, the error)
+SIZE_RULES = [
+    (sized_doc(num_classes=1000, samples_per_class=1, num_features=1), "workload.num_classes", 1001,
+     "workload.num_classes: must be <= 1000"),
+    # 4 x 10 x (2_499_969 + 1 + min(30, 40)) = 10^8
+    (sized_doc(num_clients=4, num_classes=10, samples_per_class=4, num_features=2_499_969), "workload.num_features",
+     2_499_970, LOCKSTEP_RULE),
+    (sized_doc(num_clients=50, num_rounds=5000), "num_rounds", 5001,
+     "num_rounds: partition.num_clients x num_rounds must be <= 250000"),
+]
+
+
+@pytest.mark.parametrize("doc, path, past, message", SIZE_RULES)
+def test_size_rule_is_inclusive_and_fails_before_anything_is_built(tmp_path, monkeypatch, doc, path, past, message):
+    parse_config(doc)
+    for name in ("build_dataset", "build_shards"):
+        monkeypatch.setattr(f"greenfl.runner.{name}", lambda spec: pytest.fail("built before the size rule"))
+    assert run(tmp_path, set_path(copy.deepcopy(doc), path, past)) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def first_size_error(spc, classes, features, batch, clients, rounds):
+    """The path `parse_config` reports for these sizes, checking its rules in
+    order, or None when every product is within its bound."""
+    if spc * classes * features > 10**8:
+        return "workload.samples_per_class"
+    if classes > 1000:
+        return "workload.num_classes"
+    if clients * classes * (features + 1 + min(batch, classes * spc)) > 10**8:
+        return "partition.num_clients"
+    if clients * rounds > 250_000:
+        return "num_rounds"
+    return None
+
+
+def log_uniform(hi):
+    """Ints from 1 to `hi`, their logarithm drawn uniformly on a grid of 1000 steps."""
+    return st.integers(0, 1000).map(lambda i: round(hi ** (i / 1000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spc=log_uniform(10**7),
+    classes=log_uniform(10**4),
+    features=log_uniform(10**7),
+    batch=log_uniform(10**5),
+    clients=log_uniform(1000),
+    rounds=log_uniform(10_000),
+)
+@example(spc=1, classes=1000, features=1, batch=1, clients=1, rounds=1)  # the class bound, exactly
+@example(spc=1, classes=1001, features=1, batch=1, clients=1, rounds=1)
+@example(spc=1, classes=1000, features=99_899, batch=100, clients=1, rounds=1)  # the lockstep bound, exactly
+@example(spc=1, classes=1000, features=99_900, batch=100, clients=1, rounds=1)
+@example(spc=1, classes=1, features=1, batch=1, clients=25, rounds=10_000)  # the ledger bound, exactly
+@example(spc=1, classes=1, features=1, batch=1, clients=26, rounds=10_000)
+def test_size_rules_accept_exactly_the_configs_within_every_bound(spc, classes, features, batch, clients, rounds):
+    doc = sized_doc(
+        clients, rounds, samples_per_class=spc, num_classes=classes, num_features=features, batch_size=batch
+    )
+    want = first_size_error(spc, classes, features, batch, clients, rounds)
+    if want is None:
+        parse_config(doc)
+        return
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.field_path == want, str(exc.value)
 
 
 @pytest.fixture

@@ -376,9 +376,8 @@ def gather(gather_bytes):
 def assert_matches_reference(sizes, cfg, seed):
     dataset, shards, seeds, params = random_clients(sizes, seed, np.float64)
 
-    trained, steps = train_clients(params, dataset, shards, cfg, seeds)
+    trained = train_clients(params, dataset, shards, cfg, seeds)
 
-    assert steps == [steps_per_round(n, cfg) for n in sizes]
     for shard, client_seed, got in zip(shards, seeds, trained):
         client_cfg = TrainConfig(cfg.local_epochs, cfg.batch_size, cfg.learning_rate, client_seed)
         client_data = SyntheticDataset.of(dataset.features[shard], dataset.labels[shard], dataset.num_classes)
@@ -415,9 +414,9 @@ def test_lockstep_grouping_does_not_change_bits(dtype, case):
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
     for work, chunk in itertools.product(LAYOUTS, GATHERS):
         with layout(work), gather(chunk):
-            together, _ = train_clients(params, dataset, shards, cfg, seeds)
+            together = train_clients(params, dataset, shards, cfg, seeds)
             for shard, client_seed, got in zip(shards, seeds, together):
-                (alone,), _ = train_clients(params, dataset, [shard], cfg, [client_seed])
+                (alone,) = train_clients(params, dataset, [shard], cfg, [client_seed])
                 assert np.array_equal(got.weights, alone.weights)
                 assert np.array_equal(got.bias, alone.bias)
 
@@ -442,10 +441,9 @@ def test_threaded_groups_match_one_group(dtype, case, cores):
     for work, chunk in itertools.product(LAYOUTS, GATHERS):
         with layout(work), gather(chunk):
             with groups_on(1):
-                want, want_steps = train_clients(params, dataset, shards, cfg, seeds)
+                want = train_clients(params, dataset, shards, cfg, seeds)
             with groups_on(cores):
-                got, got_steps = train_clients(params, dataset, shards, cfg, seeds)
-        assert got_steps == want_steps
+                got = train_clients(params, dataset, shards, cfg, seeds)
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g.weights, w.weights)
             assert np.array_equal(g.bias, w.bias)
@@ -469,13 +467,13 @@ def test_lockstep_takes_each_group_largest_shard_first(cores):
 
     with groups_on(cores), pytest.MonkeyPatch.context() as mp:
         mp.setattr(workload, "_lockstep", spy)
-        got, _ = train_clients(params, dataset, shards, cfg, seeds)
+        got = train_clients(params, dataset, shards, cfg, seeds)
     assert len(received) == cores
     assert all(lengths == sorted(lengths, reverse=True) for lengths in received), received
     with groups_on(1):
-        want, _ = train_clients(params, dataset, shards, cfg, seeds)
+        want = train_clients(params, dataset, shards, cfg, seeds)
     for shard, seed, g, w in zip(shards, seeds, got, want, strict=True):
-        (alone,), _ = train_clients(params, dataset, [shard], cfg, [seed])
+        (alone,) = train_clients(params, dataset, [shard], cfg, [seed])
         for trained in (g, w):
             assert np.array_equal(trained.weights, alone.weights)
             assert np.array_equal(trained.bias, alone.bias)
@@ -495,7 +493,7 @@ def test_divergence_in_a_worker_thread_is_raised():
         assert _client_groups([5, 55], 7 * 4 * 3, 2) == [[1], [0]]
         with pytest.raises(Diverged, match="model parameters must be finite"):
             train_clients(params, data, shards, cfg, [0, 1])
-    (alone,), _ = train_clients(params, data, shards[1:], cfg, [1])
+    (alone,) = train_clients(params, data, shards[1:], cfg, [1])
     assert np.all(np.isfinite(alone.weights))
 
 
@@ -557,7 +555,7 @@ def test_theta_layout_is_chosen_from_one_clients_step_work(scenario, class_major
     rounds = []
     for work in LAYOUTS:
         with layout(work):
-            rounds.append(train_clients(params, dataset, shards, spec.train, seeds)[0])
+            rounds.append(train_clients(params, dataset, shards, spec.train, seeds))
     for a, b in zip(*rounds, strict=True):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
@@ -582,13 +580,13 @@ def test_train_clients_keeps_no_state_between_calls(dtype, other_dtype, case, ot
     # next call, here one of another shape and dtype
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
-    first, _ = train_clients(params, dataset, shards, cfg, seeds)
+    first = train_clients(params, dataset, shards, cfg, seeds)
     other_sizes, other_cfg, other_seed = other
     other_dataset, other_shards, other_seeds, other_params = random_clients(
         other_sizes, other_seed, other_dtype, *other_shape
     )
     train_clients(other_params, other_dataset, other_shards, other_cfg, other_seeds)
-    again, _ = train_clients(params, dataset, shards, cfg, seeds)
+    again = train_clients(params, dataset, shards, cfg, seeds)
     for got, want in zip(again, first):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.bias, want.bias)
@@ -698,7 +696,7 @@ def test_trained_params_are_contiguous_and_share_no_memory(dtype, cores):
     dataset, shards, seeds, params = random_clients([7, 12, 30, 3], 5, dtype)
     cfg = TrainConfig(local_epochs=2, batch_size=8, learning_rate=0.1)
     with groups_on(cores):
-        trained, _ = train_clients(params, dataset, shards, cfg, seeds)
+        trained = train_clients(params, dataset, shards, cfg, seeds)
     arrays = [array for client in trained for array in (client.weights, client.bias)]
     assert all(array.flags.c_contiguous for array in arrays)
     for i, array in enumerate(arrays):
@@ -738,7 +736,7 @@ def test_params_keep_the_dataset_dtype(dtype):
     cfg = TrainConfig(local_epochs=2, batch_size=16, learning_rate=0.3)
     # float64 params are cast to the data's dtype, as criterion 6 passes them
     for start in (ModelParams.zeros(3, 8, dtype), ModelParams.zeros(3, 8)):
-        trained, _ = train_clients(start, data, shards, cfg, [1, 2])
+        trained = train_clients(start, data, shards, cfg, [1, 2])
         for params in trained:
             assert (params.weights.dtype, params.bias.dtype) == (dtype, dtype)
     merged = fedavg_aggregate([(trained[0], 50), (trained[1], np.int64(70))])
@@ -818,9 +816,8 @@ def test_float32_stepper_tracks_float64_reference(case):
 
     for work in LAYOUTS:
         with layout(work):
-            trained, steps = train_clients(params, dataset, shards, cfg, seeds)
+            trained = train_clients(params, dataset, shards, cfg, seeds)
 
-        assert steps == [steps_per_round(n, cfg) for n in sizes]
         for got, want in zip(trained, wants):
             assert got.weights.dtype == np.float32
             scale = max(1.0, np.abs(want.weights).max(), np.abs(want.bias).max())
