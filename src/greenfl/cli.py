@@ -73,9 +73,7 @@ def cmd_run(args) -> int:
     trajectory = train_trajectory(cfg.spec)
     report = dataclasses.replace(report, accuracy_by_round=list(trajectory.accuracy_by_round))
     write_artifacts(args.out, cfg, records, report)
-    print(
-        f"{cfg.scenario}: {len(cfg.plan.sites)} sites x {cfg.plan.num_rounds} rounds -> {args.out}"
-    )
+    print(f"{cfg.scenario}: {len(cfg.sites)} sites x {cfg.spec.num_rounds} rounds -> {args.out}")
     print(
         f"  total {report.total_co2e_kg:.6g} kg CO2e, {report.total_energy_kwh:.6g} kWh, "
         f"runtime {report.runtime_min:.4g} min, final accuracy "

@@ -8,8 +8,8 @@ simulation starts: unknown keys are rejected, types are strict, floats
 must be finite, and every error carries a dotted field path so the CLI can
 point at the offending entry.  The rules between fields (the size
 products, the class count, site count, site references, unique site ids)
-follow the table as a few explicit checks; `RunPlan` checks none of them
-again.
+follow the table as a few explicit checks, and the `RunConfig` they build
+is the one record of a parsed run, which nothing checks again.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .comm import CommEnergyModel
 from .errors import ConfigError
-from .orchestrator import RunPlan
 from .partition import LabeledDatasetDescriptor, PartitionConfig, dirichlet_partition
 from .sites import (
     BUILTIN_HARDWARE,
@@ -42,10 +41,11 @@ from .workload import SyntheticDataset, TrainConfig, blob_labels, make_blobs
 REQUIRED = object()  # the default of a field that has none
 # samples_per_class x num_classes x num_features of the largest dataset:
 # its float32 features take 400 MB, plus one column of ones.  It also bounds
-# the lockstep SGD's per-step state, θ, its gradient and the logits
+# the lockstep SGD's per-step state, θ, its gradient and the logits, and
+# (in `runner.plan_run`, once the shard sizes are known) its epoch tables
+# and the gather of one step
 MAX_DATASET_VALUES = 10**8
-# `dirichlet_partition` scans every label once per class, and `make_blobs`
-# compares every pair of class means over all features
+# `make_blobs` compares every pair of class means over all features
 MAX_CLASSES = 1000
 # partition.num_clients x num_rounds: the ledger holds clients x (1 + 3 x
 # rounds) rows, about 530 bytes each with their CSV line, so at this bound
@@ -150,8 +150,9 @@ class TrajectorySpec:
 
     Tiers, hardware, regions, the comm model and evaluation spans only
     change the ledger, so they are not here.  The dataset seed is
-    `train.seed`.  The ledger takes from it only the shard sizes
-    (`build_shards`) and the model's shape, never a trained value.
+    `train.seed`.  The ledger takes from it the round count, `train`'s
+    epochs, batch size and seed, the model's shape and the shard sizes
+    (`build_shards`), never a trained value.
     """
 
     workload: WorkloadConfig
@@ -162,13 +163,18 @@ class TrajectorySpec:
 
 @dataclass
 class RunConfig:
-    """A parsed run: its ledger plan, its trajectory spec and its source
-    document.  The top-level seed is `spec.train.seed`."""
+    """A parsed run: its scenario name (the run id), its sites in config
+    order, its trajectory spec, its comm model, whether every round ends in
+    an evaluation, and its source document.  The top-level seed is
+    `spec.train.seed`, the round count `spec.num_rounds`.  `parse_config`
+    has checked it: at least one round, one site per client, and unique
+    site ids."""
 
     scenario: str
-    plan: RunPlan
+    sites: list[SiteConfig]
     spec: TrajectorySpec
-    comm_attribution: str
+    comm_model: CommEnergyModel
+    evaluate_each_round: bool
     raw: dict = field(repr=False, default_factory=dict)
 
     def config_hash(self) -> str:
@@ -331,24 +337,19 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
         raise ConfigError("sites", "site_id values must be unique")
 
     seed = c["seed"]
-    spec = TrajectorySpec(
-        workload=WorkloadConfig(wl["num_classes"], wl["num_features"], wl["samples_per_class"], wl["separation"]),
-        train=TrainConfig(wl["local_epochs"], wl["batch_size"], wl["learning_rate"], seed),
-        partition=PartitionConfig(part["num_clients"], part["alpha"], seed if part["seed"] is None else part["seed"]),
-        num_rounds=c["num_rounds"],
-    )
-    plan = RunPlan(
-        num_rounds=spec.num_rounds,
-        sites=sites,
-        train_cfg=spec.train,
-        comm_model=CommEnergyModel(comm["net_intensity_kwh_per_gb"]),
-        evaluate_each_round=c["evaluate_each_round"],
-    )
     return RunConfig(
         scenario=c["scenario"],
-        plan=plan,
-        spec=spec,
-        comm_attribution=comm["attribution"],
+        sites=sites,
+        spec=TrajectorySpec(
+            workload=WorkloadConfig(wl["num_classes"], wl["num_features"], wl["samples_per_class"], wl["separation"]),
+            train=TrainConfig(wl["local_epochs"], wl["batch_size"], wl["learning_rate"], seed),
+            partition=PartitionConfig(
+                part["num_clients"], part["alpha"], seed if part["seed"] is None else part["seed"]
+            ),
+            num_rounds=c["num_rounds"],
+        ),
+        comm_model=CommEnergyModel(comm["net_intensity_kwh_per_gb"]),
+        evaluate_each_round=c["evaluate_each_round"],
         raw=doc,
     )
 

@@ -7,18 +7,16 @@ finishes, everyone then evaluates, and the next barrier is the end of the
 slowest evaluation.  Timing never feeds back into learning: efficiency
 tiers and hardware profiles change the ledger, never the model.  So the
 two are separate functions: `run_job` trains, and `build_ledger` derives
-the run's ledger in closed form from the plan and the client shard sizes:
+the run's ledger in closed form from the parsed run and its shard sizes:
 one `RoundRecord` row per span of one site in one phase, each drawing its
 phase's constant power for its duration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .comm import CommEnergyModel
+from .config import RunConfig
 from .errors import Diverged, EmptyUpdateSet, ShapeMismatch
 from .reporting import RoundRecord
 from .sites import EVALUATE, IDLE, INIT, ROUND, SiteConfig, effective_power, effective_train_duration
@@ -31,19 +29,8 @@ from .workload import (
     evaluate,
     steps_per_round,
     train_clients,
+    update_payload_bytes,
 )
-
-
-@dataclass(frozen=True)
-class RunPlan:
-    """What `build_ledger` reads of a run, as `config.parse_config` checked it:
-    at least one round, at least one site, and unique site ids."""
-
-    num_rounds: int
-    sites: list[SiteConfig]
-    train_cfg: TrainConfig
-    comm_model: CommEnergyModel
-    evaluate_each_round: bool = True
 
 
 def fedavg_aggregate(updates: list[tuple[ModelParams, int]]) -> ModelParams:
@@ -106,17 +93,20 @@ def run_job(
     return accuracy_by_round, params
 
 
-def build_ledger(
-    plan: RunPlan, shard_sizes: list[int], run_id: str, seed: int, payload_bytes: int
-) -> list[RoundRecord]:
+def build_ledger(cfg: RunConfig, shard_sizes: list[int]) -> list[RoundRecord]:
     """The run's schema rows, one per span, sorted by (start_s, site_id, phase).
 
-    Site i holds `shard_sizes[i]` samples; its step counts follow from
-    `steps_per_round`.  Every round row carries the `payload_bytes` of one
-    client update.  A span's energy and CO2e are plain floats, so a value
-    that overflows reaches its row, which rejects it as it is made (the init
-    rows first, then each round's round, idle and evaluate rows, in site order).
+    Site i of `cfg.sites` holds `shard_sizes[i]` samples; its step counts
+    follow from `steps_per_round`.  Of the trajectory spec the ledger reads
+    the round count, `train`'s epochs, batch size and seed, and the model's
+    shape, whose `update_payload_bytes` every round row carries; nothing
+    else.  Each row's run id is `cfg.scenario`.  A span's energy and CO2e
+    are plain floats, so a value that overflows reaches its row, which
+    rejects it as it is made (the init rows first, then each round's round,
+    idle and evaluate rows, in site order).
     """
+    train, workload = cfg.spec.train, cfg.spec.workload
+    payload_bytes = update_payload_bytes(workload.num_classes, workload.num_features)
     rows = []
 
     def add_span(site: SiteConfig, phase: str, round_index: int, start: float, end: float, energy: float | None = None):
@@ -127,7 +117,7 @@ def build_ledger(
             energy = energy_of(effective_power(site.hardware, site.tier, phase).total, duration)
         ci = site.region.ci_kg_per_kwh
         rows.append(RoundRecord(
-            run_id=run_id,
+            run_id=cfg.scenario,
             site_id=site.site_id,
             round_index=round_index,
             phase=phase,
@@ -140,15 +130,15 @@ def build_ledger(
             hardware_name=site.hardware.name,
             tier_label=site.tier.label,
             payload_bytes=payload_bytes if phase == ROUND else None,
-            net_intensity_kwh_per_gb=plan.comm_model.net_intensity_kwh_per_gb,
-            seed=seed,
+            net_intensity_kwh_per_gb=cfg.comm_model.net_intensity_kwh_per_gb,
+            seed=train.seed,
         ))
 
     # one-time init at training power, lasting as long as it takes that power
     # to draw the startup spike; with zero training power the spike is a lump
     # on a zero-length span
     init_end = 0.0
-    for site in plan.sites:
+    for site in cfg.sites:
         power = effective_power(site.hardware, site.tier, INIT).total
         spike = site.hardware.init_spike_energy.value
         if power > 0:
@@ -160,23 +150,23 @@ def build_ledger(
         init_end = max(init_end, end)
 
     barrier = init_end
-    for round_index in range(1, plan.num_rounds + 1):
+    for round_index in range(1, cfg.spec.num_rounds + 1):
         train_ends = []
-        for site, n in zip(plan.sites, shard_sizes, strict=True):
-            duration = effective_train_duration(site.hardware, site.tier, steps_per_round(n, plan.train_cfg))
+        for site, n in zip(cfg.sites, shard_sizes, strict=True):
+            duration = effective_train_duration(site.hardware, site.tier, steps_per_round(n, train))
             train_ends.append(barrier + duration)
             add_span(site, ROUND, round_index, barrier, train_ends[-1])
 
         # stragglers' peers idle until the slowest site finishes; that site gets
         # a zero-length idle span so every site has one per round
         train_end = max(train_ends)
-        for site, end in zip(plan.sites, train_ends):
+        for site, end in zip(cfg.sites, train_ends):
             add_span(site, IDLE, round_index, end, train_end)
 
         barrier = train_end
-        if plan.evaluate_each_round:
-            for site, n in zip(plan.sites, shard_sizes):
-                eval_steps = batches(n, plan.train_cfg.batch_size)  # one forward pass
+        if cfg.evaluate_each_round:
+            for site, n in zip(cfg.sites, shard_sizes):
+                eval_steps = batches(n, train.batch_size)  # one forward pass
                 duration = effective_train_duration(site.hardware, site.tier, eval_steps)
                 add_span(site, EVALUATE, round_index, train_end, train_end + duration)
                 barrier = max(barrier, train_end + duration)

@@ -6,8 +6,12 @@ order) a Dirichlet proportion vector over clients is sampled as normalized
 independent Gamma(alpha, 1) draws, that class's sample indices (ascending)
 are split into contiguous blocks sized by largest-remainder rounding of
 the proportions, and block b goes to client b.  Each client's index list
-is finally sorted ascending.  Fixing (labels, num_clients, alpha, seed)
-fixes the output bit-for-bit.
+is ascending.  Fixing (labels, num_clients, alpha, seed) fixes the output
+bit-for-bit.
+
+The split reads the labels in two stable sorts, whatever the class count:
+one by label writes each sample's owner, and one by owner lists each
+client's indices.
 """
 
 from __future__ import annotations
@@ -91,9 +95,9 @@ def dirichlet_partition(dataset: LabeledDatasetDescriptor, cfg: PartitionConfig)
         raise ValueError("more clients than samples")
 
     rng = np.random.default_rng(cfg.seed)
-    per_client: list[list[np.ndarray]] = [[] for _ in range(cfg.num_clients)]
-    for cls in range(dataset.num_classes):
-        cls_indices = np.flatnonzero(dataset.labels == cls)
+    # counts[cls, client]: how many of class cls's samples go to client
+    counts = np.empty((dataset.num_classes, cfg.num_clients), dtype=np.int64)
+    for cls, size in enumerate(np.bincount(dataset.labels, minlength=dataset.num_classes)):
         gammas = rng.gamma(cfg.alpha, 1.0, size=cfg.num_clients)
         with np.errstate(over="ignore"):
             total = gammas.sum()
@@ -102,17 +106,16 @@ def dirichlet_partition(dataset: LabeledDatasetDescriptor, cfg: PartitionConfig)
             proportions = gammas / total
         else:
             proportions = np.full(cfg.num_clients, 1.0 / cfg.num_clients)
-        counts = largest_remainder_counts(proportions, len(cls_indices))
-        offset = 0
-        for client, count in enumerate(counts):
-            per_client[client].append(cls_indices[offset : offset + count])
-            offset += count
+        counts[cls] = largest_remainder_counts(proportions, int(size))
 
-    partitions = []
-    for client in range(cfg.num_clients):
-        indices = np.sort(np.concatenate(per_client[client])) if per_client[client] else np.empty(0, dtype=np.int64)
-        partitions.append(ClientPartition(client_id=client, sample_indices=indices.astype(np.int64)))
-    return partitions
+    # the samples in (class, index) order take their owners block by block;
+    # a stable sort by owner then lists each client's samples in index order
+    owner = np.empty(dataset.num_samples, dtype=np.int32)
+    clients = np.tile(np.arange(cfg.num_clients, dtype=np.int32), dataset.num_classes)
+    owner[np.argsort(dataset.labels, kind="stable")] = np.repeat(clients, counts.ravel())
+    by_owner = np.argsort(owner, kind="stable").astype(np.int64, copy=False)
+    shards = np.split(by_owner, np.cumsum(counts.sum(axis=0))[:-1])
+    return [ClientPartition(client_id=client, sample_indices=shard) for client, shard in enumerate(shards)]
 
 
 def validate_partition(dataset: LabeledDatasetDescriptor, partitions: list[ClientPartition]) -> PartitionReport:

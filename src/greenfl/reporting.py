@@ -223,8 +223,6 @@ def summarize_run(records: list[RoundRecord]) -> RunReport:
     for record in records:
         num_rounds = max(num_rounds, record.round_index)
         ce = record_comm_energy(record)
-        if ce == math.inf:  # its CO2e would be NaN on a zero-intensity grid
-            raise NonFiniteTotal("comm_energy_kwh", ce)
         cc = emissions_of(ce, record.ci_kg_per_kwh)
         run.add(record, ce, cc)
         per_site.setdefault(record.site_id, SiteTotals()).add(record, ce, cc)

@@ -3,8 +3,8 @@ scenario, train it, and write run artifacts (rounds.csv, run.json,
 summary.json) to an output directory.
 
 A run is a ledger plus a learning trajectory.  The ledger depends only on
-the plan, the client shard sizes and the update's shape, which all follow
-from the config, so `plan_run` builds it and its one checked report with no
+the parsed `RunConfig` and the client shard sizes, which follow from the
+config too, so `plan_run` builds it and its one checked report with no
 training: a span or total that overflows fails at the config path of its
 site.  The trajectory depends only on the `TrajectorySpec`, so it is trained
 once and reused in-process by every run that shares the spec, and a run
@@ -18,11 +18,11 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, TrajectorySpec, build_dataset, build_shards
+from .config import MAX_DATASET_VALUES, RunConfig, TrajectorySpec, build_dataset, build_shards
 from .errors import ConfigError, NonFiniteTotal, SchemaViolation
 from .orchestrator import build_ledger, run_job
 from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
-from .workload import ModelParams, update_payload_bytes
+from .workload import ModelParams, batches
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,28 @@ def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
     with no training.  A row that its type rejects is a ConfigError at
     `sites[<i>]`, where i is its site's index in the config, and a run total
     that overflows is one at `sites`.  An empty Dirichlet shard is a
-    ConfigError at `partition.alpha`, naming the first site that would get it."""
-    workload = cfg.spec.workload
+    ConfigError at `partition.alpha`, naming the first site that would get it.
+    The lockstep SGD's per-call state, its `[steps, clients, 1, lane]` epoch
+    tables and the gather of one step, must fit `MAX_DATASET_VALUES`, or it
+    is a ConfigError at `partition.num_clients`; `lane` is the batch size or
+    the largest shard, whichever is smaller."""
     sizes = [len(shard) for shard in build_shards(cfg.spec)]
     if 0 in sizes:
         i = sizes.index(0)
-        raise ConfigError("partition.alpha", f"sites[{i}] ({cfg.plan.sites[i].site_id}) gets an empty shard")
+        raise ConfigError("partition.alpha", f"sites[{i}] ({cfg.sites[i].site_id}) gets an empty shard")
+    largest = max(sizes)
+    lane = min(cfg.spec.train.batch_size, largest)
+    if len(sizes) * lane * (batches(largest, lane) + cfg.spec.workload.num_features + 1) > MAX_DATASET_VALUES:
+        raise ConfigError(
+            "partition.num_clients",
+            "num_clients x lane x (batches(largest shard, lane) + num_features + 1), lane = min(batch_size,"
+            f" largest shard), must be <= {MAX_DATASET_VALUES}; the largest shard holds {largest} samples",
+        )
     try:
-        payload = update_payload_bytes(workload.num_classes, workload.num_features)
-        records = build_ledger(cfg.plan, sizes, cfg.scenario, cfg.spec.train.seed, payload)
+        records = build_ledger(cfg, sizes)
     except SchemaViolation as exc:
         row = exc.record
-        i = [site.site_id for site in cfg.plan.sites].index(row.site_id)
+        i = [site.site_id for site in cfg.sites].index(row.site_id)
         raise ConfigError(f"sites[{i}]", f"{row.phase} span of round {row.round_index}: {exc}") from None
     try:
         return records, summarize_run(records)
@@ -78,19 +88,17 @@ def run_metadata(cfg: RunConfig) -> dict:
         "scenario": cfg.scenario,
         "seed": cfg.spec.train.seed,
         "config_sha256": cfg.config_hash(),
-        "comm_attribution": cfg.comm_attribution,
+        "comm_attribution": "client",  # the one attribution `parse_config` accepts
         "tiers": {
             s.site_id: {
                 "label": s.tier.label,
                 "slowdown_factor": s.tier.slowdown_factor,
                 "power_scale": s.tier.power_scale,
             }
-            for s in cfg.plan.sites
+            for s in cfg.sites
         },
-        "hardware": {
-            s.site_id: s.hardware.name for s in cfg.plan.sites
-        },
-        "regions": {s.site_id: s.region.code for s in cfg.plan.sites},
+        "hardware": {s.site_id: s.hardware.name for s in cfg.sites},
+        "regions": {s.site_id: s.region.code for s in cfg.sites},
         "config": cfg.raw,
     }
 

@@ -11,7 +11,9 @@ import pytest
 
 from greenfl.cli import main
 from greenfl.config import build_shards, bundled_config_path, load_json, parse_config
+from greenfl.errors import ConfigError
 from greenfl.reporting import RunReport, SiteTotals
+from greenfl.runner import plan_run
 
 from conftest import small_doc
 
@@ -685,6 +687,50 @@ def test_empty_dirichlet_shard_fails_at_alpha_before_training(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err == "error: partition.alpha: sites[1] (site-2) gets an empty shard\n"
     assert not out.exists()
+
+
+def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys, monkeypatch):
+    # 1 class of 500 samples over 100 sites passes every rule of parse_config,
+    # but its shards hold 4 to 6 samples, so the lockstep's one-step gather is
+    # 100 x 6 x (200,000 + 1) values and its epoch tables 100 x 6 x 1 more
+    monkeypatch.setattr("greenfl.runner.build_dataset", lambda spec: pytest.fail("built the dataset"))
+    doc = small_doc(
+        num_rounds=1,
+        workload=dict(
+            small_doc()["workload"], num_classes=1, samples_per_class=500, num_features=200_000, batch_size=10
+        ),
+        partition={"num_clients": 100, "alpha": 100.0, "seed": 0},
+        sites=[{"site_id": f"s{i}", "hardware": "h100_like", "tier": "high", "region": "USA"} for i in range(100)],
+    )
+    sizes = [len(shard) for shard in build_shards(parse_config(doc).spec)]
+    assert (min(sizes), max(sizes)) == (4, 6)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: partition.num_clients: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("num_features, plans", [(99_998, True), (99_999, False)])
+def test_lockstep_state_at_the_bound_plans(num_features, plans):
+    # one site holds all 1000 samples, one batch of 1000 lanes (the batch size
+    # is wider): 1 x 1000 x (1 + num_features + 1) values, 10^8 at 99,998 features
+    doc = small_doc(
+        num_rounds=1,
+        workload=dict(
+            small_doc()["workload"], num_classes=1, samples_per_class=1000, num_features=num_features, batch_size=5000
+        ),
+        partition={"num_clients": 1, "alpha": 1.0, "seed": 0},
+        sites=small_doc()["sites"][:1],
+    )
+    cfg = parse_config(doc)
+    if plans:
+        records, _ = plan_run(cfg)
+        assert len(records) == 4
+    else:
+        with pytest.raises(ConfigError, match="^partition.num_clients: "):
+            plan_run(cfg)
 
 
 @pytest.fixture

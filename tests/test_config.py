@@ -162,10 +162,10 @@ def test_section_defaults_and_int_floats():
     assert str(exc.value) == "partition.alpha: missing required field"
     doc["partition"]["alpha"] = 1
     cfg = parse_config(doc)
-    assert cfg.spec.workload.num_classes == 10 and cfg.plan.train_cfg.batch_size == 600
+    assert cfg.spec.workload.num_classes == 10 and cfg.spec.train.batch_size == 600
     assert type(cfg.spec.workload.separation) is float and type(cfg.spec.partition.alpha) is float
     assert cfg.spec.partition.seed == cfg.spec.train.seed == 0
-    assert cfg.plan.evaluate_each_round is True
+    assert cfg.evaluate_each_round is True
 
 
 def test_float_field_rejects_int_beyond_float_range():

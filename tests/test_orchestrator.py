@@ -69,8 +69,8 @@ def round_rows(records):
 
 def test_round_structure_and_idle_barrier(small_cfg):
     records, _ = execute_run(small_cfg)
-    num_rounds = small_cfg.plan.num_rounds
-    site_ids = [site.site_id for site in small_cfg.plan.sites]
+    num_rounds = small_cfg.spec.num_rounds
+    site_ids = [site.site_id for site in small_cfg.sites]
     for site_id in site_ids:
         phases = rows_by_phase(records, site_id)
         assert len(phases[INIT]) == 1

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfl.errors import EmptyDataset, InvalidAlpha
 from greenfl.partition import (
@@ -60,6 +62,51 @@ def class_counts(dataset, partitions):
         for cls in range(dataset.num_classes):
             counts[part.client_id, cls] = int(np.sum(dataset.labels[part.sample_indices] == cls))
     return counts
+
+
+def reference_partition(dataset, cfg):
+    """The documented procedure spelled out with a mask per class and a list
+    per client: each class's ascending indices are cut into blocks, block b
+    goes to client b, and each client's blocks are concatenated and sorted."""
+    rng = np.random.default_rng(cfg.seed)
+    per_client = [[] for _ in range(cfg.num_clients)]
+    for cls in range(dataset.num_classes):
+        cls_indices = np.flatnonzero(dataset.labels == cls)
+        gammas = rng.gamma(cfg.alpha, 1.0, size=cfg.num_clients)
+        with np.errstate(over="ignore"):
+            total = gammas.sum()
+        if 0 < total < np.inf:
+            proportions = gammas / total
+        else:
+            proportions = np.full(cfg.num_clients, 1.0 / cfg.num_clients)
+        offset = 0
+        for client, count in enumerate(largest_remainder_counts(proportions, len(cls_indices))):
+            per_client[client].append(cls_indices[offset : offset + count])
+            offset += count
+    return [np.sort(np.concatenate(blocks)).astype(np.int64) for blocks in per_client]
+
+
+@st.composite
+def labelled_splits(draw):
+    num_classes = draw(st.integers(1, 12))
+    # unsorted labels, and classes that no sample has
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=1, max_size=300))
+    num_clients = draw(st.integers(1, len(labels)))
+    alpha = 10.0 ** draw(st.floats(-3, 300))
+    dataset = LabeledDatasetDescriptor(len(labels), num_classes, np.array(labels))
+    return dataset, PartitionConfig(num_clients, alpha, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_splits())
+def test_split_equals_the_per_class_reference(drawn):
+    dataset, cfg = drawn
+    parts = dirichlet_partition(dataset, cfg)
+    expected = reference_partition(dataset, cfg)
+    assert [part.client_id for part in parts] == list(range(cfg.num_clients))
+    for part, indices in zip(parts, expected, strict=True):
+        assert part.sample_indices.dtype == np.int64
+        assert np.array_equal(part.sample_indices, indices)
 
 
 def test_single_client_gets_everything_in_order():

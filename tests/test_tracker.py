@@ -1,5 +1,5 @@
-"""The ledger: the rows `orchestrator.build_ledger` computes from a plan,
-one per span of one site in one phase."""
+"""The ledger: the rows `orchestrator.build_ledger` computes from a parsed
+run and its shard sizes, one per span of one site in one phase."""
 
 import dataclasses
 import math
@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenfl.comm import CommEnergyModel
-from greenfl.config import parse_config
+from greenfl.config import RunConfig, TrajectorySpec, WorkloadConfig, parse_config
 from greenfl.errors import SchemaViolation
-from greenfl.orchestrator import RunPlan, build_ledger
+from greenfl.orchestrator import build_ledger
+from greenfl.partition import PartitionConfig
 from greenfl.reporting import summarize_run, validate_record
 from greenfl.sites import (
     EVALUATE,
@@ -33,8 +34,8 @@ from conftest import small_doc
 
 
 def ledger_of(run, shard_sizes):
-    """The run's rows, every round row carrying a 3640-byte update."""
-    return build_ledger(run, shard_sizes, "r", 0, 3640)
+    """The run's rows."""
+    return build_ledger(run, shard_sizes)
 
 
 def site(site_id, train_w=90.0, idle_w=30.0, spike_kwh=1e-6, throughput=10.0):
@@ -49,13 +50,14 @@ def site(site_id, train_w=90.0, idle_w=30.0, spike_kwh=1e-6, throughput=10.0):
 
 
 def plan(sites, num_rounds=2, evaluate_each_round=True, local_epochs=1, batch_size=10):
-    return RunPlan(
+    """Run "r" at seed 0, whose 10 x 90 model sends a 3640-byte update each round."""
+    spec = TrajectorySpec(
+        workload=WorkloadConfig(num_classes=10, num_features=90, samples_per_class=1, separation=5.0),
+        train=TrainConfig(local_epochs=local_epochs, batch_size=batch_size),
+        partition=PartitionConfig(len(sites), 1.0, 0),
         num_rounds=num_rounds,
-        sites=sites,
-        train_cfg=TrainConfig(local_epochs=local_epochs, batch_size=batch_size),
-        comm_model=CommEnergyModel(0.006),
-        evaluate_each_round=evaluate_each_round,
     )
+    return RunConfig("r", sites, spec, CommEnergyModel(0.006), evaluate_each_round)
 
 
 def spans_of(spans, site_id):
@@ -150,7 +152,7 @@ def test_run_totals_empty_ledger_is_zero():
         partition={"num_clients": 1, "alpha": 1.0, "seed": 0},
         workload=dict(small_doc()["workload"], local_epochs=0),
     ))
-    report = summarize_run(ledger_of(cfg.plan, [50]))
+    report = summarize_run(ledger_of(cfg, [50]))
     totals = report.per_site["a"]
     assert (totals.energy_kwh, totals.co2e_kg, totals.busy_s) == (0.0, 0.0, 0.0)
 
@@ -172,9 +174,9 @@ def test_run_totals_equals_brute_force_fold(rng):
         sites=[{"site_id": f"s{i}", "hardware": f"hw{i}", "tier": "high", "region": "USA"} for i in range(6)],
     )
     cfg = parse_config(doc)
-    spans = ledger_of(cfg.plan, [int(n) for n in rng.integers(1, 500, size=6)])
+    spans = ledger_of(cfg, [int(n) for n in rng.integers(1, 500, size=6)])
     report = summarize_run(spans)
-    for site_cfg in cfg.plan.sites:
+    for site_cfg in cfg.sites:
         ledger = spans_of(spans, site_cfg.site_id)
         assert len(ledger) == 31
         totals = report.per_site[site_cfg.site_id]
@@ -232,7 +234,7 @@ def ledgers(draw):
 def test_build_ledger_properties(drawn):
     run, shard_sizes = drawn
     spans = ledger_of(run, shard_sizes)
-    rounds = range(1, run.num_rounds + 1)
+    rounds = range(1, run.spec.num_rounds + 1)
     # every row is a valid schema row, and the rows are in (start_s, site_id, phase) order
     for span in spans:
         validate_record(span)

@@ -2,6 +2,7 @@
 that shape learning, and the ledger needs none of what training computes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from greenfl.cli import main
 from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config, parse_config
 from greenfl.errors import EmptyClientData
+from greenfl.orchestrator import build_ledger
 from greenfl.partition import LabeledDatasetDescriptor, dirichlet_partition
 from greenfl.reporting import summarize_run, write_round_log
 from greenfl.runner import execute_run, plan_run, train_trajectory
@@ -153,7 +155,7 @@ def test_round_rows_carry_the_size_of_the_trained_update(doc):
     records, trajectory = execute_run(cfg)
     params = trajectory.final_params
     rounds = [record for record in records if record.phase == ROUND]
-    assert len(rounds) == cfg.plan.num_rounds * len(cfg.plan.sites)
+    assert len(rounds) == cfg.spec.num_rounds * len(cfg.sites)
     assert all(record.payload_bytes == (params.weights.size + params.bias.size) * 4 for record in rounds)
 
 
@@ -217,6 +219,7 @@ def test_plan_run_is_the_run_without_training(scenario, tmp_path, monkeypatch):
     assert len(calls) == 1  # the run totals its ledger once
 
     monkeypatch.setattr("greenfl.runner.train_trajectory", lambda spec: pytest.fail("plan_run trained"))
+    monkeypatch.setattr("greenfl.runner.build_dataset", lambda spec: pytest.fail("plan_run built the dataset"))
     records, report = plan_run(load_config(bundled_config_path(scenario)))
     assert write_round_log(records).encode("utf-8") == (out / "rounds.csv").read_bytes()
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
@@ -224,3 +227,22 @@ def test_plan_run_is_the_run_without_training(scenario, tmp_path, monkeypatch):
     planned = report.to_dict()
     assert planned.pop("accuracy_by_round") is None
     assert planned == summary
+
+
+@pytest.mark.parametrize("scenario", BUNDLED)
+def test_ledger_reads_no_learning_knob(scenario):
+    # with the shard sizes fixed, a learning rate or a class separation moves
+    # only the trajectory, and the seed reaches the ledger only as each row's
+    # seed field
+    doc = json.loads(bundled_config_path(scenario).read_text(encoding="utf-8"))
+    cfg = parse_config(doc)
+    sizes = [len(shard) for shard in build_shards(cfg.spec)]
+    ledger = build_ledger(cfg, sizes)
+    for key in ("learning_rate", "separation"):
+        edited = parse_config({**doc, "workload": {**doc["workload"], key: 2 * doc["workload"][key]}})
+        assert edited.spec != cfg.spec
+        assert build_ledger(edited, sizes) == ledger
+    seed = doc["seed"] + 1
+    reseeded = build_ledger(parse_config({**doc, "seed": seed}), sizes)
+    assert all(row.seed != seed for row in ledger)
+    assert reseeded == [dataclasses.replace(row, seed=seed) for row in ledger]

@@ -562,10 +562,12 @@ def test_theta_layout_is_chosen_from_one_clients_step_work(scenario, class_major
 
 
 def test_cli_import_leaves_out_the_thread_pool():
+    # and the config parser sits below the engine: it loads no orchestrator
     src = os.path.dirname(os.path.dirname(workload.__file__))
-    code = "import sys, greenfl.cli; sys.exit('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    for module, unloaded in (("greenfl.cli", "concurrent.futures"), ("greenfl.config", "greenfl.orchestrator")):
+        code = f"import sys, {module}; sys.exit({unloaded!r} in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0, module
 
 
 # the other call's [classes, features] differ from random_clients' default [3, 5]
