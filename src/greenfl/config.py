@@ -40,13 +40,20 @@ from .workload import SyntheticDataset, TrainConfig, blob_labels, make_blobs
 
 REQUIRED = object()  # the default of a field that has none
 # samples_per_class x num_classes x num_features of the largest dataset:
-# its float32 features take 400 MB, plus one column of ones.  It also bounds
-# the lockstep SGD's per-step state, θ, its gradient and the logits, and
-# (in `runner.plan_run`, once the shard sizes are known) its epoch tables
-# and the gather of one step
+# its float32 features take 400 MB, plus one column of ones.  It also bounds,
+# in 4-byte values, the lockstep SGD's per-step state (θ, its gradient and
+# the trained copies, each [clients, classes, features + 1], and the logits)
+# and, in `runner.plan_run` once the shard sizes are known, its per-call
+# state (9 values per entry of its [steps, clients, 1, lane] tables and
+# the gather of one step)
 MAX_DATASET_VALUES = 10**8
-# `make_blobs` compares every pair of class means over all features
+# `make_blobs` compares the class means row by row, a Python loop over the
+# classes
 MAX_CLASSES = 1000
+# num_classes x (num_classes - 1) / 2 x num_features: `make_blobs` compares
+# every pair of class means over all features.  On a 2-core VM the worst
+# accepted cases took up to 2.4 s in that pass and about 6 s for the dataset
+MAX_CLASS_PAIR_VALUES = 3 * 10**8
 # partition.num_clients x num_rounds: the ledger holds clients x (1 + 3 x
 # rounds) rows, about 530 bytes each with their CSV line, so at this bound
 # it takes about the dataset's 400 MB
@@ -296,12 +303,17 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
         )
     if wl["num_classes"] > MAX_CLASSES:
         raise ConfigError("workload.num_classes", f"must be <= {MAX_CLASSES}")
+    if wl["num_classes"] * (wl["num_classes"] - 1) // 2 * wl["num_features"] > MAX_CLASS_PAIR_VALUES:
+        raise ConfigError(
+            "workload.num_features",
+            f"num_classes x (num_classes - 1) / 2 x num_features must be <= {MAX_CLASS_PAIR_VALUES}",
+        )
     # a lane is at most a batch and at most the whole dataset
     lane = min(wl["batch_size"], wl["num_classes"] * wl["samples_per_class"])
-    if part["num_clients"] * wl["num_classes"] * (wl["num_features"] + 1 + lane) > MAX_DATASET_VALUES:
+    if part["num_clients"] * wl["num_classes"] * (3 * (wl["num_features"] + 1) + lane) > MAX_DATASET_VALUES:
         raise ConfigError(
             "partition.num_clients",
-            "num_clients x num_classes x (num_features + 1 + min(batch_size, num_classes x samples_per_class))"
+            "num_clients x num_classes x (3 x (num_features + 1) + min(batch_size, num_classes x samples_per_class))"
             f" must be <= {MAX_DATASET_VALUES}",
         )
 

@@ -49,20 +49,23 @@ def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
     `sites[<i>]`, where i is its site's index in the config, and a run total
     that overflows is one at `sites`.  An empty Dirichlet shard is a
     ConfigError at `partition.alpha`, naming the first site that would get it.
-    The lockstep SGD's per-call state, its `[steps, clients, 1, lane]` epoch
-    tables and the gather of one step, must fit `MAX_DATASET_VALUES`, or it
-    is a ConfigError at `partition.num_clients`; `lane` is the batch size or
-    the largest shard, whichever is smaller."""
+    The lockstep SGD's per-call state must fit `MAX_DATASET_VALUES` 4-byte
+    values, or it is a ConfigError at `partition.num_clients`: each entry of
+    its `[steps, clients, 1, lane]` tables holds 9, one for the lane weight
+    (float32) and two each for the sample index, the true-class position,
+    the shuffle buffer and the epoch's label gather (intp), and the gather
+    of one step holds `clients x lane x (features + 1)`.  `lane` is the
+    batch size or the largest shard, whichever is smaller."""
     sizes = [len(shard) for shard in build_shards(cfg.spec)]
     if 0 in sizes:
         i = sizes.index(0)
         raise ConfigError("partition.alpha", f"sites[{i}] ({cfg.sites[i].site_id}) gets an empty shard")
     largest = max(sizes)
     lane = min(cfg.spec.train.batch_size, largest)
-    if len(sizes) * lane * (batches(largest, lane) + cfg.spec.workload.num_features + 1) > MAX_DATASET_VALUES:
+    if len(sizes) * lane * (9 * batches(largest, lane) + cfg.spec.workload.num_features + 1) > MAX_DATASET_VALUES:
         raise ConfigError(
             "partition.num_clients",
-            "num_clients x lane x (batches(largest shard, lane) + num_features + 1), lane = min(batch_size,"
+            "num_clients x lane x (9 x batches(largest shard, lane) + num_features + 1), lane = min(batch_size,"
             f" largest shard), must be <= {MAX_DATASET_VALUES}; the largest shard holds {largest} samples",
         )
     try:

@@ -277,16 +277,19 @@ def _lockstep(
     and one subtraction updates weights and bias, through θ's class-major
     view (contiguous or transposed).  The batches of consecutive steps of
     one active prefix are gathered by one `take`, up to `GATHER_BYTES` and
-    at least one step, into a buffer made once per call; each step's batch
-    and its transpose are views of it, made once per call.  The step's
-    buffers are made once per call and written with `out=`, so a step
-    allocates only the feature-major forward's result and the true-class
-    gather.  A batch's step is the learning rate times the mean gradient
-    over its real samples: every sample carries weight `lr / len(batch)`,
-    folded into the softmax normalisation, and the lanes that pad an epoch's
-    short last batch carry weight 0.  Everything runs in the dtype of
-    `dataset.design`.  Finiteness is checked once, when the trained params
-    are built after the last step.
+    at least one step, into a buffer made once per call.  Each chunk's
+    arrays, its index view, its gathered block and that block's transpose,
+    and its slices of the lane-weight and true-class tables, are made once
+    per call, and iterating them together yields each step's views, so the
+    call keeps nothing per step.  The step's buffers are made once per call
+    and written with `out=`, so a step allocates only the feature-major
+    forward's result and the true-class gather.  A batch's step is the
+    learning rate times the mean gradient over its real samples: every
+    sample carries weight `lr / len(batch)`, folded into the softmax
+    normalisation, and the lanes that pad an epoch's short last batch carry
+    weight 0.  Everything runs in the dtype of `dataset.design`.
+    Finiteness is checked once, when the trained params are built after the
+    last step.
     """
     sizes = [len(shard) for shard in shards]
     design = dataset.design
@@ -303,10 +306,9 @@ def _lockstep(
     scale = np.zeros((num_steps, num_clients, 1, batch), dtype)
     with np.errstate(over="ignore"):
         for row, (n, p) in enumerate(zip(sizes, per_epoch)):
-            lanes = np.zeros(p * batch)
-            lanes[:n] = lr / batch
-            lanes[(p - 1) * batch : n] = lr / (n - (p - 1) * batch)
-            scale[:p, row, 0] = lanes.reshape(p, batch)
+            lanes = scale[:p, row, 0]
+            lanes[:-1] = lr / batch
+            lanes[-1, : n - (p - 1) * batch] = lr / (n - (p - 1) * batch)
     # a lane's true-class probability is at flat position
     # `label * batch + offset` of a [client, class, lane] block
     offset = np.arange(batch) + (k * batch) * np.arange(num_clients)[:, None, None]
@@ -343,18 +345,17 @@ def _lockstep(
             chunk = max(1, GATHER_BYTES // (active * row_values * design.itemsize))
             runs.append((active, range(ends[active], ends[active - 1]), chunk))
     gathered = np.empty(max(active * min(chunk, len(steps)) for active, steps, chunk in runs) * row_values, dtype)
-    # each run of steps gets its views once, and they stay valid because the
-    # epoch tables are refilled in place
+    # each chunk gets its arrays once, and they stay valid because the epoch
+    # tables are refilled in place; iterating them yields each step's views
     prefixes = []
     for active, steps, chunk in runs:
         chunks = []
         for lo in steps[::chunk]:
             hi = min(lo + chunk, steps.stop)
             xs = gathered[: (hi - lo) * active * row_values].reshape(hi - lo, active, batch, num_features + 1)
-            rows = [
-                (x, x.transpose(0, 2, 1), scale[s, :active], target[s, :active]) for s, x in zip(range(lo, hi), xs)
-            ]
-            chunks.append((index[lo:hi, :active, 0], xs, rows))
+            chunks.append(
+                (index[lo:hi, :active, 0], xs, xs.transpose(0, 1, 3, 2), scale[lo:hi, :active], target[lo:hi, :active])
+            )
         t, probs = theta[:active], probs_all[:active]
         views = (t, t.transpose(0, 2, 1), probs, probs.reshape(-1))
         prefixes.append((chunks, *views, per_lane_all[:active], grad_all[:active]))
@@ -379,11 +380,11 @@ def _lockstep(
             target *= batch
             target += offset
             for chunks, t, t_fm, probs, flat, per_lane, grad in prefixes:
-                for idx, xs, rows in chunks:
+                for idx, xs, xs_t, lanes, targets in chunks:
                     # `clip` writes straight into `out=`; `train_clients`
                     # has checked every index
                     take(idx, axis=0, out=xs, mode="clip")
-                    for x, x_t, lane, tg in rows:
+                    for x, x_t, lane, tg in zip(xs, xs_t, lanes, targets):
                         if class_major:
                             matmul(t, x_t, out=probs)
                         else:

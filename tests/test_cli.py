@@ -692,7 +692,7 @@ def test_empty_dirichlet_shard_fails_at_alpha_before_training(tmp_path, capsys, 
 def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys, monkeypatch):
     # 1 class of 500 samples over 100 sites passes every rule of parse_config,
     # but its shards hold 4 to 6 samples, so the lockstep's one-step gather is
-    # 100 x 6 x (200,000 + 1) values and its epoch tables 100 x 6 x 1 more
+    # 100 x 6 x (200,000 + 1) values and its epoch tables 100 x 6 x 9 more
     monkeypatch.setattr("greenfl.runner.build_dataset", lambda spec: pytest.fail("built the dataset"))
     doc = small_doc(
         num_rounds=1,
@@ -712,10 +712,10 @@ def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("num_features, plans", [(99_998, True), (99_999, False)])
+@pytest.mark.parametrize("num_features, plans", [(99_990, True), (99_991, False)])
 def test_lockstep_state_at_the_bound_plans(num_features, plans):
     # one site holds all 1000 samples, one batch of 1000 lanes (the batch size
-    # is wider): 1 x 1000 x (1 + num_features + 1) values, 10^8 at 99,998 features
+    # is wider): 1 x 1000 x (9 x 1 + num_features + 1) values, 10^8 at 99,990 features
     doc = small_doc(
         num_rounds=1,
         workload=dict(

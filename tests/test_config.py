@@ -233,7 +233,7 @@ def sized_doc(num_clients=3, num_rounds=2, **workload):
 
 
 LOCKSTEP_RULE = (
-    "partition.num_clients: num_clients x num_classes x (num_features + 1 + min(batch_size, num_classes x "
+    "partition.num_clients: num_clients x num_classes x (3 x (num_features + 1) + min(batch_size, num_classes x "
     "samples_per_class)) must be <= 100000000"
 )
 # (a config exactly at a size rule's bound, a field and the value that takes
@@ -241,11 +241,14 @@ LOCKSTEP_RULE = (
 SIZE_RULES = [
     (sized_doc(num_classes=1000, samples_per_class=1, num_features=1), "workload.num_classes", 1001,
      "workload.num_classes: must be <= 1000"),
-    # 4 x 10 x (2_499_969 + 1 + min(30, 40)) = 10^8
-    (sized_doc(num_clients=4, num_classes=10, samples_per_class=4, num_features=2_499_969), "workload.num_features",
-     2_499_970, LOCKSTEP_RULE),
+    # 4 x 10 x (3 x (833_323 + 1) + min(28, 40)) = 10^8
+    (sized_doc(num_clients=4, num_classes=10, samples_per_class=4, num_features=833_323, batch_size=28),
+     "workload.num_features", 833_324, LOCKSTEP_RULE),
     (sized_doc(num_clients=50, num_rounds=5000), "num_rounds", 5001,
      "num_rounds: partition.num_clients x num_rounds must be <= 250000"),
+    # 25 x 24 / 2 x 10^6 = 3 x 10^8
+    (sized_doc(num_clients=1, num_classes=25, samples_per_class=1, num_features=10**6), "workload.num_features",
+     10**6 + 1, "workload.num_features: num_classes x (num_classes - 1) / 2 x num_features must be <= 300000000"),
 ]
 
 
@@ -265,7 +268,9 @@ def first_size_error(spc, classes, features, batch, clients, rounds):
         return "workload.samples_per_class"
     if classes > 1000:
         return "workload.num_classes"
-    if clients * classes * (features + 1 + min(batch, classes * spc)) > 10**8:
+    if classes * (classes - 1) // 2 * features > 3 * 10**8:
+        return "workload.num_features"
+    if clients * classes * (3 * (features + 1) + min(batch, classes * spc)) > 10**8:
         return "partition.num_clients"
     if clients * rounds > 250_000:
         return "num_rounds"
@@ -288,8 +293,10 @@ def log_uniform(hi):
 )
 @example(spc=1, classes=1000, features=1, batch=1, clients=1, rounds=1)  # the class bound, exactly
 @example(spc=1, classes=1001, features=1, batch=1, clients=1, rounds=1)
-@example(spc=1, classes=1000, features=99_899, batch=100, clients=1, rounds=1)  # the lockstep bound, exactly
-@example(spc=1, classes=1000, features=99_900, batch=100, clients=1, rounds=1)
+@example(spc=1, classes=25, features=10**6, batch=1, clients=1, rounds=1)  # the class-pair bound, exactly
+@example(spc=1, classes=25, features=10**6 + 1, batch=1, clients=1, rounds=1)
+@example(spc=1, classes=10, features=3_333_332, batch=1, clients=1, rounds=1)  # the lockstep bound, exactly
+@example(spc=1, classes=10, features=3_333_333, batch=1, clients=1, rounds=1)
 @example(spc=1, classes=1, features=1, batch=1, clients=25, rounds=10_000)  # the ledger bound, exactly
 @example(spc=1, classes=1, features=1, batch=1, clients=26, rounds=10_000)
 def test_size_rules_accept_exactly_the_configs_within_every_bound(spc, classes, features, batch, clients, rounds):

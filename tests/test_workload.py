@@ -651,6 +651,47 @@ def test_gathered_batches_are_bounded(scenario):
     assert peaks[workload.GATHER_BYTES] - peaks[0] <= max(workload.GATHER_BYTES, step) - step, (peaks, step)
 
 
+@pytest.mark.parametrize(
+    "classes, features, samples, batch, epochs",
+    [
+        # 10^6 steps per epoch, within the rules only if a call keeps nothing per step
+        pytest.param(2, 1, 10**6, 1, 0, id="steps"),
+        pytest.param(2, 1, 10**6, 100, 1, id="per_call"),
+        pytest.param(1000, 4000, 2, 2, 1, id="per_step"),
+    ],
+)
+def test_lockstep_peak_is_within_the_size_rules(classes, features, samples, batch, epochs):
+    # one client, so one group; at `per_call` the epoch tables dominate, at
+    # `per_step` θ and the arrays of its shape
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((samples, features)).astype(np.float32)
+    dataset = SyntheticDataset.of(x, np.arange(samples) % classes, classes)
+    params = ModelParams.zeros(classes, features, np.float32)
+    shards = [np.arange(samples)]
+    cfg = TrainConfig(local_epochs=epochs, batch_size=batch)
+    tracemalloc.start()
+    try:
+        train_clients(params, dataset, shards, cfg, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 4-byte values each lockstep size rule counts, for one client.  Per
+    # step: θ, its gradient and the trained copies, each [classes, features
+    # + 1], and the logits, [classes, lane]
+    lane = min(batch, samples)
+    per_step = classes * (3 * (features + 1) + lane)
+    # per call: each entry of the [steps, 1, 1, lane] tables holds the lane
+    # weight (float32), and the sample index, the true-class position, the
+    # shuffle buffer and the epoch's label gather (intp, two values each);
+    # and the gather of one step
+    per_call = lane * (batches(samples, lane) * (1 + 2 + 2 + 2 + 2) + features + 1)
+    # the rule counts one step's gather, a chunk holds up to GATHER_BYTES;
+    # the finiteness check makes a bool copy of a client's weights; 1 MiB
+    # for Python objects
+    slack = workload.GATHER_BYTES + classes * features + (1 << 20)
+    assert peak <= 4 * (per_step + per_call) + slack, (peak, per_step, per_call)
+
+
 @pytest.mark.parametrize("past_end", [False, True])
 def test_shard_index_out_of_range_is_rejected_before_training(past_end):
     # the batches are gathered in `clip` mode: unchecked, -1 would train on
