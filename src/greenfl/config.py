@@ -7,9 +7,9 @@ A run is one JSON document.  It, a `--tiers` preset file, a
 simulation starts: unknown keys are rejected, types are strict, floats
 must be finite, and every error carries a dotted field path so the CLI can
 point at the offending entry.  The rules between fields (the size
-products, the class count, site count, site references, unique site ids)
-follow the table as a few explicit checks, and the `RunConfig` they build
-is the one record of a parsed run, which nothing checks again.
+products, site count, site references, unique site ids) follow the table
+as a few explicit checks, and the `RunConfig` they build is the one record
+of a parsed run, which nothing checks again.
 """
 
 from __future__ import annotations
@@ -41,15 +41,9 @@ from .workload import SyntheticDataset, TrainConfig, blob_labels, make_blobs
 REQUIRED = object()  # the default of a field that has none
 # samples_per_class x num_classes x num_features of the largest dataset:
 # its float32 features take 400 MB, plus one column of ones.  It also bounds,
-# in 4-byte values, the lockstep SGD's per-step state (θ, its gradient and
-# the trained copies, each [clients, classes, features + 1], and the logits)
-# and, in `runner.plan_run` once the shard sizes are known, its per-call
-# state (9 values per entry of its [steps, clients, 1, lane] tables and
-# the gather of one step)
+# in 4-byte values, `evaluate`'s [samples, classes] logits, and the one
+# lockstep rule, which `runner.plan_run` checks once the shard sizes are known
 MAX_DATASET_VALUES = 10**8
-# `make_blobs` compares the class means row by row, a Python loop over the
-# classes
-MAX_CLASSES = 1000
 # num_classes x (num_classes - 1) / 2 x num_features: `make_blobs` compares
 # every pair of class means over all features.  On a 2-core VM the worst
 # accepted cases took up to 2.4 s in that pass and about 6 s for the dataset
@@ -301,20 +295,15 @@ def parse_config(doc: dict, tier_overrides: dict[str, EfficiencyTier] | None = N
             "workload.samples_per_class",
             f"samples_per_class x num_classes x num_features must be <= {MAX_DATASET_VALUES}",
         )
-    if wl["num_classes"] > MAX_CLASSES:
-        raise ConfigError("workload.num_classes", f"must be <= {MAX_CLASSES}")
+    if wl["num_classes"] * wl["num_classes"] * wl["samples_per_class"] > MAX_DATASET_VALUES:
+        raise ConfigError(
+            "workload.num_classes",
+            f"num_classes x num_classes x samples_per_class must be <= {MAX_DATASET_VALUES}",
+        )
     if wl["num_classes"] * (wl["num_classes"] - 1) // 2 * wl["num_features"] > MAX_CLASS_PAIR_VALUES:
         raise ConfigError(
             "workload.num_features",
             f"num_classes x (num_classes - 1) / 2 x num_features must be <= {MAX_CLASS_PAIR_VALUES}",
-        )
-    # a lane is at most a batch and at most the whole dataset
-    lane = min(wl["batch_size"], wl["num_classes"] * wl["samples_per_class"])
-    if part["num_clients"] * wl["num_classes"] * (3 * (wl["num_features"] + 1) + lane) > MAX_DATASET_VALUES:
-        raise ConfigError(
-            "partition.num_clients",
-            "num_clients x num_classes x (3 x (num_features + 1) + min(batch_size, num_classes x samples_per_class))"
-            f" must be <= {MAX_DATASET_VALUES}",
         )
 
     hardware = dict(BUILTIN_HARDWARE)

@@ -314,6 +314,7 @@ def _lockstep(
     offset = np.arange(batch) + (k * batch) * np.arange(num_clients)[:, None, None]
     index = np.zeros((num_steps, num_clients, 1, batch), dtype=np.intp)
     target = np.empty_like(index)
+    labels = dataset.labels.astype(np.intp, copy=False)  # `take` into the intp `target` needs intp labels
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # each client's epoch order, its shard shuffled in place and padded
     shuffled = [np.empty(p * batch, np.intp) for p in per_epoch]
@@ -376,7 +377,9 @@ def _lockstep(
                 rng.shuffle(buf[:n])
                 buf[n:] = buf[n - 1]
                 index[: per_epoch[row], row, 0] = buf.reshape(-1, batch)
-            target[:] = dataset.labels[index]
+            # `clip` fills `target` in place, where the default `raise`
+            # would buffer the whole gather first
+            labels.take(index, out=target, mode="clip")
             target *= batch
             target += offset
             for chunks, t, t_fm, probs, flat, per_lane, grad in prefixes:

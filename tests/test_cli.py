@@ -692,7 +692,7 @@ def test_empty_dirichlet_shard_fails_at_alpha_before_training(tmp_path, capsys, 
 def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys, monkeypatch):
     # 1 class of 500 samples over 100 sites passes every rule of parse_config,
     # but its shards hold 4 to 6 samples, so the lockstep's one-step gather is
-    # 100 x 6 x (200,000 + 1) values and its epoch tables 100 x 6 x 9 more
+    # 100 x 6 x (200,000 + 1) values and its θ arrays 100 x 3 x (200,000 + 1)
     monkeypatch.setattr("greenfl.runner.build_dataset", lambda spec: pytest.fail("built the dataset"))
     doc = small_doc(
         num_rounds=1,
@@ -712,10 +712,11 @@ def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("num_features, plans", [(99_990, True), (99_991, False)])
+@pytest.mark.parametrize("num_features, plans", [(99_691, True), (99_692, False)])
 def test_lockstep_state_at_the_bound_plans(num_features, plans):
     # one site holds all 1000 samples, one batch of 1000 lanes (the batch size
-    # is wider): 1 x 1000 x (9 x 1 + num_features + 1) values, 10^8 at 99,990 features
+    # is wider): 1 x (1 x (3 x (num_features + 1) + 1000) + 1000 x (7 x 1 +
+    # num_features + 1)) values, 99,999,076 at 99,691 features
     doc = small_doc(
         num_rounds=1,
         workload=dict(
@@ -729,8 +730,28 @@ def test_lockstep_state_at_the_bound_plans(num_features, plans):
         records, _ = plan_run(cfg)
         assert len(records) == 4
     else:
-        with pytest.raises(ConfigError, match="^partition.num_clients: "):
+        with pytest.raises(ConfigError) as exc:
             plan_run(cfg)
+        assert str(exc.value) == (
+            "partition.num_clients: num_clients x (num_classes x (3 x (num_features + 1) + lane) + lane x"
+            " (7 x batches(largest shard, lane) + num_features + 1)), lane = min(batch_size, largest shard),"
+            " must be <= 100000000; the largest shard holds 1000 samples"
+        )
+
+
+def test_lockstep_rule_counts_the_real_lane():
+    # cifar_tiers_high over 200 sites in one full batch each: a lane as wide
+    # as the whole dataset would count 200 x 10 x (3 x 91 + 60,000) = 1.2 x
+    # 10^8 values for θ and the logits alone, but a lane is at most the
+    # largest shard
+    doc = load_json(bundled_config_path("cifar_tiers_high"), "config")
+    doc["workload"]["batch_size"] = 60_000
+    doc["partition"]["num_clients"] = 200
+    doc["sites"] = [dict(doc["sites"][0], site_id=f"site-{i}") for i in range(200)]
+    cfg = parse_config(doc)
+    assert max(len(shard) for shard in build_shards(cfg.spec)) == 636
+    records, _ = plan_run(cfg)
+    assert len(records) == 200 * (1 + 3 * cfg.spec.num_rounds)
 
 
 @pytest.fixture

@@ -232,23 +232,25 @@ def sized_doc(num_clients=3, num_rounds=2, **workload):
     return doc
 
 
-LOCKSTEP_RULE = (
-    "partition.num_clients: num_clients x num_classes x (3 x (num_features + 1) + min(batch_size, num_classes x "
-    "samples_per_class)) must be <= 100000000"
-)
+LOGITS_RULE = "workload.num_classes: num_classes x num_classes x samples_per_class must be <= 100000000"
 # (a config exactly at a size rule's bound, a field and the value that takes
 # it one past the bound, the error)
 SIZE_RULES = [
-    (sized_doc(num_classes=1000, samples_per_class=1, num_features=1), "workload.num_classes", 1001,
-     "workload.num_classes: must be <= 1000"),
-    # 4 x 10 x (3 x (833_323 + 1) + min(28, 40)) = 10^8
-    (sized_doc(num_clients=4, num_classes=10, samples_per_class=4, num_features=833_323, batch_size=28),
-     "workload.num_features", 833_324, LOCKSTEP_RULE),
+    # the logits rule caps the class count at 10^4
+    (sized_doc(num_classes=10**4, samples_per_class=1, num_features=1), "workload.num_classes", 10**4 + 1,
+     LOGITS_RULE),
+    # 5 x 2 x 10^6 x 10 = 10^8
+    (sized_doc(num_classes=5, samples_per_class=2 * 10**6, num_features=10), "workload.num_features", 11,
+     "workload.samples_per_class: samples_per_class x num_classes x num_features must be <= 100000000"),
     (sized_doc(num_clients=50, num_rounds=5000), "num_rounds", 5001,
      "num_rounds: partition.num_clients x num_rounds must be <= 250000"),
     # 25 x 24 / 2 x 10^6 = 3 x 10^8
     (sized_doc(num_clients=1, num_classes=25, samples_per_class=1, num_features=10**6), "workload.num_features",
      10**6 + 1, "workload.num_features: num_classes x (num_classes - 1) / 2 x num_features must be <= 300000000"),
+    # CIFAR-shaped, 1000 x 1000 x 100 = 10^8; at 1000 samples per class the
+    # first `evaluate` would hold 4 GB of logits
+    (sized_doc(num_clients=1, num_classes=1000, samples_per_class=100, num_features=90),
+     "workload.samples_per_class", 1000, LOGITS_RULE),
 ]
 
 
@@ -261,17 +263,15 @@ def test_size_rule_is_inclusive_and_fails_before_anything_is_built(tmp_path, mon
     assert not (tmp_path / "out").exists()
 
 
-def first_size_error(spc, classes, features, batch, clients, rounds):
+def first_size_error(spc, classes, features, clients, rounds):
     """The path `parse_config` reports for these sizes, checking its rules in
     order, or None when every product is within its bound."""
     if spc * classes * features > 10**8:
         return "workload.samples_per_class"
-    if classes > 1000:
+    if classes * classes * spc > 10**8:
         return "workload.num_classes"
     if classes * (classes - 1) // 2 * features > 3 * 10**8:
         return "workload.num_features"
-    if clients * classes * (3 * (features + 1) + min(batch, classes * spc)) > 10**8:
-        return "partition.num_clients"
     if clients * rounds > 250_000:
         return "num_rounds"
     return None
@@ -291,19 +291,20 @@ def log_uniform(hi):
     clients=log_uniform(1000),
     rounds=log_uniform(10_000),
 )
-@example(spc=1, classes=1000, features=1, batch=1, clients=1, rounds=1)  # the class bound, exactly
-@example(spc=1, classes=1001, features=1, batch=1, clients=1, rounds=1)
+@example(spc=100, classes=1000, features=1, batch=1, clients=1, rounds=1)  # the logits bound, exactly
+@example(spc=100, classes=1001, features=1, batch=1, clients=1, rounds=1)
 @example(spc=1, classes=25, features=10**6, batch=1, clients=1, rounds=1)  # the class-pair bound, exactly
 @example(spc=1, classes=25, features=10**6 + 1, batch=1, clients=1, rounds=1)
-@example(spc=1, classes=10, features=3_333_332, batch=1, clients=1, rounds=1)  # the lockstep bound, exactly
-@example(spc=1, classes=10, features=3_333_333, batch=1, clients=1, rounds=1)
+@example(spc=2 * 10**6, classes=5, features=10, batch=1, clients=1, rounds=1)  # the dataset bound, exactly
+@example(spc=2 * 10**6, classes=5, features=11, batch=1, clients=1, rounds=1)
 @example(spc=1, classes=1, features=1, batch=1, clients=25, rounds=10_000)  # the ledger bound, exactly
 @example(spc=1, classes=1, features=1, batch=1, clients=26, rounds=10_000)
 def test_size_rules_accept_exactly_the_configs_within_every_bound(spc, classes, features, batch, clients, rounds):
     doc = sized_doc(
         clients, rounds, samples_per_class=spc, num_classes=classes, num_features=features, batch_size=batch
     )
-    want = first_size_error(spc, classes, features, batch, clients, rounds)
+    # the batch size bounds nothing here: `plan_run` holds the lockstep rule
+    want = first_size_error(spc, classes, features, clients, rounds)
     if want is None:
         parse_config(doc)
         return

@@ -185,6 +185,28 @@ def test_evaluate_on_the_design_view_matches_a_contiguous_copy(dtype):
     assert evaluate(params, SyntheticDataset(data.design, predictions, data.num_classes)) == 1.0
 
 
+def test_evaluate_peak_is_within_the_logits_rule():
+    # the logits rule counts samples x classes 4-byte values.  1000 classes
+    # of 2 samples is a fiftieth of its bound, to keep the test small; one
+    # `evaluate` holds the logits, the predictions (intp, two values a
+    # sample) and their comparison with the labels (bool, a quarter)
+    classes, samples = 1000, 2000
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((samples, 10)).astype(np.float32)
+    data = SyntheticDataset.of(x, np.arange(samples) % classes, classes)
+    params = ModelParams(rng.standard_normal((classes, 10)).astype(np.float32), np.zeros(classes, np.float32))
+    tracemalloc.start()
+    try:
+        evaluate(params, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # `np.mean` casts the bools to float64 through a buffer of up to 8192
+    # entries; 64 KiB for Python objects
+    slack = 8 * 8192 + (1 << 16)
+    assert peak <= 4 * (samples * classes + 2.25 * samples) + slack, peak
+
+
 def test_make_blobs_holds_its_features_in_the_design_matrix():
     data = make_blobs(num_classes=3, num_features=5, samples_per_class=7, seed=2)
     design = data.design
@@ -675,21 +697,19 @@ def test_lockstep_peak_is_within_the_size_rules(classes, features, samples, batc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 4-byte values each lockstep size rule counts, for one client.  Per
-    # step: θ, its gradient and the trained copies, each [classes, features
-    # + 1], and the logits, [classes, lane]
-    lane = min(batch, samples)
-    per_step = classes * (3 * (features + 1) + lane)
-    # per call: each entry of the [steps, 1, 1, lane] tables holds the lane
-    # weight (float32), and the sample index, the true-class position, the
-    # shuffle buffer and the epoch's label gather (intp, two values each);
+    # the 4-byte values the lockstep rule counts, for one client: θ, its
+    # gradient and the trained copy, each [classes, features + 1], and the
+    # logits, [classes, lane]; each entry of the [steps, 1, 1, lane] epoch
+    # tables holds the lane weight (float32), and the sample index, the
+    # true-class position and the shuffle buffer (intp, two values each);
     # and the gather of one step
-    per_call = lane * (batches(samples, lane) * (1 + 2 + 2 + 2 + 2) + features + 1)
+    lane = min(batch, samples)
+    values = classes * (3 * (features + 1) + lane) + lane * (7 * batches(samples, lane) + features + 1)
     # the rule counts one step's gather, a chunk holds up to GATHER_BYTES;
     # the finiteness check makes a bool copy of a client's weights; 1 MiB
     # for Python objects
     slack = workload.GATHER_BYTES + classes * features + (1 << 20)
-    assert peak <= 4 * (per_step + per_call) + slack, (peak, per_step, per_call)
+    assert peak <= 4 * values + slack, (peak, values)
 
 
 @pytest.mark.parametrize("past_end", [False, True])
