@@ -1,4 +1,4 @@
-"""Run-configuration document: parsing, validation and plan construction.
+"""Run-configuration document: parsing and validation.
 
 A run is one JSON document.  It, a `--tiers` preset file, a
 `calibrate --targets` file and the accuracies `report` reads from a

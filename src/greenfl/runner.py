@@ -22,7 +22,7 @@ from .config import MAX_DATASET_VALUES, RunConfig, TrajectorySpec, build_dataset
 from .errors import ConfigError, NonFiniteTotal, SchemaViolation
 from .orchestrator import build_ledger, run_job
 from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
-from .workload import ModelParams, batches
+from .workload import ModelParams, lockstep_values
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,20 @@ def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
     `sites[<i>]`, where i is its site's index in the config, and a run total
     that overflows is one at `sites`.  An empty Dirichlet shard is a
     ConfigError at `partition.alpha`, naming the first site that would get it.
-    The one lockstep rule follows: all that one `train_clients` call holds
-    must fit `MAX_DATASET_VALUES` 4-byte values, or it is a ConfigError at
-    `partition.num_clients`.  Per client, that is θ, its gradient and the
-    trained copy, each `[classes, features + 1]`, and the logits, `[classes,
-    lane]`; 7 values for each entry of the `[steps, clients, 1, lane]` epoch
-    tables, one for the lane weight (float32) and two each for the sample
-    index, the true-class position and the shuffle buffer (intp); and the
-    gather of one step, `lane x (features + 1)`.  `lane` is the batch size
-    or the largest shard, whichever is smaller."""
+    The one lockstep rule follows: all that one `train_clients` call holds,
+    `workload.lockstep_values`, must fit `MAX_DATASET_VALUES` 4-byte values,
+    or it is a ConfigError at `partition.num_clients`."""
     sizes = [len(shard) for shard in build_shards(cfg.spec)]
     if 0 in sizes:
         i = sizes.index(0)
         raise ConfigError("partition.alpha", f"sites[{i}] ({cfg.sites[i].site_id}) gets an empty shard")
-    largest = max(sizes)
-    lane = min(cfg.spec.train.batch_size, largest)
-    k, f = cfg.spec.workload.num_classes, cfg.spec.workload.num_features
-    if len(sizes) * (k * (3 * (f + 1) + lane) + lane * (7 * batches(largest, lane) + f + 1)) > MAX_DATASET_VALUES:
+    wl = cfg.spec.workload
+    if lockstep_values(sizes, cfg.spec.train.batch_size, wl.num_classes, wl.num_features) > MAX_DATASET_VALUES:
         raise ConfigError(
             "partition.num_clients",
             "num_clients x (num_classes x (3 x (num_features + 1) + lane) + lane x (7 x batches(largest shard, lane)"
             f" + num_features + 1)), lane = min(batch_size, largest shard), must be <= {MAX_DATASET_VALUES};"
-            f" the largest shard holds {largest} samples",
+            f" the largest shard holds {max(sizes)} samples",
         )
     try:
         records = build_ledger(cfg, sizes)

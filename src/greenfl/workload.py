@@ -24,15 +24,15 @@ FLOAT32_BYTES = 4
 # Multiply-adds one lockstep step must give each client group before the
 # clients split onto threads.  Below about 0.8M per group the split lost or
 # tied, because the GIL-bound numpy calls around the GEMMs serialise; at
-# 1.6M it won (README, "Client groups on threads").
+# 1.6M it won (CHANGES.md, "Client groups on threads").
 MIN_GROUP_WORK = 1 << 20
 # One client's multiply-adds per lockstep step, `lane * num_features *
 # num_classes`, below which θ is held class-major.  Such a step is bound
 # by its numpy calls, and the class-major forward writes `probs` directly
 # and the update is contiguous; above it, numpy's stacked matmul on the
 # transposed batch loses to the feature-major forward and its copy.  The
-# measured crossover lies between 64,000 and 90,000 (README, "Client-batched
-# local SGD"); like MIN_GROUP_WORK it depends on the BLAS build.
+# measured crossover lies between 64,000 and 90,000 (CHANGES.md, "Two θ
+# layouts"); like MIN_GROUP_WORK it depends on the BLAS build.
 CLASS_MAJOR_WORK = 1 << 16
 # Bytes of gathered batches one lockstep call holds: a `take` gathers as
 # many consecutive steps of one active prefix as fit, and at least one.
@@ -243,6 +243,18 @@ def train_clients(
         for c, client in zip(group, part):
             trained[c] = client
     return trained
+
+
+def lockstep_values(sizes: list[int], batch_size: int, num_classes: int, num_features: int) -> int:
+    """4-byte values one `train_clients` call holds for clients of shard
+    `sizes`, `lane = min(batch_size, max(sizes))` lanes wide.  Per client: θ,
+    its gradient and the trained copy, each `[classes, features + 1]`; the
+    logits, `[classes, lane]`; 7 values for each entry of the `[steps,
+    clients, 1, lane]` epoch tables, one for the lane weight (float32) and two
+    each for the sample index, the true-class position and the shuffle buffer
+    (intp); and the gather of one step, `lane x (features + 1)`."""
+    lane, k, f = min(batch_size, max(sizes)), num_classes, num_features
+    return len(sizes) * (k * (3 * (f + 1) + lane) + lane * (7 * batches(max(sizes), lane) + f + 1))
 
 
 def _lockstep(

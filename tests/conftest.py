@@ -1,8 +1,27 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from greenfl.cli import main
 from greenfl.config import parse_config
 from greenfl.runner import train_trajectory
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a child process that imports greenfl from `src/` and
+    fails on a numpy RuntimeWarning, as pyproject's `filterwarnings` makes
+    the tests here do; `env` adds to the environment.  Output is captured
+    as text; `kwargs` go to `subprocess.run`."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error::RuntimeWarning", **(env or {})}
+    argv = [sys.executable, *map(str, args)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, **kwargs)
 
 
 def small_doc(**overrides):
@@ -29,6 +48,16 @@ def small_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+@pytest.fixture
+def run_dir(tmp_path):
+    """A finished `greenfl run` of `small_doc`, in `tmp_path / "out"`."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_doc()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    return out
 
 
 @pytest.fixture

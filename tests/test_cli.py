@@ -2,10 +2,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,21 +11,13 @@ from greenfl.errors import ConfigError
 from greenfl.reporting import RunReport, SiteTotals
 from greenfl.runner import plan_run
 
-from conftest import small_doc
+from conftest import ROOT, run_python, small_doc
 
 
 def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-@pytest.fixture
-def run_dir(tmp_path):
-    config = write_doc(tmp_path, small_doc())
-    out = tmp_path / "out"
-    assert main(["run", "--config", config, "--out", str(out)]) == 0
-    return out
 
 
 def test_run_writes_artifacts(run_dir):
@@ -344,10 +332,7 @@ def test_report_text_and_csv_do_not_read_the_accuracies(run_dir, capsys, fmt):
 
 
 def run_grid_whatif(run_dir):
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = [sys.executable, str(root / "scripts" / "grid_whatif.py"), str(run_dir)]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    return run_python(ROOT / "scripts" / "grid_whatif.py", run_dir)
 
 
 def test_grid_whatif_script_fails_with_one_error_line(run_dir, tmp_path):
@@ -378,12 +363,10 @@ def test_whatif_output_does_not_depend_on_the_hash_seed(tmp_path):
         site["region"] = region
     out = tmp_path / "out"
     assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for hash_seed in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
-        argv = [sys.executable, "-m", "greenfl.cli", "whatif", "--in", str(out), "--ci", "0.1"]
-        outputs.append(subprocess.run(argv, env=env, capture_output=True, check=True, timeout=60).stdout)
+        argv = ["-m", "greenfl.cli", "whatif", "--in", out, "--ci", "0.1"]
+        outputs.append(run_python(*argv, env={"PYTHONHASHSEED": hash_seed}, check=True).stdout)
     assert outputs[0] == outputs[1]
     assert list(json.loads(outputs[0])["ci_kg_per_kwh"]) == ["USA", "FRA", "SWE", "DEU", "POL"]
 
@@ -690,11 +673,17 @@ def test_empty_dirichlet_shard_fails_at_alpha_before_training(tmp_path, capsys, 
 
 
 def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys, monkeypatch):
-    # 1 class of 500 samples over 100 sites passes every rule of parse_config,
-    # but its shards hold 4 to 6 samples, so the lockstep's one-step gather is
-    # 100 x 6 x (200,000 + 1) values and its θ arrays 100 x 3 x (200,000 + 1)
+    # each case passes every rule of parse_config and exceeds the lockstep
+    # rule through one term.  `theta`: cifar_tiers_high at 1 sample per class
+    # and 2 x 10^6 features holds 6 x 10 x 3 x (2 x 10^6 + 1) values of θ and
+    # its arrays.  `gather`: 1 class of 500 samples over 100 sites gives
+    # shards of 4 to 6 samples, so the one-step gather is 100 x 6 x (200,000
+    # + 1) values.  `steps`: one site's 1.6 x 10^7 one-sample steps per epoch
+    # give epoch tables of 7 x 1.6 x 10^7 values
     monkeypatch.setattr("greenfl.runner.build_dataset", lambda spec: pytest.fail("built the dataset"))
-    doc = small_doc(
+    theta = load_json(bundled_config_path("cifar_tiers_high"), "config")
+    theta["workload"].update(samples_per_class=1, num_features=2_000_000)
+    gather = small_doc(
         num_rounds=1,
         workload=dict(
             small_doc()["workload"], num_classes=1, samples_per_class=500, num_features=200_000, batch_size=10
@@ -702,14 +691,18 @@ def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys
         partition={"num_clients": 100, "alpha": 100.0, "seed": 0},
         sites=[{"site_id": f"s{i}", "hardware": "h100_like", "tier": "high", "region": "USA"} for i in range(100)],
     )
-    sizes = [len(shard) for shard in build_shards(parse_config(doc).spec)]
+    sizes = [len(shard) for shard in build_shards(parse_config(gather).spec)]
     assert (min(sizes), max(sizes)) == (4, 6)
-    out = tmp_path / "out"
-    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: partition.num_clients: ") and captured.err.count("\n") == 1
-    assert not out.exists()
+    steps = load_json(bundled_config_path("cifar_tiers_high"), "config")
+    steps["workload"].update(num_classes=2, samples_per_class=8_000_000, num_features=1, batch_size=1)
+    steps.update(num_rounds=1, partition=dict(steps["partition"], num_clients=1), sites=steps["sites"][:1])
+    for name, doc in (("theta", theta), ("gather", gather), ("steps", steps)):
+        out = tmp_path / name
+        assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err.startswith("error: partition.num_clients: ") and captured.err.count("\n") == 1, name
+        assert not out.exists(), name
 
 
 @pytest.mark.parametrize("num_features, plans", [(99_691, True), (99_692, False)])

@@ -313,12 +313,6 @@ def test_size_rules_accept_exactly_the_configs_within_every_bound(spc, classes, 
     assert exc.value.field_path == want, str(exc.value)
 
 
-@pytest.fixture
-def run_dir(tmp_path):
-    assert run(tmp_path, small_doc())[0] == 0
-    return tmp_path / "out"
-
-
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -1,9 +1,6 @@
 import contextlib
 import dataclasses
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -29,6 +26,8 @@ from greenfl.workload import (
     train_clients,
     update_payload_bytes,
 )
+
+from conftest import run_python
 
 
 def softmax(logits):
@@ -585,11 +584,9 @@ def test_theta_layout_is_chosen_from_one_clients_step_work(scenario, class_major
 
 def test_cli_import_leaves_out_the_thread_pool():
     # and the config parser sits below the engine: it loads no orchestrator
-    src = os.path.dirname(os.path.dirname(workload.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     for module, unloaded in (("greenfl.cli", "concurrent.futures"), ("greenfl.config", "greenfl.orchestrator")):
         code = f"import sys, {module}; sys.exit({unloaded!r} in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0, module
+        assert run_python("-c", code).returncode == 0, module
 
 
 # the other call's [classes, features] differ from random_clients' default [3, 5]
@@ -697,14 +694,8 @@ def test_lockstep_peak_is_within_the_size_rules(classes, features, samples, batc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 4-byte values the lockstep rule counts, for one client: θ, its
-    # gradient and the trained copy, each [classes, features + 1], and the
-    # logits, [classes, lane]; each entry of the [steps, 1, 1, lane] epoch
-    # tables holds the lane weight (float32), and the sample index, the
-    # true-class position and the shuffle buffer (intp, two values each);
-    # and the gather of one step
-    lane = min(batch, samples)
-    values = classes * (3 * (features + 1) + lane) + lane * (7 * batches(samples, lane) + features + 1)
+    # the 4-byte values the lockstep rule counts
+    values = workload.lockstep_values([samples], batch, classes, features)
     # the rule counts one step's gather, a chunk holds up to GATHER_BYTES;
     # the finiteness check makes a bool copy of a client's weights; 1 MiB
     # for Python objects
