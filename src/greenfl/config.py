@@ -24,7 +24,7 @@ import numpy as np
 
 from .comm import CommEnergyModel
 from .errors import ConfigError
-from .partition import LabeledDatasetDescriptor, PartitionConfig, dirichlet_partition
+from .partition import LabeledDatasetDescriptor, PartitionConfig, dirichlet_counts, dirichlet_partition
 from .sites import (
     BUILTIN_HARDWARE,
     BUILTIN_REGIONS,
@@ -153,7 +153,8 @@ class TrajectorySpec:
     change the ledger, so they are not here.  The dataset seed is
     `train.seed`.  The ledger takes from it the round count, `train`'s
     epochs, batch size and seed, the model's shape and the shard sizes
-    (`build_shards`), never a trained value.
+    (`shard_sizes`, the partition's count table, with no shard built),
+    never a trained value.
     """
 
     workload: WorkloadConfig
@@ -380,6 +381,14 @@ def build_shards(spec: TrajectorySpec) -> list[np.ndarray]:
     descriptor = LabeledDatasetDescriptor(len(labels), spec.workload.num_classes, labels)
     parts = _entry("partition.num_clients", dirichlet_partition, descriptor, spec.partition)
     return [part.sample_indices for part in parts]
+
+
+def shard_sizes(spec: TrajectorySpec) -> list[int]:
+    """Each site's shard size, in site order: the lengths of `build_shards`,
+    read off the partition's count table, so no label or index is built.
+    More clients than samples is a ConfigError, as in `build_shards`."""
+    class_sizes = [spec.workload.samples_per_class] * spec.workload.num_classes
+    return _entry("partition.num_clients", dirichlet_counts, class_sizes, spec.partition).sum(axis=0).tolist()
 
 
 def bundled_config_path(name: str):

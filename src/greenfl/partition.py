@@ -9,9 +9,12 @@ the proportions, and block b goes to client b.  Each client's index list
 is ascending.  Fixing (labels, num_clients, alpha, seed) fixes the output
 bit-for-bit.
 
-The split reads the labels in two stable sorts, whatever the class count:
-one by label writes each sample's owner, and one by owner lists each
-client's indices.
+The draws and the rounding need only each class's size:
+`dirichlet_counts` turns the class sizes into the count table
+counts[class, client], whose column sums are the shard sizes, with no
+label or index built.  `dirichlet_partition` places that table on the
+labels in two stable sorts, whatever the class count: one by label writes
+each sample's owner, and one by owner lists each client's indices.
 """
 
 from __future__ import annotations
@@ -86,18 +89,21 @@ def largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def dirichlet_partition(dataset: LabeledDatasetDescriptor, cfg: PartitionConfig) -> list[ClientPartition]:
-    if dataset.num_samples == 0:
+def dirichlet_counts(class_sizes: list[int] | np.ndarray, cfg: PartitionConfig) -> np.ndarray:
+    """counts[cls, client]: how many of class cls's `class_sizes[cls]`
+    samples go to client, the Dirichlet draw and rounding that
+    `dirichlet_partition` places.  Its column sums are the shard sizes."""
+    num_samples = int(np.sum(class_sizes))
+    if num_samples == 0:
         raise EmptyDataset("cannot partition an empty dataset")
     if not cfg.alpha > 0:
         raise InvalidAlpha(f"alpha must be > 0, got {cfg.alpha}")
-    if cfg.num_clients > dataset.num_samples:
+    if cfg.num_clients > num_samples:
         raise ValueError("more clients than samples")
 
     rng = np.random.default_rng(cfg.seed)
-    # counts[cls, client]: how many of class cls's samples go to client
-    counts = np.empty((dataset.num_classes, cfg.num_clients), dtype=np.int64)
-    for cls, size in enumerate(np.bincount(dataset.labels, minlength=dataset.num_classes)):
+    counts = np.empty((len(class_sizes), cfg.num_clients), dtype=np.int64)
+    for cls, size in enumerate(class_sizes):
         gammas = rng.gamma(cfg.alpha, 1.0, size=cfg.num_clients)
         with np.errstate(over="ignore"):
             total = gammas.sum()
@@ -107,7 +113,11 @@ def dirichlet_partition(dataset: LabeledDatasetDescriptor, cfg: PartitionConfig)
         else:
             proportions = np.full(cfg.num_clients, 1.0 / cfg.num_clients)
         counts[cls] = largest_remainder_counts(proportions, int(size))
+    return counts
 
+
+def dirichlet_partition(dataset: LabeledDatasetDescriptor, cfg: PartitionConfig) -> list[ClientPartition]:
+    counts = dirichlet_counts(np.bincount(dataset.labels, minlength=dataset.num_classes), cfg)
     # the samples in (class, index) order take their owners block by block;
     # a stable sort by owner then lists each client's samples in index order
     owner = np.empty(dataset.num_samples, dtype=np.int32)

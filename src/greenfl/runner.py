@@ -3,12 +3,13 @@ scenario, train it, and write run artifacts (rounds.csv, run.json,
 summary.json) to an output directory.
 
 A run is a ledger plus a learning trajectory.  The ledger depends only on
-the parsed `RunConfig` and the client shard sizes, which follow from the
-config too, so `plan_run` builds it and its one checked report with no
-training: a span or total that overflows fails at the config path of its
-site.  The trajectory depends only on the `TrajectorySpec`, so it is trained
-once and reused in-process by every run that shares the spec, and a run
-attaches its accuracies to the report of `plan_run`."""
+the parsed `RunConfig` and the client shard sizes, which the partition's
+count table gives from the config alone (`shard_sizes`), so `plan_run`
+builds it and its one checked report with no training and no dataset,
+label or shard: a span or total that overflows fails at the config path of
+its site.  The trajectory depends only on the `TrajectorySpec`, so it is
+trained once and reused in-process by every run that shares the spec, and a
+run attaches its accuracies to the report of `plan_run`."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .config import MAX_DATASET_VALUES, RunConfig, TrajectorySpec, build_dataset, build_shards
+from .config import MAX_DATASET_VALUES, RunConfig, TrajectorySpec, build_dataset, build_shards, shard_sizes
 from .errors import ConfigError, NonFiniteTotal, SchemaViolation
 from .orchestrator import build_ledger, run_job
 from .reporting import RoundRecord, RunReport, summarize_run, write_round_log
@@ -45,14 +46,16 @@ def train_trajectory(spec: TrajectorySpec) -> Trajectory:
 
 def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
     """The run's schema rows and their checked report, from the config alone,
-    with no training.  A row that its type rejects is a ConfigError at
-    `sites[<i>]`, where i is its site's index in the config, and a run total
-    that overflows is one at `sites`.  An empty Dirichlet shard is a
-    ConfigError at `partition.alpha`, naming the first site that would get it.
-    The one lockstep rule follows: all that one `train_clients` call holds,
-    `workload.lockstep_values`, must fit `MAX_DATASET_VALUES` 4-byte values,
-    or it is a ConfigError at `partition.num_clients`."""
-    sizes = [len(shard) for shard in build_shards(cfg.spec)]
+    with no training and no shard built: the shard sizes are the column sums
+    of the partition's count table (`shard_sizes`).  A row that its type
+    rejects is a ConfigError at `sites[<i>]`, where i is its site's index in
+    the config, and a run total that overflows is one at `sites`.  An empty
+    Dirichlet shard is a ConfigError at `partition.alpha`, naming the first
+    site that would get it.  The one lockstep rule follows: all that one
+    `train_clients` call holds, `workload.lockstep_values`, must fit
+    `MAX_DATASET_VALUES` 4-byte values, or it is a ConfigError at
+    `partition.num_clients`."""
+    sizes = shard_sizes(cfg.spec)
     if 0 in sizes:
         i = sizes.index(0)
         raise ConfigError("partition.alpha", f"sites[{i}] ({cfg.sites[i].site_id}) gets an empty shard")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -703,6 +704,38 @@ def test_lockstep_state_over_the_bound_fails_before_the_dataset(tmp_path, capsys
         assert captured.out == "", name
         assert captured.err.startswith("error: partition.num_clients: ") and captured.err.count("\n") == 1, name
         assert not out.exists(), name
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads the child's peak RSS from /proc")
+def test_lockstep_rule_refuses_an_oversized_shard_from_its_size_alone(tmp_path):
+    # 1 class of 10^8 one-feature samples on one site passes every rule of
+    # parse_config.  The lockstep rule refuses it from the count table's
+    # sizes, so the child never holds the 10^8 labels or indices, which
+    # would take about 2.3 GB to build.  After the CLI's error line
+    # the child prints its own peak RSS in MB: VmHWM, since ru_maxrss keeps
+    # the peak of the test process it was forked from across the exec
+    doc = load_json(bundled_config_path("cifar_tiers_high"), "config")
+    doc["workload"].update(num_classes=1, samples_per_class=10**8, num_features=1)
+    doc.update(num_rounds=1, partition=dict(doc["partition"], num_clients=1), sites=doc["sites"][:1])
+    code = (
+        "import sys\n"
+        "from greenfl.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(int(peak.split()[1]) // 1024, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    out = tmp_path / "out"
+    done = run_python("-c", code, "run", "--config", write_doc(tmp_path, doc), "--out", out)
+    assert (done.returncode, done.stdout) == (2, "")
+    error, peak_mb = done.stderr.splitlines(keepends=True)
+    assert error == (
+        "error: partition.num_clients: num_clients x (num_classes x (3 x (num_features + 1) + lane) + lane x"
+        " (7 x batches(largest shard, lane) + num_features + 1)), lane = min(batch_size, largest shard), must be"
+        " <= 100000000; the largest shard holds 100000000 samples\n"
+    )
+    assert int(peak_mb) < 100
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("num_features, plans", [(99_691, True), (99_692, False)])

@@ -257,7 +257,7 @@ SIZE_RULES = [
 @pytest.mark.parametrize("doc, path, past, message", SIZE_RULES)
 def test_size_rule_is_inclusive_and_fails_before_anything_is_built(tmp_path, monkeypatch, doc, path, past, message):
     parse_config(doc)
-    for name in ("build_dataset", "build_shards"):
+    for name in ("build_dataset", "build_shards", "shard_sizes"):
         monkeypatch.setattr(f"greenfl.runner.{name}", lambda spec: pytest.fail("built before the size rule"))
     assert run(tmp_path, set_path(copy.deepcopy(doc), path, past)) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "out").exists()

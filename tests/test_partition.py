@@ -10,6 +10,7 @@ from greenfl.partition import (
     ClientPartition,
     LabeledDatasetDescriptor,
     PartitionConfig,
+    dirichlet_counts,
     dirichlet_partition,
     largest_remainder_counts,
     validate_partition,
@@ -107,6 +108,8 @@ def test_split_equals_the_per_class_reference(drawn):
     for part, indices in zip(parts, expected, strict=True):
         assert part.sample_indices.dtype == np.int64
         assert np.array_equal(part.sample_indices, indices)
+    counts = dirichlet_counts(np.bincount(dataset.labels, minlength=dataset.num_classes), cfg)
+    assert counts.sum(axis=0).tolist() == [len(indices) for indices in expected]
 
 
 def test_single_client_gets_everything_in_order():

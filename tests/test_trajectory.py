@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenfl.cli import main
-from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config, parse_config
+from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config, parse_config, shard_sizes
 from greenfl.errors import EmptyClientData
 from greenfl.orchestrator import build_ledger
 from greenfl.partition import LabeledDatasetDescriptor, dirichlet_partition
@@ -145,6 +145,7 @@ def test_shards_are_the_partition_of_the_dataset_labels(doc):
     got = build_shards(spec)
     assert len(got) == len(want) == spec.partition.num_clients
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert shard_sizes(spec) == [len(shard) for shard in got]
 
 
 @settings(max_examples=30, deadline=None)
@@ -220,6 +221,7 @@ def test_plan_run_is_the_run_without_training(scenario, tmp_path, monkeypatch):
 
     monkeypatch.setattr("greenfl.runner.train_trajectory", lambda spec: pytest.fail("plan_run trained"))
     monkeypatch.setattr("greenfl.runner.build_dataset", lambda spec: pytest.fail("plan_run built the dataset"))
+    monkeypatch.setattr("greenfl.runner.build_shards", lambda spec: pytest.fail("plan_run built the shards"))
     records, report = plan_run(load_config(bundled_config_path(scenario)))
     assert write_round_log(records).encode("utf-8") == (out / "rounds.csv").read_bytes()
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
