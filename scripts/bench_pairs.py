@@ -13,6 +13,8 @@ written holds each run's result line, `env` line and wall-seconds line and,
 per workload and metric, each side's median and quartiles, the pairs the
 change won (by the `better` direction of BENCHMARK.json) and the raw wall
 medians beside the reference seconds. It is rewritten after every pair.
+Each run has its own session; one that leaves a process running after it
+exits is an error, and that process is killed.
 """
 
 from __future__ import annotations
@@ -44,16 +46,45 @@ def git(*args: str) -> str:
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py` run in `tree`: its result, env and wall lines."""
+    """One `perfbench/run.py` run in `tree`: its result, env and wall lines.
+
+    The run gets its own session, so its process group holds it and every
+    process it starts, and its output goes to files, so a process that
+    outlives it cannot hold a pipe open. A group still alive once the run
+    has exited is killed, and is an error that names the run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    lines = proc.stdout.splitlines()
+    run = f"{' '.join(cmd)} in {tree}"
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(cmd, cwd=tree, stdout=out, stderr=err, text=True, start_new_session=True)
+        try:
+            code = proc.wait()
+        finally:
+            # on an interrupt too: the run's session does not get the terminal's signals
+            leaked = group_alive(proc.pid)
+            if leaked:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        if leaked:
+            raise SystemExit(f"error: {run} left processes running in its process group; they were killed")
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    if code != 0:
+        raise SystemExit(f"error: {run} exited {code}:\n{stderr[-2000:]}")
+    lines = stdout.splitlines()
     wall = next(line for line in lines if WALL.search(line))
     env = next(line for line in lines if line.startswith("env "))
     return {"result": json.loads(lines[-1]), "wall": wall, "env": json.loads(env[len("env "):])}
+
+
+def group_alive(pgid: int) -> bool:
+    """Whether any process is left in the process group `pgid`."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def spread(values: list[float]) -> dict:

@@ -40,6 +40,10 @@ class Diverged(GreenflError, ValueError):
         super().__init__(f"{where}model parameters must be finite")
 
 
+class WorkerFailed(GreenflError):
+    """A client group's worker process failed, other than by divergence, or exited."""
+
+
 class ShapeMismatch(GreenflError):
     """Model updates with inconsistent parameter shapes."""
 

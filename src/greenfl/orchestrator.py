@@ -22,13 +22,13 @@ from .reporting import RoundRecord
 from .sites import EVALUATE, IDLE, INIT, ROUND, SiteConfig, effective_power, effective_train_duration
 from .units import JOULES_PER_KWH, emissions_of, energy_of
 from .workload import (
+    ClientGroups,
     ModelParams,
     SyntheticDataset,
     TrainConfig,
     batches,
     evaluate,
     steps_per_round,
-    train_clients,
     update_payload_bytes,
 )
 
@@ -74,22 +74,24 @@ def run_job(
     round and the final global parameters.
 
     Client i trains on the rows `shards[i]` of `dataset` with its own
-    (seed, i, round) shuffle stream; `train_clients` steps all clients of a
-    round in lockstep.  The parameters are in the dataset's dtype.  The
-    aggregate is evaluated on the full `dataset`.  Non-finite parameters
-    raise `Diverged` naming the round.
+    (seed, i, round) shuffle stream; one `ClientGroups`, whose workers live
+    for the whole run, steps all clients of each round in lockstep.  The
+    parameters are in the dataset's dtype.  The aggregate is evaluated on
+    the full `dataset`.  Non-finite parameters raise `Diverged` naming the
+    round.
     """
     params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.design.dtype)
     sizes = [len(shard) for shard in shards]
     accuracy_by_round = []
-    for round_index in range(1, num_rounds + 1):
-        seeds = [_client_seed(train_cfg.seed, i, round_index) for i in range(len(shards))]
-        try:
-            trained = train_clients(params, dataset, shards, train_cfg, seeds)
-            params = fedavg_aggregate(list(zip(trained, sizes)))
-        except Diverged:
-            raise Diverged(round_index) from None
-        accuracy_by_round.append(evaluate(params, dataset))
+    with ClientGroups(dataset, shards, train_cfg) as groups:
+        for round_index in range(1, num_rounds + 1):
+            seeds = [_client_seed(train_cfg.seed, i, round_index) for i in range(len(shards))]
+            try:
+                trained = groups.train(params, seeds)
+                params = fedavg_aggregate(list(zip(trained, sizes)))
+            except Diverged:
+                raise Diverged(round_index) from None
+            accuracy_by_round.append(evaluate(params, dataset))
     return accuracy_by_round, params
 
 

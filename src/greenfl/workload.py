@@ -14,31 +14,41 @@ host-independent.
 from __future__ import annotations
 
 import os
+import pickle  # loaded by numpy already, so importing it here costs nothing
+import sys
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
-from .errors import Diverged, EmptyClientData
+from .errors import Diverged, EmptyClientData, WorkerFailed
 
 FLOAT32_BYTES = 4
 # Multiply-adds one lockstep step must give each client group before the
-# clients split onto threads.  Below about 0.8M per group the split lost or
-# tied, because the GIL-bound numpy calls around the GEMMs serialise; at
-# 1.6M it won (CHANGES.md, "Client groups on threads").
-MIN_GROUP_WORK = 1 << 20
+# clients split into groups, each after the first in a worker process.  With
+# one worker, a whole 5-round run of retina's clients lost 21% at 6.4k per
+# group (retina's own step), tied at 12.8k and won 13% at 25.6k; at 54k per
+# group (cifar's clients at 20 lanes) a 10-round run won 24% (CHANGES.md,
+# "Client groups train in a forked worker process").  Like CLASS_MAJOR_WORK
+# it depends on the BLAS build.
+MIN_GROUP_WORK = 1 << 14
 # One client's multiply-adds per lockstep step, `lane * num_features *
 # num_classes`, below which θ is held class-major.  Such a step is bound
 # by its numpy calls, and the class-major forward writes `probs` directly
 # and the update is contiguous; above it, numpy's stacked matmul on the
 # transposed batch loses to the feature-major forward and its copy.  The
 # measured crossover lies between 64,000 and 90,000 (CHANGES.md, "Two θ
-# layouts"); like MIN_GROUP_WORK it depends on the BLAS build.
+# layouts"); it depends on the BLAS build.
 CLASS_MAJOR_WORK = 1 << 16
 # Bytes of gathered batches one lockstep call holds: a `take` gathers as
 # many consecutive steps of one active prefix as fit, and at least one.
 # A call-bound step then pays a fraction of a `take`; a whole epoch's
 # batches (about 22 MB on cifar) would raise the peak memory for nothing.
 GATHER_BYTES = 1 << 18
+# Bytes of one chunk of `make_blobs`' float64 draw: a class block is drawn in
+# C order a chunk at a time, and each chunk gets its class mean and is cast
+# into the design while it is in cache, so no block-sized buffer is held.
+DRAW_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,12 @@ def make_blobs(
 
     Means are drawn isotropically and rescaled so the minimum pairwise
     distance equals `separation`; labels are `blob_labels`.
-    Each class block is drawn in float64, into one reused buffer, and
-    stored as float32 straight into the first columns of the dataset's
-    design matrix.  A separation so large that a feature overflows
-    float32 raises ValueError.
+    Each class block is drawn in float64 in C order, in chunks of up to
+    `DRAW_BYTES` from one stream (whole rows, or pieces of one row when a
+    row is larger), and each chunk is stored as float32 straight into the
+    first columns of the dataset's design matrix.  The stream yields the
+    same values however it is chunked.  A separation so large that a
+    feature overflows float32 raises ValueError.
     """
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, num_features))
@@ -133,11 +145,20 @@ def make_blobs(
             means *= separation / min_dist
         design = np.empty((num_classes * samples_per_class, num_features + 1), dtype=np.float32)
         design[:, num_features] = 1
-        draw = np.empty((samples_per_class, num_features))
+        chunk_values = max(1, DRAW_BYTES // means.itemsize)
+        rows = max(1, min(samples_per_class, chunk_values // num_features))
+        cols = min(num_features, chunk_values)  # num_features whenever rows > 1
+        buf = np.empty(rows * cols)
         for c in range(num_classes):
-            rng.standard_normal(out=draw)
-            draw += means[c]
-            design[c * samples_per_class : (c + 1) * samples_per_class, :num_features] = draw
+            end = (c + 1) * samples_per_class
+            for row in range(c * samples_per_class, end, rows):
+                block = design[row : min(row + rows, end)]
+                for lo in range(0, num_features, cols):
+                    hi = min(lo + cols, num_features)
+                    draw = buf[: len(block) * (hi - lo)].reshape(len(block), hi - lo)
+                    rng.standard_normal(out=draw)
+                    draw += means[c, lo:hi]
+                    block[:, lo:hi] = draw
     # min and max propagate NaN and reach any inf, without an [n, F] temporary
     if not (np.isfinite(design.min()) and np.isfinite(design.max())):
         raise ValueError(f"separation {separation} overflows the float32 features")
@@ -160,9 +181,11 @@ def steps_per_round(n: int, cfg: TrainConfig) -> int:
 
 
 def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The cores client groups may use: on Linux, those this process may run
+    on; elsewhere 1.  Each group after the first trains in a forked worker,
+    and fork is safe only on Linux here: macOS's Accelerate BLAS does not
+    survive it, and Windows has none."""
+    return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
 def _client_groups(sizes: list[int], client_work: int, cores: int) -> list[list[int]]:
@@ -195,54 +218,155 @@ def train_clients(
     seeds: list[int],
 ) -> list[ModelParams]:
     """Mini-batch SGD from `params` for every client at once; returns each
-    client's trained params, in `shards` order.  Each client takes
-    `steps_per_round` of its shard size, the count the ledger charges.
-
-    Client i trains on the rows `shards[i]` of `dataset` and shuffles each
-    epoch with its own `default_rng(seeds[i])` stream; `cfg.seed` is not
-    used.  `_client_groups` orders the clients and deals them into groups;
-    each group is trained in lockstep (see `_lockstep`), and its params are
-    scattered back to `shards` order.  There is one group unless one
-    lockstep step is large enough to be BLAS-bound; then the groups, of
-    balanced shard size, are one per usable core, and the calling thread
-    trains the first group and a thread pool the rest.  Every group steps at
-    the lane width of the whole call, and in the θ layout chosen from one
-    client's step work alone, so a client's trained bits do not depend on
-    its group, and a group that diverges raises `Diverged` here.  A shard
-    index outside `[0, dataset.num_samples)` raises IndexError naming its
-    client, before anything is trained.
+    client's trained params, in `shards` order.  One round of
+    `ClientGroups`, whose workers, if any, live for this call alone.
     """
-    sizes = [len(shard) for shard in shards]
-    if min(sizes) == 0:
-        raise EmptyClientData("cannot train on empty client data")
-    # the batches are gathered in `clip` mode, which never raises
-    for i, shard in enumerate(shards):
-        if shard.min() < 0 or shard.max() >= dataset.num_samples:
-            raise IndexError(f"client {i}: shard indices must lie in [0, {dataset.num_samples})")
-    # a batch wider than every shard holds each shard whole, one batch per epoch
-    lane = min(cfg.batch_size, max(sizes))
-    client_work = lane * dataset.num_features * dataset.num_classes
-    class_major = client_work < CLASS_MAJOR_WORK
-    groups = _client_groups(sizes, client_work, _usable_cores())
+    with ClientGroups(dataset, shards, cfg) as groups:
+        return groups.train(params, seeds)
 
-    def train(group):
-        return _lockstep(params, dataset, [shards[c] for c in group], cfg, [seeds[c] for c in group], lane, class_major)
 
-    if len(groups) == 1:
-        parts = [train(groups[0])]
-    else:
-        # imported here, not at module level, so its import cost stays out of
-        # every start-up of `greenfl`
-        from concurrent.futures import ThreadPoolExecutor
+def _send(fd: int, message) -> None:
+    """Write `message`, pickled, whole to the pipe `fd`."""
+    data = memoryview(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+    while data:
+        data = data[os.write(fd, data) :]
 
-        with ThreadPoolExecutor(len(groups) - 1) as pool:
-            futures = [pool.submit(train, group) for group in groups[1:]]
-            parts = [train(groups[0])] + [future.result() for future in futures]
-    trained = [None] * len(shards)
-    for group, part in zip(groups, parts):
-        for c, client in zip(group, part):
-            trained[c] = client
-    return trained
+
+class ClientGroups:
+    """The clients of `shards`, dealt into groups once, trained a round at a
+    time by `train`, until `close`; a context manager that closes on exit.
+
+    Client i trains on the rows `shards[i]` of `dataset`.  Each client takes
+    `steps_per_round` of its shard size, the count the ledger charges.
+    `_client_groups` orders the clients and deals them into groups; each
+    group is trained in lockstep (see `_lockstep`).  There is one group
+    unless one lockstep step is large enough to pay for a worker process
+    (`MIN_GROUP_WORK`); then the groups, of balanced shard size, are one per
+    usable core.  The calling process trains the first group, and each
+    group after it trains in its own worker process, forked when the
+    object is made and ended by `close`.  A worker shares `dataset` and
+    `shards` with the caller copy-on-write, so they are never sent: each
+    round it reads the params and its clients' seeds from a pipe and
+    writes back its clients' trained θ as raw bytes.  Every group steps
+    at the lane width of the whole call, and in the θ layout chosen from one
+    client's step work alone, so a client's trained bits do not depend on
+    its group or its process, and a client that diverges raises `Diverged`
+    in the caller.  A worker that fails otherwise, or exits, raises
+    `WorkerFailed`.  A shard index outside `[0, dataset.num_samples)`
+    raises IndexError naming its client, before anything is forked.
+    """
+
+    def __init__(self, dataset: SyntheticDataset, shards: list[np.ndarray], cfg: TrainConfig):
+        sizes = [len(shard) for shard in shards]
+        if min(sizes) == 0:
+            raise EmptyClientData("cannot train on empty client data")
+        # the batches are gathered in `clip` mode, which never raises
+        for i, shard in enumerate(shards):
+            if shard.min() < 0 or shard.max() >= dataset.num_samples:
+                raise IndexError(f"client {i}: shard indices must lie in [0, {dataset.num_samples})")
+        self.dataset, self.shards, self.cfg = dataset, shards, cfg
+        # a batch wider than every shard holds each shard whole, one batch per epoch
+        self.lane = min(cfg.batch_size, max(sizes))
+        client_work = self.lane * dataset.num_features * dataset.num_classes
+        self.class_major = client_work < CLASS_MAJOR_WORK
+        self.groups = _client_groups(sizes, client_work, _usable_cores())
+        # (pid, request pipe fd, reply pipe reader) of each group after the first
+        self._workers = []
+        try:
+            for group in self.groups[1:]:
+                self._workers.append(self._fork(group))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "ClientGroups":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End the workers: closing the pipes gives each an EOF to read or a
+        broken pipe to write, either of which ends it, and it is reaped."""
+        workers, self._workers = self._workers, []
+        for _, requests, replies in workers:
+            replies.close()
+            os.close(requests)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+
+    def train(self, params: ModelParams, seeds: list[int]) -> list[ModelParams]:
+        """Each client's params after one round of SGD from `params`, in
+        `shards` order; client i shuffles each epoch with its own
+        `default_rng(seeds[i])` stream, and `cfg.seed` is not used."""
+        d = self.dataset
+        try:
+            for (_, requests, _), group in zip(self._workers, self.groups[1:]):
+                _send(requests, (params, [seeds[c] for c in group]))
+            parts = [self._lockstep(params, self.groups[0], [seeds[c] for c in self.groups[0]])]
+            for (_, _, replies), group in zip(self._workers, self.groups[1:]):
+                error, theta = pickle.load(replies)
+                if error is not None:
+                    raise WorkerFailed(f"a client group's worker failed: {error}")
+                parts.append(np.frombuffer(theta, d.design.dtype).reshape(len(group), d.num_classes, -1))
+        except (BrokenPipeError, EOFError, pickle.UnpicklingError):  # a worker that died, before or in its reply
+            raise WorkerFailed("a client group's worker exited before its reply") from None
+        num_features = d.num_features
+        trained = [None] * len(self.shards)
+        for group, part in zip(self.groups, parts):
+            for c, t in zip(group, part):
+                trained[c] = ModelParams(t[:, :num_features].copy(), t[:, num_features].copy())
+        return trained
+
+    def _lockstep(self, params: ModelParams, group: list[int], seeds: list[int]) -> np.ndarray:
+        shards = [self.shards[c] for c in group]
+        return _lockstep(params, self.dataset, shards, self.cfg, seeds, self.lane, self.class_major)
+
+    def _fork(self, group: list[int]) -> tuple[int, int, BinaryIO]:
+        """Fork the worker that trains `group`; return its pid, the fd the
+        caller writes requests to and the reader of its replies."""
+        import signal  # only a call with two or more groups forks
+
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # the caller's handlers are not the worker's: a signal ends
+                # it, SIGINT by KeyboardInterrupt
+                for sig in signal.valid_signals():
+                    if callable(signal.getsignal(sig)):
+                        signal.signal(sig, signal.default_int_handler if sig == signal.SIGINT else signal.SIG_DFL)
+                # the caller's ends, so its exit is an EOF here, and the other workers'
+                os.close(requests_w)
+                os.close(replies_r)
+                for _, requests, replies in self._workers:
+                    os.close(requests)
+                    replies.close()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, 1)
+                os.dup2(devnull, 2)
+                code = self._serve(group, open(requests_r, "rb"), replies_w)
+            finally:
+                # never the caller's exit path: no atexit hook, buffer flush or `finally`
+                os._exit(code)
+        os.close(requests_r)
+        os.close(replies_w)
+        return pid, requests_w, open(replies_r, "rb")
+
+    def _serve(self, group: list[int], requests: BinaryIO, replies: int) -> int:
+        """The worker's loop: train `group` for each request until EOF."""
+        while True:
+            try:
+                params, seeds = pickle.load(requests)
+            except EOFError:
+                return 0
+            try:
+                reply = None, self._lockstep(params, group, seeds).tobytes()
+            except Exception as exc:  # reported to the caller, which raises it
+                reply = f"{type(exc).__name__}: {exc}", None
+            _send(replies, reply)
 
 
 def lockstep_values(sizes: list[int], batch_size: int, num_classes: int, num_features: int) -> int:
@@ -267,7 +391,8 @@ def _lockstep(
     class_major: bool,
 ) -> list[ModelParams]:
     """`train_clients` for one group of clients, `batch` lanes wide, which
-    come largest shard first; returns their trained params in that order.
+    come largest shard first; returns their trained θ in that order,
+    `[client, class, feature + 1]` with the bias as feature F.
 
     Client i trains on the rows `shards[i]` of `dataset` (global indices,
     gathered by chunk, never copied out) and shuffles each epoch with its
@@ -300,8 +425,8 @@ def _lockstep(
     sample carries weight `lr / len(batch)`, folded into the softmax
     normalisation, and the lanes that pad an epoch's short last batch carry
     weight 0.  Everything runs in the dtype of `dataset.design`.
-    Finiteness is checked once, when the trained params are built after the
-    last step.
+    Finiteness is not checked here: `ClientGroups.train` builds the trained
+    params, which check it.
     """
     sizes = [len(shard) for shard in shards]
     design = dataset.design
@@ -376,7 +501,7 @@ def _lockstep(
     take, matmul, copyto, exp, divide = design.take, np.matmul, np.copyto, np.exp, np.divide
     add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
 
-    # a diverging run overflows here; the finiteness check below reports it
+    # a diverging run overflows here; the trained params' finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
             # the shuffle makes the swaps of `permutation(n)`, so `buf[:n]` is
@@ -414,7 +539,7 @@ def _lockstep(
                         matmul(probs, x, out=grad)
                         t -= grad
 
-    return [ModelParams(t[:, :num_features].copy(), t[:, num_features].copy()) for t in theta]
+    return theta
 
 
 def local_train(params: ModelParams, data: SyntheticDataset, cfg: TrainConfig):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greenfl import workload
 from greenfl.cli import main
 from greenfl.config import parse_config
 from greenfl.runner import train_trajectory
@@ -22,6 +23,21 @@ def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error::RuntimeWarning", **(env or {})}
     argv = [sys.executable, *map(str, args)]
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, **kwargs)
+
+
+def fail_in_the_worker(how="raise"):
+    """A `workload._lockstep` that trains in the calling process, and in a
+    worker raises MemoryError (`how="raise"`) or exits (`how="exit"`)."""
+    caller, lockstep = os.getpid(), workload._lockstep
+
+    def spy(*args):
+        if os.getpid() != caller:
+            if how == "exit":
+                os._exit(3)
+            raise MemoryError("no room for the epoch tables")
+        return lockstep(*args)
+
+    return spy
 
 
 def small_doc(**overrides):

@@ -2,17 +2,21 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from greenfl import workload
 from greenfl.cli import main
 from greenfl.config import build_shards, bundled_config_path, load_json, parse_config
 from greenfl.errors import ConfigError
 from greenfl.reporting import RunReport, SiteTotals
 from greenfl.runner import plan_run
 
-from conftest import ROOT, run_python, small_doc
+from conftest import ROOT, fail_in_the_worker, run_python, small_doc
 
 
 def write_doc(tmp_path, doc, name="config.json"):
@@ -477,7 +481,7 @@ def retina_doc(**overrides):
     [
         pytest.param("retina_gpuswap_h100", 1e40, id="1e+40"),
         pytest.param("retina_gpuswap_h100", 1e308, id="1e+308"),
-        # a step large enough to train its clients in groups on threads
+        # a step large enough to train its clients in groups, one in a worker process
         pytest.param("cifar_tiers_high", 1e40, id="cifar_tiers_high-1e+40"),
     ],
 )
@@ -490,6 +494,57 @@ def test_diverging_run_fails_with_one_error_line(tmp_path, capsys, scenario, lea
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: training diverged in round 1: model parameters must be finite\n"
+    assert not out.exists()
+
+
+# `greenfl` with two client groups on any machine, so cifar trains one in a worker
+TWO_GROUPS = (
+    "import sys, greenfl.cli, greenfl.workload; greenfl.workload._usable_cores = lambda: 2;"
+    " sys.exit(greenfl.cli.main(sys.argv[1:]))"
+)
+
+
+def greenfl_in_session(tmp_path, *argv):
+    """`greenfl *argv` as a child in a new session, its output sent to files, so
+    a process it leaves behind can neither hang the test nor escape it;
+    returns the child's pid, exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error::RuntimeWarning"}
+    with open(tmp_path / "stdout", "w+") as out, open(tmp_path / "stderr", "w+") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", TWO_GROUPS, *map(str, argv)], env=env, stdout=out, stderr=err, start_new_session=True
+        )
+        code = child.wait(timeout=60)
+        out.seek(0)
+        err.seek(0)
+        return child.pid, code, out.read(), err.read()
+
+
+@pytest.mark.parametrize("learning_rate", [None, 1e40], ids=["trains", "diverges"])
+def test_a_run_leaves_no_process_behind(tmp_path, learning_rate):
+    config = "cifar_tiers_high"
+    if learning_rate is not None:
+        doc = load_json(bundled_config_path(config), "config")
+        doc["workload"]["learning_rate"] = learning_rate
+        config = write_doc(tmp_path, doc)
+    pid, code, out, err = greenfl_in_session(tmp_path, "run", "--config", config, "--out", tmp_path / "out")
+    if learning_rate is None:
+        assert (code, err) == (0, ""), err
+    else:
+        assert (code, out) == (1, "")
+        assert err == "error: training diverged in round 1: model parameters must be finite\n"
+    # the session's group is gone with its leader: no worker outlived the run
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pid, 0)
+
+
+def test_a_failed_worker_fails_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(workload, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(workload, "_lockstep", fail_in_the_worker())
+    out = tmp_path / "out"
+    assert main(["run", "--config", "cifar_tiers_high", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a client group's worker failed: MemoryError: no room for the epoch tables\n"
     assert not out.exists()
 
 

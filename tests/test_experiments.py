@@ -4,8 +4,12 @@ bytes, and the calibrated tier runs must be the bundled scenarios."""
 
 import contextlib
 import csv
+import importlib.util
 import io
 import os
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -36,8 +40,8 @@ def experiment_runs(tmp_path_factory):
     and `whatif --region FRA`.  What each prints is saved in the run's
     root, with that root replaced by `OUT`.  Each script runs in its own
     process, and run b's are pinned to one core, so they train every client
-    group on the calling thread, while run a splits the cifar clients onto
-    threads where it has two cores."""
+    in one group in the calling process, while run a trains a second group
+    of the cifar clients in a worker process where it has two cores."""
     base = tmp_path_factory.mktemp("experiments")
     one_core = {min(os.sched_getaffinity(0))}
     for name, pin in (("a", None), ("b", lambda: os.sched_setaffinity(0, one_core))):
@@ -90,3 +94,51 @@ def test_csv_report_is_a_row_per_site_of_each_tier_run(experiment_runs):
         rows = list(csv.reader(fh))
     # a header and 3 runs x 6 sites
     assert len(rows) == 19 and all(len(row) == 5 for row in rows), rows
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a stand-in for perfbench/run.py: the three lines bench_pairs reads, after
+# starting a child that sleeps on, its pid written to `child.pid`
+FAKE_RUN = """
+    import json, subprocess, sys
+    if {leak}:
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        open("child.pid", "w").write(str(child.pid))
+    print("wall seconds: op median 1.5, set-up median 0.5, calibration loop median 0.1")
+    print("env " + json.dumps({{"nproc": 2}}))
+    print(json.dumps({{"correct": True, "metrics": {{}}}}))
+"""
+
+
+@pytest.mark.parametrize("leak", [False, True])
+def test_bench_pairs_names_a_run_that_leaves_a_process_running(tmp_path, leak):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(textwrap.dedent(FAKE_RUN.format(leak=leak)))
+    bench_pairs = load_bench_pairs()
+    if not leak:
+        side = bench_pairs.run_side(tmp_path, "tier_suite", 7, 1.0)
+        assert side["env"] == {"nproc": 2} and side["result"]["correct"]
+        return
+    with pytest.raises(SystemExit, match=r"^error: .*perfbench/run.py --workload tier_suite --seed 7 .* left processes"):
+        bench_pairs.run_side(tmp_path, "tier_suite", 7, 1.0)
+    # SIGKILL lands soon after it is sent; then the child is gone (X), or a
+    # zombie (Z) until its new parent reaps it
+    pid = (tmp_path / "child.pid").read_text()
+    deadline = time.monotonic() + 10
+    while (state := process_state(pid)) not in "ZX":
+        assert time.monotonic() < deadline, state
+        time.sleep(0.01)
+
+
+def process_state(pid: str) -> str:
+    """The state letter of process `pid` from /proc, X once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return "X"

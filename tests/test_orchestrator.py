@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from greenfl.config import parse_config
+from greenfl import orchestrator, workload
+from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config, parse_config
 from greenfl.errors import EmptyUpdateSet, ShapeMismatch
 from greenfl.orchestrator import fedavg_aggregate
 from greenfl.runner import execute_run, train_trajectory
@@ -178,3 +181,21 @@ def test_accuracy_non_decreasing_within_noise(small_cfg):
 def test_zero_rounds_rejected():
     with pytest.raises(Exception):
         parse_config(small_doc(num_rounds=0))
+
+
+def test_an_interrupt_after_round_one_propagates_and_reaps_the_worker(monkeypatch):
+    spec = load_config(bundled_config_path("cifar_tiers_high")).spec
+    dataset, shards = build_dataset(spec), build_shards(spec)
+    live = []
+
+    def interrupt(params, data):
+        live.append(os.waitpid(-1, os.WNOHANG))  # (0, 0): a worker runs and has not exited
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(workload, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(orchestrator, "evaluate", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        orchestrator.run_job(spec.num_rounds, spec.train, dataset, shards)
+    assert live == [(0, 0)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

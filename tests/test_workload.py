@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import itertools
+import os
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from greenfl import workload
 from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config
-from greenfl.errors import Diverged, EmptyClientData
+from greenfl.errors import Diverged, EmptyClientData, WorkerFailed
 from greenfl.orchestrator import fedavg_aggregate, run_job
 from greenfl.workload import (
     ModelParams,
@@ -27,7 +28,7 @@ from greenfl.workload import (
     update_payload_bytes,
 )
 
-from conftest import run_python
+from conftest import fail_in_the_worker, run_python
 
 
 def softmax(logits):
@@ -225,9 +226,28 @@ def test_make_blobs_peak_memory_is_one_copy_of_the_features():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = samples_per_class * num_features * np.dtype(np.float64).itemsize
-    # the labels, the class means and small temporaries fit in the slack
-    assert peak <= data.design.nbytes + block + data.labels.nbytes + (1 << 17), peak
+    # one chunk of the float64 draw, not a class block; the labels, the
+    # class means and small temporaries fit in the slack
+    assert peak <= data.design.nbytes + workload.DRAW_BYTES + data.labels.nbytes + (1 << 17), peak
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_classes=st.integers(1, 4),
+    num_features=st.integers(1, 40),
+    samples_per_class=st.integers(1, 30),
+    draw_bytes=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_make_blobs_chunked_draw_is_the_whole_block_draw(num_classes, num_features, samples_per_class, draw_bytes, seed):
+    # chunks of whole rows, of part of a row, and chunks that end mid-block
+    args = num_classes, num_features, samples_per_class, 4.0, seed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "DRAW_BYTES", 1 << 40)
+        whole = make_blobs(*args)
+        mp.setattr(workload, "DRAW_BYTES", draw_bytes)
+        chunked = make_blobs(*args)
+    assert chunked.design.tobytes() == whole.design.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -454,9 +474,9 @@ def groups_on(cores):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @settings(max_examples=100, deadline=None)
 @given(case=client_sets(), cores=st.integers(2, 4))
-def test_threaded_groups_match_one_group(dtype, case, cores):
+def test_worker_groups_match_one_group(dtype, case, cores):
     # shards narrower than the batch included: every group steps at the
-    # lane width of the whole call
+    # lane width of the whole call, and a worker's θ comes back bit for bit
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
     for work, chunk in itertools.product(LAYOUTS, GATHERS):
@@ -475,10 +495,17 @@ def test_lockstep_takes_each_group_largest_shard_first(cores):
     # `_client_groups` is the one place that orders the clients; `_lockstep`
     # takes them as given, and the clients still stepping form a prefix only
     # if they come largest shard first.  The shards come smallest first, and
-    # each holds at least one batch, so every call steps at the batch width
+    # each holds at least one batch, so every call steps at the batch width.
+    # A spy sees the calling process's group only: the others train in workers
     sizes = [3, 4, 7, 11, 18]
     cfg = TrainConfig(local_epochs=2, batch_size=3, learning_rate=0.3)
     dataset, shards, seeds, params = random_clients(sizes, 5, np.float64)
+    with groups_on(cores):
+        groups = _client_groups(sizes, 3 * dataset.num_features * dataset.num_classes, cores)
+    assert len(groups) == cores
+    for group in groups:
+        lengths = [sizes[c] for c in group]
+        assert lengths == sorted(lengths, reverse=True), groups
     lockstep = workload._lockstep
     received = []
 
@@ -489,8 +516,7 @@ def test_lockstep_takes_each_group_largest_shard_first(cores):
     with groups_on(cores), pytest.MonkeyPatch.context() as mp:
         mp.setattr(workload, "_lockstep", spy)
         got = train_clients(params, dataset, shards, cfg, seeds)
-    assert len(received) == cores
-    assert all(lengths == sorted(lengths, reverse=True) for lengths in received), received
+    assert received == [[sizes[c] for c in groups[0]]]
     with groups_on(1):
         want = train_clients(params, dataset, shards, cfg, seeds)
     for shard, seed, g, w in zip(shards, seeds, got, want, strict=True):
@@ -500,9 +526,9 @@ def test_lockstep_takes_each_group_largest_shard_first(cores):
             assert np.array_equal(trained.bias, alone.bias)
 
 
-def test_divergence_in_a_worker_thread_is_raised():
-    # the calling thread trains the group with the largest shard; only the
-    # small shard, trained on the pool's thread, overflows
+def test_divergence_in_a_worker_process_is_raised():
+    # the calling process trains the group with the largest shard; only the
+    # small shard, trained in the worker, overflows
     rng = np.random.default_rng(4)
     features = rng.normal(size=(60, 4)).astype(np.float32)
     features[:5] = 3e38
@@ -516,6 +542,25 @@ def test_divergence_in_a_worker_thread_is_raised():
             train_clients(params, data, shards, cfg, [0, 1])
     (alone,) = train_clients(params, data, shards[1:], cfg, [1])
     assert np.all(np.isfinite(alone.weights))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("raise", "a client group's worker failed: MemoryError: no room for the epoch tables"),
+        ("exit", "a client group's worker exited before its reply"),
+    ],
+)
+def test_a_failed_worker_raises_worker_failed(how, message):
+    dataset, shards, seeds, params = random_clients([6, 9], 2, np.float32)
+    with groups_on(2), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "_lockstep", fail_in_the_worker(how))
+        with pytest.raises(WorkerFailed, match=f"^{message}$"):
+            train_clients(params, dataset, shards, TrainConfig(local_epochs=1, batch_size=4), seeds)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -524,7 +569,7 @@ def test_divergence_in_a_worker_thread_is_raised():
         # 600 lanes x 90 features x 10 classes x 6 clients = 3.24M multiply-adds per step
         ("cifar_tiers_high", 2, 2),
         ("cifar_tiers_high", 1, 1),
-        # 20 x 64 x 2 x 5 = 12.8k: GIL-bound, a split is slower
+        # 20 x 64 x 2 x 5 = 12.8k: a worker costs more than it saves
         ("retina_gpuswap_h100", 2, 1),
         ("retina_gpuswap_h100", 1, 1),
     ],
@@ -582,9 +627,15 @@ def test_theta_layout_is_chosen_from_one_clients_step_work(scenario, class_major
         assert np.array_equal(a.bias, b.bias)
 
 
-def test_cli_import_leaves_out_the_thread_pool():
-    # and the config parser sits below the engine: it loads no orchestrator
-    for module, unloaded in (("greenfl.cli", "concurrent.futures"), ("greenfl.config", "greenfl.orchestrator")):
+def test_cli_import_leaves_out_what_the_worker_imports(tmp_path):
+    # `signal` is imported only to fork a worker, which a retina run never
+    # does; and the config parser sits below the engine: it loads no orchestrator
+    retina = f"greenfl.cli.main(['run', '--config', 'retina_gpuswap_h100', '--out', {str(tmp_path)!r}])"
+    for module, unloaded in (
+        ("greenfl.cli", "signal"),
+        (f"greenfl.cli; {retina}", "signal"),
+        ("greenfl.config", "greenfl.orchestrator"),
+    ):
         code = f"import sys, {module}; sys.exit({unloaded!r} in sys.modules)"
         assert run_python("-c", code).returncode == 0, module
 
@@ -617,7 +668,7 @@ def test_train_clients_keeps_no_state_between_calls(dtype, other_dtype, case, ot
 def test_table_memory_is_per_epoch(scenario):
     # a round-long [client, step, lane] table grew with the epoch count; the
     # per-epoch tables, the step's buffers and its views do not.  One group:
-    # with two, the peak depends on how the threads' step temporaries overlap
+    # with two, a worker's allocations are not traced
     spec = load_config(bundled_config_path(scenario)).spec
     dataset = build_dataset(spec)
     shards = build_shards(spec)
