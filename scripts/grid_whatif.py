@@ -3,7 +3,8 @@
 
 Shows how identical energy use maps to different CO2e totals by region.
 Emits a plot-ready CSV on stdout.  Exits as `greenfl` does: 2 for a
-directory without rounds.csv, 1 for a bad row, each with one `error:` line.
+directory without rounds.csv, 1 for a bad row or a rounds.csv that is not
+UTF-8, each with one `error:` line.
 """
 
 import argparse

@@ -17,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 from .config import bundled_config_path, load_accuracies, load_json, load_targets, load_tiers, parse_config
-from .errors import ConfigError, GreenflError
+from .errors import ConfigError, GreenflError, SchemaViolation
 from .reporting import (
     TierTarget,
     calibrate_tiers,
@@ -86,7 +86,11 @@ def read_run_dir(run_dir, what: str = "in"):
     csv_path = Path(run_dir) / "rounds.csv"
     if not csv_path.is_file():
         raise ConfigError(what, f"{run_dir} does not contain rounds.csv")
-    return parse_round_log(csv_path.read_text(encoding="utf-8"))
+    try:
+        text = csv_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, so `guarded` would not catch it
+        raise SchemaViolation("rounds.csv", f"{csv_path} is not UTF-8: {exc}") from None
+    return parse_round_log(text)
 
 
 def _run_label(records) -> str:

@@ -16,9 +16,15 @@ write -> parse lossless and identical runs byte-identical on disk.
 A run's summary (`summary.json`, `report --format json`) is a `RunReport`:
 `schema_version` plus its fields, in their declared order, with the
 per-site entries in site-id order.  The dataclass is the schema's one
-declaration, so a new summary key is one new field.  Its totals are one
-fold: `SiteTotals.add` fills the `SiteTotals` of the run, of each site and
-of the round phase row by row, so a new breakdown is one more of them.
+declaration, so a new summary key is one new field.  Its totals come from
+one keyed fold, `fold_by`: one pass over the rows, in row order, prices
+each row's communication once and adds the row, by `SiteTotals.add`, to
+the totals of its key value under each key function asked for.  The run,
+each site, each phase and each round are four keys of one pass, so a new
+breakdown is one more key.  Views fold rows, never the cells of a finer
+view: a cell of a parsed round log can hold several rows, and re-summing
+cells rounds differently from the row-order fold, so only a fold of the
+rows is bit-exact.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import csv
 import io
 import math
 import sys
+from collections import defaultdict
 from dataclasses import asdict, dataclass, fields, replace
 
 from .comm import CommEnergyModel, UpdatePayload, comm_energy
@@ -210,24 +217,31 @@ class RunReport:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
+def fold_by(records: list[RoundRecord], *keys) -> list[dict]:
+    """One pass over the record stream: for each key function, a dict from
+    each value it takes to the `SiteTotals` of the rows with that value,
+    each folded by `SiteTotals.add` in row order.  A row's comm is priced
+    once, for every view.  A missing key value reads as empty totals."""
+    views = [defaultdict(SiteTotals) for _ in keys]
+    for record, ce in zip(records, map(record_comm_energy, records)):
+        cc = emissions_of(ce, record.ci_kg_per_kwh)
+        for key, view in zip(keys, views):
+            view[key(record)].add(record, ce, cc)
+    return views
+
+
 def summarize_run(records: list[RoundRecord]) -> RunReport:
-    """Fold the record stream, in row order, into the `SiteTotals` of the
-    run, of each site and of the round phase, and read the report off them.
+    """Fold the record stream into four views, the run, each site, each
+    phase and each round, and read the report off them: the round phase's
+    totals are the phase view's `ROUND` entry, and `num_rounds` is the
+    largest round.
 
     Every record is finite, but their sums can still overflow: a total that
     is not finite raises `NonFiniteTotal`.
     """
-    run, rounds = SiteTotals(), SiteTotals()
-    per_site: dict[str, SiteTotals] = {}
-    num_rounds = 0
-    for record in records:
-        num_rounds = max(num_rounds, record.round_index)
-        ce = record_comm_energy(record)
-        cc = emissions_of(ce, record.ci_kg_per_kwh)
-        run.add(record, ce, cc)
-        per_site.setdefault(record.site_id, SiteTotals()).add(record, ce, cc)
-        if record.phase == ROUND:
-            rounds.add(record, ce, cc)
+    keys = (lambda r: None, lambda r: r.site_id, lambda r: r.phase, lambda r: r.round_index)
+    run, per_site, by_phase, by_round = fold_by(records, *keys)
+    run, rounds, num_rounds = run[None], by_phase[ROUND], max(by_round, default=0)
 
     report = RunReport(
         run_id=records[0].run_id if records else "",

@@ -52,7 +52,7 @@ def plan_run(cfg: RunConfig) -> tuple[list[RoundRecord], RunReport]:
     the config, and a run total that overflows is one at `sites`.  An empty
     Dirichlet shard is a ConfigError at `partition.alpha`, naming the first
     site that would get it.  The one lockstep rule follows: all that one
-    `train_clients` call holds, `workload.lockstep_values`, must fit
+    round of `ClientGroups` holds, `workload.lockstep_values`, must fit
     `MAX_DATASET_VALUES` 4-byte values, or it is a ConfigError at
     `partition.num_clients`."""
     sizes = shard_sizes(cfg.spec)

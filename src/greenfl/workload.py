@@ -189,7 +189,7 @@ def _usable_cores() -> int:
 
 
 def _client_groups(sizes: list[int], client_work: int, cores: int) -> list[list[int]]:
-    """Client indices split into the groups `train_clients` trains side by side.
+    """Client indices split into the groups `ClientGroups` trains side by side.
 
     There are `min(cores, clients, step_work // MIN_GROUP_WORK)` groups, at
     least one, where `step_work = client_work * clients` is the
@@ -370,13 +370,14 @@ class ClientGroups:
 
 
 def lockstep_values(sizes: list[int], batch_size: int, num_classes: int, num_features: int) -> int:
-    """4-byte values one `train_clients` call holds for clients of shard
-    `sizes`, `lane = min(batch_size, max(sizes))` lanes wide.  Per client: θ,
-    its gradient and the trained copy, each `[classes, features + 1]`; the
-    logits, `[classes, lane]`; 7 values for each entry of the `[steps,
-    clients, 1, lane]` epoch tables, one for the lane weight (float32) and two
-    each for the sample index, the true-class position and the shuffle buffer
-    (intp); and the gather of one step, `lane x (features + 1)`."""
+    """4-byte values one round of `ClientGroups` holds, over all its groups,
+    for clients of shard `sizes`, `lane = min(batch_size, max(sizes))` lanes
+    wide.  Per client: θ, its gradient and the trained copy, each `[classes,
+    features + 1]`; the logits, `[classes, lane]`; 7 values for each entry
+    of the `[steps, clients, 1, lane]` epoch tables, one for the lane weight
+    (float32) and two each for the sample index, the true-class position and
+    the shuffle buffer (intp); and the gather of one step, `lane x (features
+    + 1)`."""
     lane, k, f = min(batch_size, max(sizes)), num_classes, num_features
     return len(sizes) * (k * (3 * (f + 1) + lane) + lane * (7 * batches(max(sizes), lane) + f + 1))
 
@@ -390,9 +391,9 @@ def _lockstep(
     batch: int,
     class_major: bool,
 ) -> list[ModelParams]:
-    """`train_clients` for one group of clients, `batch` lanes wide, which
-    come largest shard first; returns their trained θ in that order,
-    `[client, class, feature + 1]` with the bias as feature F.
+    """One round of SGD for one group of `ClientGroups`' clients, `batch`
+    lanes wide, which come largest shard first; returns their trained θ in
+    that order, `[client, class, feature + 1]` with the bias as feature F.
 
     Client i trains on the rows `shards[i]` of `dataset` (global indices,
     gathered by chunk, never copied out) and shuffles each epoch with its
@@ -521,7 +522,7 @@ def _lockstep(
             target += offset
             for chunks, t, t_fm, probs, flat, per_lane, grad in prefixes:
                 for idx, xs, xs_t, lanes, targets in chunks:
-                    # `clip` writes straight into `out=`; `train_clients`
+                    # `clip` writes straight into `out=`; `ClientGroups`
                     # has checked every index
                     take(idx, axis=0, out=xs, mode="clip")
                     for x, x_t, lane, tg in zip(xs, xs_t, lanes, targets):

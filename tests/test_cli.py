@@ -181,7 +181,7 @@ def test_whatif_rejects_non_finite_or_negative_ci(run_dir, capsys, ci):
 
 
 @pytest.mark.parametrize("argv", [["report", "--format", "json"], ["whatif", "--ci", "0.3"]])
-@pytest.mark.parametrize("cell", ["abc", "short", "bogus"])
+@pytest.mark.parametrize("cell", ["abc", "short", "bogus", "\xff"])
 def test_malformed_row_fails_with_one_error_line(run_dir, capsys, argv, cell):
     csv_path = run_dir / "rounds.csv"
     header, first, *rest = csv_path.read_text().splitlines(keepends=True)
@@ -190,11 +190,13 @@ def test_malformed_row_fails_with_one_error_line(run_dir, capsys, argv, cell):
         fields.pop()
     else:
         fields[header.split(",").index("phase" if cell == "bogus" else "energy_kwh")] = cell
-    csv_path.write_text("".join([header, ",".join(fields) + "\n", *rest]))
+    # latin-1 writes "\xff" as a byte that is not UTF-8, which ended in a UnicodeDecodeError traceback
+    csv_path.write_text("".join([header, ",".join(fields) + "\n", *rest]), encoding="latin-1")
     assert main([argv[0], "--in", str(run_dir), *argv[1:]]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert ("rounds.csv is not UTF-8" in out.err) == (cell == "\xff"), out.err
 
 
 @pytest.mark.parametrize("argv", [["report", "--format", "json"], ["whatif", "--ci", "0.3"]])
@@ -352,6 +354,11 @@ def test_grid_whatif_script_fails_with_one_error_line(run_dir, tmp_path):
     bad = run_grid_whatif(run_dir)
     assert (bad.returncode, bad.stdout) == (1, "")
     assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, bad.stderr
+
+    csv_path.write_bytes(b"run_id\xff\n")
+    undecodable = run_grid_whatif(run_dir)
+    assert (undecodable.returncode, undecodable.stdout) == (1, "")
+    assert undecodable.stderr.startswith(f"error: {csv_path} is not UTF-8: ") and undecodable.stderr.count("\n") == 1
 
 
 def test_whatif_unknown_region(run_dir, capsys):

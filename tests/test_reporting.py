@@ -20,6 +20,7 @@ from greenfl.reporting import (
     RoundRecord,
     TierTarget,
     calibrate_tiers,
+    fold_by,
     parse_round_log,
     record_comm_energy,
     region_cis,
@@ -199,6 +200,13 @@ def test_summary_is_the_left_to_right_fold_bit_for_bit(records):
         assert summary[key] == value, key
     assert summary["per_site"] == per_site
     assert summary["num_rounds"] == num_rounds
+
+    # the finest key: a cell holds any number of rows, and each is its own fold
+    cell = operator.attrgetter("site_id", "round_index", "phase")
+    (cells,) = fold_by(records, cell)
+    assert {key: dataclasses.asdict(totals) for key, totals in cells.items()} == {
+        key: _reference_totals([(r, ce) for r, ce in rows if cell(r) == key]) for key in {cell(r) for r in records}
+    }
 
 
 def test_overflowing_comm_energy_fails_as_a_total():

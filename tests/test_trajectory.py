@@ -17,7 +17,7 @@ from greenfl.errors import EmptyClientData
 from greenfl.orchestrator import build_ledger
 from greenfl.partition import LabeledDatasetDescriptor, dirichlet_partition
 from greenfl.reporting import summarize_run, write_round_log
-from greenfl.runner import execute_run, plan_run, train_trajectory
+from greenfl.runner import execute_run, plan_run, train_trajectory, write_json
 from greenfl.sites import BUILTIN_HARDWARE, BUILTIN_REGIONS, BUILTIN_TIERS, ROUND
 
 from conftest import small_doc
@@ -167,28 +167,33 @@ def test_cached_final_params_are_read_only(small_cfg):
             array[0] = 1.0
 
 
-# sha256 of each bundled scenario's ledger and metadata at its own seed;
-# summary.json is not pinned because its accuracies depend on the BLAS build
+# sha256 of each bundled scenario's artifacts at its own seed; summary.json's
+# is taken without `accuracy_by_round`, which depends on the BLAS build
 PINNED_SHA256 = {
     "cifar_tiers_high": {
         "rounds.csv": "0e8eabb4e768c1bc45698deddd6070e6f3ba9cdce8f86d027fdc33904ecb0024",
         "run.json": "dcdc0495f67caf8d9a0f6771283960a9641d78990accfbbe771323aa30c1cfa5",
+        "summary.json": "82be30149552d7c809cb4eb30d57d2db99ae2073f62e80e21b001f123a0082b5",
     },
     "cifar_tiers_medium": {
         "rounds.csv": "1f8daccfcc8a093c1311bca37e7e2ae3b8c050369443fde1b53d9387167e5d07",
         "run.json": "de3d08497cba067ef79c6670b2afd84732e819c1924c9d9d561131426e77e3be",
+        "summary.json": "39ce41c5bf261ff082aafc5a286d41fdd0f8876ca5176998b0f516ff1fd8e088",
     },
     "cifar_tiers_low": {
         "rounds.csv": "c5aa8066cd15ff212213c8afec17c520b7b1877b93b588bd4f4561851ff73cb1",
         "run.json": "85ea2e19401806b49f2c4c2ceb11b7197b2d2320dbe512a508375636b11e181e",
+        "summary.json": "71bf387c5d27ed7328788e514e22e5614634748887d80c51f34efa8c9fb0c14f",
     },
     "retina_gpuswap_h100": {
         "rounds.csv": "e162f19578c2ffd86e10d5afd020efcd54b244d1b70eef2e9e9ed3dd9390751d",
         "run.json": "722b242404616623be19593eea4f2c03690e3020449d17c7e13b5dda32bb72c5",
+        "summary.json": "2bd32b1e797c521a96953df29bdcb513098c9d59ce8f164b883ea62f162d6243",
     },
     "retina_gpuswap_v100": {
         "rounds.csv": "7e21532321a7325baa16160fe14f9276ac919b2ddb8cbf179974e66cfaa66630",
         "run.json": "0bc2ec65019c5972daa1d96ff132845e72f108c66e8b6efe3cc2669a84402428",
+        "summary.json": "1b3ae4cc4e78f7e499bb90f248d7973d325771021b0e8053b42b4ad85a9be9cd",
     },
 }
 
@@ -201,8 +206,13 @@ def test_warm_run_is_byte_identical_to_cold_run(scenario, tmp_path):
     assert (info.hits, info.misses) == (1, 1)
     for name in ARTIFACTS:
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
-    for name, digest in PINNED_SHA256[scenario].items():
-        assert hashlib.sha256((tmp_path / "cold" / name).read_bytes()).hexdigest() == digest
+    summary = json.loads((tmp_path / "cold" / "summary.json").read_text(encoding="utf-8"))
+    del summary["accuracy_by_round"]
+    write_json(tmp_path / "summary.json", summary)
+    pinned = {name: tmp_path / "cold" / name for name in ("rounds.csv", "run.json")}
+    pinned["summary.json"] = tmp_path / "summary.json"
+    for name, path in pinned.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[scenario][name], name
 
 
 @pytest.mark.parametrize("scenario", BUNDLED)
