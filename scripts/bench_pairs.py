@@ -4,8 +4,9 @@
     python3 scripts/bench_pairs.py --parent HEAD --workload retina_seed_sweep \\
         --workload tier_suite --pairs 10 --seconds 50 --seed 1001 --out BENCH_<n>.json
 
-REV is checked out with `git worktree` into a temporary directory, which is
-removed again on every exit, failures and interrupts included. Pair i runs
+REV's files are extracted with `git archive` into a temporary directory, which
+is removed again on every exit, failures and interrupts included; the
+repository's own state is never touched. Pair i runs
 `perfbench/run.py --seed <seed + i>` once in that checkout and once in the
 working tree, the parent first on even pairs and the working tree first on
 odd ones; several workloads are interleaved pair by pair. The JSON file
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     doc = {
         "about": "scripts/bench_pairs.py: perfbench/run.py --workload W --seed S --seconds T --trace 0, run in a "
-                 "git worktree of the parent and in the working tree, alternating which runs first; times in "
+                 "`git archive` of the parent and in the working tree, alternating which runs first; times in "
                  "reference seconds, raw_wall from each run's wall-seconds line; quartiles by "
                  "statistics.quantiles(method='inclusive')",
         "command": ["scripts/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
@@ -157,12 +158,17 @@ def main(argv=None) -> int:
         "end_to_end": {},
     }
 
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way
+    # SIGTERM unwinds like Ctrl-C, so the parent's copy is removed either way
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     tree = scratch / "parent"
     try:
-        git("worktree", "add", "--detach", str(tree), parent)
+        archive = scratch / "parent.tar"
+        git("archive", "--output", str(archive), parent)
+        tree.mkdir()
+        untar = subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], capture_output=True, text=True)
+        if untar.returncode != 0:
+            raise SystemExit(f"error: tar -xf {archive}: {untar.stderr.strip()}")
         sides = {"parent": tree, "change": ROOT}
         for i in range(args.pairs):
             seed = args.seed + i
@@ -178,9 +184,7 @@ def main(argv=None) -> int:
                 entry["summary"], entry["raw_wall"] = summarize(entry["runs"], directions)
                 write(args.out, doc)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
     return 0
 
 

@@ -27,7 +27,6 @@ from .workload import (
     SyntheticDataset,
     TrainConfig,
     batches,
-    evaluate,
     steps_per_round,
     update_payload_bytes,
 )
@@ -76,13 +75,15 @@ def run_job(
     Client i trains on the rows `shards[i]` of `dataset` with its own
     (seed, i, round) shuffle stream; one `ClientGroups`, whose workers live
     for the whole run, steps all clients of each round in lockstep.  The
-    parameters are in the dataset's dtype.  The aggregate is evaluated on
-    the full `dataset`.  Non-finite parameters raise `Diverged` naming the
-    round.
+    parameters are in the dataset's dtype.  Each round's aggregate is
+    evaluated on the full `dataset`; with k groups, the aggregates of k
+    rounds are kept and evaluated together, one in each process, so a run
+    holds at most k of them.  Non-finite parameters raise `Diverged` naming
+    the round.
     """
     params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.design.dtype)
     sizes = [len(shard) for shard in shards]
-    accuracy_by_round = []
+    accuracy_by_round, aggregates = [], []
     with ClientGroups(dataset, shards, train_cfg) as groups:
         for round_index in range(1, num_rounds + 1):
             seeds = [_client_seed(train_cfg.seed, i, round_index) for i in range(len(shards))]
@@ -91,7 +92,10 @@ def run_job(
                 params = fedavg_aggregate(list(zip(trained, sizes)))
             except Diverged:
                 raise Diverged(round_index) from None
-            accuracy_by_round.append(evaluate(params, dataset))
+            aggregates.append(params)
+            if len(aggregates) == len(groups.groups) or round_index == num_rounds:
+                accuracy_by_round += groups.evaluate(aggregates)
+                aggregates = []
     return accuracy_by_round, params
 
 

@@ -45,6 +45,16 @@ CLASS_MAJOR_WORK = 1 << 16
 # A call-bound step then pays a fraction of a `take`; a whole epoch's
 # batches (about 22 MB on cifar) would raise the peak memory for nothing.
 GATHER_BYTES = 1 << 18
+# Bytes of shard rows, `len(shard) x (num_features + 1) x itemsize`, that one
+# pass of a BLAS-bound client group reads each epoch.  Such a group trains in
+# passes of consecutive clients whose rows fit, one pass after another, so an
+# epoch finds its rows in L2 rather than fetching them again from L3 (see
+# `_passes`).  On a 2-core VM with a 4 MiB L2 per core, cifar_tiers_high's
+# `run_job` (20 interleaved repeats, median) took 781 ms in one pass per
+# group, 752 ms at 4 MiB (one client per pass) and 756 ms at 8 MiB (its two
+# smallest clients share a pass).  Like CLASS_MAJOR_WORK it depends on the
+# machine.
+PASS_BYTES = 1 << 22
 # Bytes of one chunk of `make_blobs`' float64 draw: a class block is drawn in
 # C order a chunk at a time, and each chunk gets its class mean and is cast
 # into the design while it is in cache, so no block-sized buffer is held.
@@ -210,6 +220,25 @@ def _client_groups(sizes: list[int], client_work: int, cores: int) -> list[list[
     return groups
 
 
+def _passes(group: list[int], row_bytes: list[int]) -> list[list[int]]:
+    """`group` cut into the passes `ClientGroups` trains one after another:
+    runs of consecutive clients whose shard rows, `row_bytes[c]` bytes for
+    client c, fit `PASS_BYTES` together.  The clients whose rows alone
+    exceed it, a prefix of a group that comes largest shard first, share
+    the first pass: no pass holds their rows in cache, so a pass apiece
+    would only repeat the numpy calls that lockstep shares."""
+    large = [c for c in group if row_bytes[c] > PASS_BYTES]
+    passes, held = [large] if large else [], PASS_BYTES  # full, so the next client opens a pass
+    for c in group[len(large) :]:
+        if held + row_bytes[c] <= PASS_BYTES:
+            passes[-1].append(c)
+            held += row_bytes[c]
+        else:
+            passes.append([c])
+            held = row_bytes[c]
+    return passes
+
+
 def train_clients(
     params: ModelParams,
     dataset: SyntheticDataset,
@@ -234,26 +263,31 @@ def _send(fd: int, message) -> None:
 
 class ClientGroups:
     """The clients of `shards`, dealt into groups once, trained a round at a
-    time by `train`, until `close`; a context manager that closes on exit.
+    time by `train`, and whose processes share `evaluate`, until `close`; a
+    context manager that closes on exit.
 
     Client i trains on the rows `shards[i]` of `dataset`.  Each client takes
     `steps_per_round` of its shard size, the count the ledger charges.
-    `_client_groups` orders the clients and deals them into groups; each
-    group is trained in lockstep (see `_lockstep`).  There is one group
-    unless one lockstep step is large enough to pay for a worker process
-    (`MIN_GROUP_WORK`); then the groups, of balanced shard size, are one per
-    usable core.  The calling process trains the first group, and each
-    group after it trains in its own worker process, forked when the
-    object is made and ended by `close`.  A worker shares `dataset` and
-    `shards` with the caller copy-on-write, so they are never sent: each
-    round it reads the params and its clients' seeds from a pipe and
-    writes back its clients' trained θ as raw bytes.  Every group steps
-    at the lane width of the whole call, and in the θ layout chosen from one
-    client's step work alone, so a client's trained bits do not depend on
-    its group or its process, and a client that diverges raises `Diverged`
-    in the caller.  A worker that fails otherwise, or exits, raises
-    `WorkerFailed`.  A shard index outside `[0, dataset.num_samples)`
-    raises IndexError naming its client, before anything is forked.
+    `_client_groups` orders the clients and deals them into groups.  There
+    is one group unless one lockstep step is large enough to pay for a
+    worker process (`MIN_GROUP_WORK`); then the groups, of balanced shard
+    size, are one per usable core.  A group whose step is BLAS-bound (θ
+    feature-major) trains in passes sized to the cache (`_passes`), one
+    `_lockstep` call each; a call-bound group is one pass, because there the
+    numpy calls its clients share are the cost.  The calling process trains
+    the first group, and each group after it trains in its own worker
+    process, forked when the object is made and ended by `close`.  A worker
+    shares `dataset` and `shards` with the caller copy-on-write, so they are
+    never sent: each round it reads the params and the clients' seeds from
+    a pipe and writes back its clients' trained θ as raw bytes, and asked to
+    evaluate params it writes back their accuracies.  Every pass
+    steps at the lane width of the whole call, and in the θ layout chosen
+    from one client's step work alone, so a client's trained bits do not
+    depend on its group, its pass or its process, and a client that
+    diverges raises `Diverged` in the caller.  A worker that fails
+    otherwise, or exits, raises `WorkerFailed`.  A shard index outside
+    `[0, dataset.num_samples)` raises IndexError naming its client, before
+    anything is forked.
     """
 
     def __init__(self, dataset: SyntheticDataset, shards: list[np.ndarray], cfg: TrainConfig):
@@ -270,11 +304,13 @@ class ClientGroups:
         client_work = self.lane * dataset.num_features * dataset.num_classes
         self.class_major = client_work < CLASS_MAJOR_WORK
         self.groups = _client_groups(sizes, client_work, _usable_cores())
+        row_bytes = [n * (dataset.num_features + 1) * dataset.design.itemsize for n in sizes]
+        self.passes = [[group] if self.class_major else _passes(group, row_bytes) for group in self.groups]
         # (pid, request pipe fd, reply pipe reader) of each group after the first
         self._workers = []
         try:
-            for group in self.groups[1:]:
-                self._workers.append(self._fork(group))
+            for g in range(1, len(self.groups)):
+                self._workers.append(self._fork(g))
         except BaseException:
             self.close()
             raise
@@ -300,30 +336,66 @@ class ClientGroups:
         `shards` order; client i shuffles each epoch with its own
         `default_rng(seeds[i])` stream, and `cfg.seed` is not used."""
         d = self.dataset
-        try:
-            for (_, requests, _), group in zip(self._workers, self.groups[1:]):
-                _send(requests, (params, [seeds[c] for c in group]))
-            parts = [self._lockstep(params, self.groups[0], [seeds[c] for c in self.groups[0]])]
-            for (_, _, replies), group in zip(self._workers, self.groups[1:]):
-                error, theta = pickle.load(replies)
-                if error is not None:
-                    raise WorkerFailed(f"a client group's worker failed: {error}")
-                parts.append(np.frombuffer(theta, d.design.dtype).reshape(len(group), d.num_classes, -1))
-        except (BrokenPipeError, EOFError, pickle.UnpicklingError):  # a worker that died, before or in its reply
-            raise WorkerFailed("a client group's worker exited before its reply") from None
+        parts = self._share([("train", (params, seeds))] * len(self._workers), lambda: self._train(0, params, seeds))
         num_features = d.num_features
         trained = [None] * len(self.shards)
-        for group, part in zip(self.groups, parts):
+        for g, (group, part) in enumerate(zip(self.groups, parts)):
+            if g:
+                part = np.frombuffer(part, d.design.dtype).reshape(len(group), d.num_classes, -1)
             for c, t in zip(group, part):
                 trained[c] = ModelParams(t[:, :num_features].copy(), t[:, num_features].copy())
         return trained
 
-    def _lockstep(self, params: ModelParams, group: list[int], seeds: list[int]) -> np.ndarray:
-        shards = [self.shards[c] for c in group]
-        return _lockstep(params, self.dataset, shards, self.cfg, seeds, self.lane, self.class_major)
+    def evaluate(self, params: list[ModelParams]) -> list[float]:
+        """`evaluate(p, dataset)` of each of `params`, in order.  With k
+        groups, the calling process takes every k-th from the first, and
+        worker j every k-th from the j-th; a worker sends its floats back."""
+        k = len(self.groups)
+        requests = [("evaluate", params[j::k]) for j in range(1, k)]
+        shares = self._share(requests, lambda: self._evaluate(params[::k]))
+        accuracies = [None] * len(params)
+        for j, share in enumerate(shares):
+            accuracies[j::k] = share
+        return accuracies
 
-    def _fork(self, group: list[int]) -> tuple[int, int, BinaryIO]:
-        """Fork the worker that trains `group`; return its pid, the fd the
+    def _share(self, requests: list, own):
+        """Send `requests[j]` to worker j + 1, run `own()` here meanwhile,
+        and return its result, then each worker's reply, in group order."""
+        try:
+            for (_, pipe, _), request in zip(self._workers, requests):
+                _send(pipe, request)
+            results = [own()]
+            for _, _, replies in self._workers:
+                error, result = pickle.load(replies)
+                if error is not None:
+                    raise WorkerFailed(f"a client group's worker failed: {error}")
+                results.append(result)
+        except (BrokenPipeError, EOFError, pickle.UnpicklingError):  # a worker that died, before or in its reply
+            raise WorkerFailed("a client group's worker exited before its reply") from None
+        return results
+
+    def _train(self, g: int, params: ModelParams, seeds: list[int]) -> np.ndarray:
+        """Group g's trained θ, `[client, class, feature + 1]` in group
+        order: its passes' θ, concatenated."""
+        thetas = [
+            _lockstep(
+                params,
+                self.dataset,
+                [self.shards[c] for c in clients],
+                self.cfg,
+                [seeds[c] for c in clients],
+                self.lane,
+                self.class_major,
+            )
+            for clients in self.passes[g]
+        ]
+        return thetas[0] if len(thetas) == 1 else np.concatenate(thetas)
+
+    def _evaluate(self, params: list[ModelParams]) -> list[float]:
+        return [evaluate(p, self.dataset) for p in params]
+
+    def _fork(self, g: int) -> tuple[int, int, BinaryIO]:
+        """Fork the worker that trains group g; return its pid, the fd the
         caller writes requests to and the reader of its replies."""
         import signal  # only a call with two or more groups forks
 
@@ -347,7 +419,7 @@ class ClientGroups:
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, 1)
                 os.dup2(devnull, 2)
-                code = self._serve(group, open(requests_r, "rb"), replies_w)
+                code = self._serve(g, open(requests_r, "rb"), replies_w)
             finally:
                 # never the caller's exit path: no atexit hook, buffer flush or `finally`
                 os._exit(code)
@@ -355,15 +427,18 @@ class ClientGroups:
         os.close(replies_w)
         return pid, requests_w, open(replies_r, "rb")
 
-    def _serve(self, group: list[int], requests: BinaryIO, replies: int) -> int:
-        """The worker's loop: train `group` for each request until EOF."""
+    def _serve(self, g: int, requests: BinaryIO, replies: int) -> int:
+        """The worker's loop: train group g, or evaluate, for each request until EOF."""
         while True:
             try:
-                params, seeds = pickle.load(requests)
+                job, args = pickle.load(requests)
             except EOFError:
                 return 0
             try:
-                reply = None, self._lockstep(params, group, seeds).tobytes()
+                if job == "train":
+                    reply = None, self._train(g, *args).tobytes()
+                else:
+                    reply = None, self._evaluate(args)
             except Exception as exc:  # reported to the caller, which raises it
                 reply = f"{type(exc).__name__}: {exc}", None
             _send(replies, reply)
@@ -377,7 +452,8 @@ def lockstep_values(sizes: list[int], batch_size: int, num_classes: int, num_fea
     of the `[steps, clients, 1, lane]` epoch tables, one for the lane weight
     (float32) and two each for the sample index, the true-class position and
     the shuffle buffer (intp); and the gather of one step, `lane x (features
-    + 1)`."""
+    + 1)`.  A group's passes run one after another, each holding these for
+    its own clients alone, so the count stays an upper bound."""
     lane, k, f = min(batch_size, max(sizes)), num_classes, num_features
     return len(sizes) * (k * (3 * (f + 1) + lane) + lane * (7 * batches(max(sizes), lane) + f + 1))
 

@@ -25,17 +25,18 @@ def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, **kwargs)
 
 
-def fail_in_the_worker(how="raise"):
-    """A `workload._lockstep` that trains in the calling process, and in a
-    worker raises MemoryError (`how="raise"`) or exits (`how="exit"`)."""
-    caller, lockstep = os.getpid(), workload._lockstep
+def fail_in_the_worker(how="raise", name="_lockstep"):
+    """A stand-in for `workload.<name>`, `_lockstep` or `evaluate`, that runs
+    it in the calling process, and in a worker raises MemoryError
+    (`how="raise"`) or exits (`how="exit"`)."""
+    caller, original = os.getpid(), getattr(workload, name)
 
     def spy(*args):
         if os.getpid() != caller:
             if how == "exit":
                 os._exit(3)
             raise MemoryError("no room for the epoch tables")
-        return lockstep(*args)
+        return original(*args)
 
     return spy
 

@@ -188,12 +188,13 @@ def test_an_interrupt_after_round_one_propagates_and_reaps_the_worker(monkeypatc
     dataset, shards = build_dataset(spec), build_shards(spec)
     live = []
 
-    def interrupt(params, data):
+    def interrupt(updates):
         live.append(os.waitpid(-1, os.WNOHANG))  # (0, 0): a worker runs and has not exited
         raise KeyboardInterrupt
 
     monkeypatch.setattr(workload, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(orchestrator, "evaluate", interrupt)
+    # round one's aggregation follows its training
+    monkeypatch.setattr(orchestrator, "fedavg_aggregate", interrupt)
     with pytest.raises(KeyboardInterrupt):
         orchestrator.run_job(spec.num_rounds, spec.train, dataset, shards)
     assert live == [(0, 0)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greenfl import workload
+from greenfl import orchestrator, workload
 from greenfl.config import build_dataset, build_shards, bundled_config_path, load_config
 from greenfl.errors import Diverged, EmptyClientData, WorkerFailed
 from greenfl.orchestrator import fedavg_aggregate, run_job
@@ -19,6 +19,7 @@ from greenfl.workload import (
     SyntheticDataset,
     TrainConfig,
     _client_groups,
+    _passes,
     batches,
     evaluate,
     local_train,
@@ -414,6 +415,35 @@ def gather(gather_bytes):
         yield
 
 
+# PASS_BYTES values: every client of a group in one pass; and a budget of
+# ten float64 rows of `random_clients`, so the larger clients share the first
+# pass and the smaller ones are packed into passes of one or more
+PASSES = (1 << 30, 10 * 6 * 8)
+
+
+@contextlib.contextmanager
+def passes(pass_bytes):
+    """Within the block, a BLAS-bound group trains in passes of `pass_bytes` of shard rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "PASS_BYTES", pass_bytes)
+        yield
+
+
+# (CLASS_MAJOR_WORK, GATHER_BYTES, PASS_BYTES) settings: each layout and
+# gather in one pass; and each gather in several passes, which only a
+# feature-major (BLAS-bound) step takes
+STEPPINGS = [(work, chunk, PASSES[0]) for work, chunk in itertools.product(LAYOUTS, GATHERS)] + [
+    (LAYOUTS[0], chunk, PASSES[1]) for chunk in GATHERS
+]
+
+
+@contextlib.contextmanager
+def stepping(class_major_work, gather_bytes, pass_bytes):
+    """Within the block, the θ layout, the gather and the passes of one of `STEPPINGS`."""
+    with layout(class_major_work), gather(gather_bytes), passes(pass_bytes):
+        yield
+
+
 def assert_matches_reference(sizes, cfg, seed):
     dataset, shards, seeds, params = random_clients(sizes, seed, np.float64)
 
@@ -433,8 +463,8 @@ def assert_matches_reference(sizes, cfg, seed):
 # a weight near zero that differed by 2.6e-17 (1.4e-12 relative) on a scale of 1.9
 @example(([1, 12], TrainConfig(local_epochs=3, batch_size=2, learning_rate=1.0), 172386))
 def test_lockstep_stepper_matches_per_client_reference(case):
-    for work, chunk in itertools.product(LAYOUTS, GATHERS):
-        with layout(work), gather(chunk):
+    for setting in STEPPINGS:
+        with stepping(*setting):
             assert_matches_reference(*case)
 
 
@@ -453,8 +483,8 @@ def test_lockstep_grouping_does_not_change_bits(dtype, case):
     # is the same whichever clients step beside it
     sizes, cfg, seed = case
     dataset, shards, seeds, params = random_clients(sizes, seed, dtype)
-    for work, chunk in itertools.product(LAYOUTS, GATHERS):
-        with layout(work), gather(chunk):
+    for setting in STEPPINGS:
+        with stepping(*setting):
             together = train_clients(params, dataset, shards, cfg, seeds)
             for shard, client_seed, got in zip(shards, seeds, together):
                 (alone,) = train_clients(params, dataset, [shard], cfg, [client_seed])
@@ -546,13 +576,13 @@ def test_divergence_in_a_worker_process_is_raised():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize(
-    "how, message",
-    [
-        ("raise", "a client group's worker failed: MemoryError: no room for the epoch tables"),
-        ("exit", "a client group's worker exited before its reply"),
-    ],
-)
+WORKER_FAILURES = [
+    ("raise", "a client group's worker failed: MemoryError: no room for the epoch tables"),
+    ("exit", "a client group's worker exited before its reply"),
+]
+
+
+@pytest.mark.parametrize("how, message", WORKER_FAILURES)
 def test_a_failed_worker_raises_worker_failed(how, message):
     dataset, shards, seeds, params = random_clients([6, 9], 2, np.float32)
     with groups_on(2), pytest.MonkeyPatch.context() as mp:
@@ -561,6 +591,140 @@ def test_a_failed_worker_raises_worker_failed(how, message):
             train_clients(params, dataset, shards, TrainConfig(local_epochs=1, batch_size=4), seeds)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def keep_aggregates(mp):
+    """Patch `run_job`'s aggregation, within `mp`, to keep each round's
+    aggregate in the list returned."""
+    aggregates = []
+
+    def keep(updates):
+        aggregates.append(fedavg_aggregate(updates))
+        return aggregates[-1]
+
+    mp.setattr(orchestrator, "fedavg_aggregate", keep)
+    return aggregates
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=client_sets(), cores=st.integers(1, 4), num_rounds=st.integers(1, 5))
+def test_run_job_accuracies_are_each_rounds_evaluation(case, cores, num_rounds):
+    # with k groups, each process evaluates every k-th round's aggregate, and
+    # a worker's floats come back over the pipe with the caller's bits.  Few
+    # examples: each forks
+    sizes, cfg, seed = case
+    dataset, shards, _, _ = random_clients(sizes, seed, np.float32)
+    with groups_on(cores), pytest.MonkeyPatch.context() as mp:
+        aggregates = keep_aggregates(mp)
+        accuracies, _ = run_job(num_rounds, cfg, dataset, shards)
+    want = [evaluate(params, dataset) for params in aggregates]
+    assert np.array(accuracies).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_each_rounds_evaluation_comes_back_in_round_order(cores):
+    # an evaluation that names its aggregate, so any mix-up of rounds
+    # between the processes shows
+    dataset, shards, _, _ = random_clients([9, 14, 6, 11], 3, np.float64)
+    cfg = TrainConfig(local_epochs=1, batch_size=4, learning_rate=0.3)
+    with groups_on(cores), pytest.MonkeyPatch.context() as mp:
+        aggregates = keep_aggregates(mp)
+        mp.setattr(workload, "evaluate", lambda params, data: float(params.bias[0]))
+        accuracies, _ = run_job(7, cfg, dataset, shards)
+    assert accuracies == [float(params.bias[0]) for params in aggregates]
+    assert len(set(accuracies)) == 7
+
+
+@pytest.mark.parametrize("how, message", WORKER_FAILURES)
+def test_a_worker_that_fails_evaluating_raises_worker_failed(how, message):
+    # two groups: the worker evaluates the second round of each pair
+    dataset, shards, _, _ = random_clients([6, 9], 2, np.float32)
+    with groups_on(2), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "evaluate", fail_in_the_worker(how, "evaluate"))
+        with pytest.raises(WorkerFailed, match=f"^{message}$"):
+            run_job(3, TrainConfig(local_epochs=1, batch_size=4), dataset, shards)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_while_evaluating_propagates_and_reaps_the_worker():
+    dataset, shards, _, _ = random_clients([6, 9], 2, np.float32)
+    caller, live = os.getpid(), []
+
+    def interrupt(params, data):
+        if os.getpid() != caller:
+            return evaluate(params, data)
+        live.append(os.waitpid(-1, os.WNOHANG))  # (0, 0): a worker runs and has not exited
+        raise KeyboardInterrupt
+
+    with groups_on(2), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "evaluate", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_job(2, TrainConfig(local_epochs=1, batch_size=4), dataset, shards)
+    assert live == [(0, 0)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    row_bytes=st.lists(st.integers(1, 100), min_size=1, max_size=8).map(lambda rows: sorted(rows, reverse=True)),
+    pass_bytes=st.integers(0, 200),
+)
+def test_passes_cut_a_group_in_order(row_bytes, pass_bytes):
+    group = list(range(len(row_bytes)))
+    with passes(pass_bytes):
+        cut = _passes(group, row_bytes)
+    assert [c for clients in cut for c in clients] == group
+    # the clients too large for any pass share the first; the rest are cut
+    # greedily: each pass fits, and none could have taken the next one's first client
+    large = [c for c in group if row_bytes[c] > pass_bytes]
+    fitting = cut[1:] if large else cut
+    if large:
+        assert cut[0] == large
+    for clients in fitting:
+        assert sum(row_bytes[c] for c in clients) <= pass_bytes
+    for clients, after in zip(fitting, fitting[1:]):
+        assert sum(row_bytes[c] for c in clients) + row_bytes[after[0]] > pass_bytes
+
+
+@pytest.mark.parametrize(
+    "scenario, clients_per_pass",
+    [
+        pytest.param("cifar_tiers_high", [1, 1, 1], id="cifar_tiers_high"),
+        pytest.param("retina_gpuswap_h100", [5], id="retina_gpuswap_h100"),
+    ],
+)
+def test_a_blas_bound_group_trains_in_passes_largest_first(scenario, clients_per_pass):
+    # on two cores the calling process trains cifar's group of 3 clients,
+    # whose rows do not fit a pass two at a time, and retina's call-bound
+    # step trains its 5 clients in one group and one pass.  A spy sees the
+    # calling process's passes only
+    spec = load_config(bundled_config_path(scenario)).spec
+    dataset, shards = build_dataset(spec), build_shards(spec)
+    params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.design.dtype)
+    cfg = dataclasses.replace(spec.train, local_epochs=1)
+    seeds = list(range(len(shards)))
+    lockstep = workload._lockstep
+    received = []
+
+    def spy(params, dataset, shards, *args):
+        received.append([len(shard) for shard in shards])
+        return lockstep(params, dataset, shards, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "_usable_cores", lambda: 2)
+        mp.setattr(workload, "_lockstep", spy)
+        got = train_clients(params, dataset, shards, cfg, seeds)
+    assert [len(clients) for clients in received] == clients_per_pass
+    lengths = [n for clients in received for n in clients]
+    assert lengths == sorted(lengths, reverse=True)
+    with pytest.MonkeyPatch.context() as mp, passes(1 << 30):
+        mp.setattr(workload, "_usable_cores", lambda: 2)
+        want = train_clients(params, dataset, shards, cfg, seeds)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.weights, w.weights)
+        assert np.array_equal(g.bias, w.bias)
 
 
 @pytest.mark.parametrize(
@@ -692,7 +856,7 @@ def test_gathered_batches_are_bounded(scenario):
     # a whole epoch's batches would be about 22 MB on cifar; a call holds at
     # most max(GATHER_BYTES, one step's bytes) of them.  The rest of a
     # call's peak does not depend on GATHER_BYTES, so the peaks are compared
-    # with that of one step per `take`.  One group, as above
+    # with that of one step per `take`.  One group, as above, and one pass
     spec = load_config(bundled_config_path(scenario)).spec
     dataset = build_dataset(spec)
     shards = build_shards(spec)
@@ -706,7 +870,7 @@ def test_gathered_batches_are_bounded(scenario):
     for gather_bytes in (0, workload.GATHER_BYTES, 1 << 30):
         tracemalloc.start()
         try:
-            with groups_on(1), gather(gather_bytes):
+            with groups_on(1), passes(1 << 30), gather(gather_bytes):
                 train_clients(params, dataset, shards, cfg, list(range(len(shards))))
             peaks[gather_bytes] = tracemalloc.get_traced_memory()[1]
         finally:
