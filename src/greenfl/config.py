@@ -49,8 +49,10 @@ MAX_DATASET_VALUES = 10**8
 # accepted cases took up to 2.4 s in that pass and about 6 s for the dataset
 MAX_CLASS_PAIR_VALUES = 3 * 10**8
 # partition.num_clients x num_rounds: the ledger holds clients x (1 + 3 x
-# rounds) rows, about 530 bytes each with their CSV line, so at this bound
-# it takes about the dataset's 400 MB
+# rounds) rows.  At this bound, 250 sites x 1000 rounds of a 2-class,
+# 2-feature model gave 750,250 rows and a 100 MB rounds.csv; `greenfl run`
+# peaked at 474 MB and `greenfl report` at 451 MB (VmHWM, Python 3.11 on a
+# 2-core VM), about the dataset's 400 MB
 MAX_SITE_ROUNDS = 250_000
 
 
@@ -220,9 +222,11 @@ def _read(value, spec: Field, path: str):
                 raise ConfigError(_join(path, key), "unknown field")
         return out
     if isinstance(kind, MapOf):
-        return {key: _read(item, kind.item, _join(path, key)) for key, item in value.items()}
+        return {_text(key, _join(path, key)): _read(item, kind.item, _join(path, key)) for key, item in value.items()}
     if isinstance(kind, ListOf):
         return [_read(item, kind.item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if kind is str:
+        return _text(value, path)
     if kind is float:
         try:
             value = float(value)
@@ -234,6 +238,14 @@ def _read(value, spec: Field, path: str):
         raise ConfigError(path, f"must be {'>' if spec.lo_open else '>='} {spec.lo}")
     if spec.hi is not None and not value <= spec.hi:
         raise ConfigError(path, f"must be <= {spec.hi}")
+    return value
+
+
+def _text(value: str, path: str) -> str:
+    """`value`, unless it holds a carriage return or a NUL, which a text cell
+    of `rounds.csv` cannot hold (`reporting.validate_record`)."""
+    if "\r" in value or "\0" in value:
+        raise ConfigError(path, "must not contain a carriage return or NUL")
     return value
 
 

@@ -79,6 +79,7 @@ FIELD_NAMES = [f.name for f in fields(RoundRecord)]
 _NULLABLE = {"payload_bytes"}
 _FLOAT_FIELDS = ("start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb")
 _INT_FIELDS = {"round_index", "payload_bytes", "seed"}
+_TEXT_FIELDS = tuple(name for name in FIELD_NAMES if name not in _FLOAT_FIELDS and name not in _INT_FIELDS)
 
 
 def validate_record(record: RoundRecord) -> None:
@@ -106,6 +107,13 @@ def validate_record(record: RoundRecord) -> None:
         raise SchemaViolation(
             "schema_version", f"schema_version must be {SCHEMA_VERSION}, got {record.schema_version!r}"
         )
+    for name in _TEXT_FIELDS:
+        # `csv.writer` leaves a carriage return unquoted, and before Python
+        # 3.11 `csv.reader` rejects a NUL, so either makes a row that cannot
+        # be read back
+        value = getattr(record, name)
+        if "\r" in value or "\0" in value:
+            raise SchemaViolation(name, f"{name} must not contain a carriage return or NUL")
     expected = record.energy_kwh * record.ci_kg_per_kwh
     tol = CO2E_CONSISTENCY_RTOL * max(abs(expected), 1e-300)
     if abs(record.co2e_kg - expected) > tol:
@@ -130,37 +138,57 @@ def write_round_log(records: list[RoundRecord]) -> str:
     return buf.getvalue()
 
 
-def _parse_cell(name: str, raw: str):
+def _parse_cell(name: str, raw: str, texts: dict[str, str]):
+    """The value of one cell; a text cell is held once in `texts`, so every
+    record shares each repeated text."""
     if name in _NULLABLE and raw == "":
         return None
-    convert = float if name in _FLOAT_FIELDS else int if name in _INT_FIELDS else str
+    if name in _TEXT_FIELDS:
+        return texts.setdefault(raw, raw)
     try:
-        return convert(raw)
+        return (float if name in _FLOAT_FIELDS else int)(raw)
     except ValueError:
         raise SchemaViolation(name, f"{name}: cannot parse {raw!r}") from None
 
 
+def _lines(text: str):
+    """The lines of `text`, each with its "\n", split at "\n" alone as
+    iterating `io.StringIO(text)` splits them, with no copy of the text.
+    `str.splitlines` would also split at "\x0c", "\x85" and "\u2028"."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _parse_row(row: list[str], texts: dict[str, str]) -> RoundRecord:
+    if len(row) != len(FIELD_NAMES):
+        raise SchemaViolation("row", f"{len(row)} fields, expected {len(FIELD_NAMES)}")
+    return RoundRecord(**{name: _parse_cell(name, raw, texts) for name, raw in zip(FIELD_NAMES, row)})
+
+
 def parse_round_log(text: str) -> list[RoundRecord]:
-    """Records of a round log; a malformed or invalid row raises SchemaViolation."""
-    rows = []  # the header is row 0
+    """Records of a round log; a malformed or invalid row raises SchemaViolation
+    naming its row, the header being row 0.  Each row becomes its record as
+    it is read, so no raw row outlives its record."""
+    rows = csv.reader(_lines(text))
+    records, texts = [], {}
+    number = 0  # the row being read
     try:
-        for row in csv.reader(io.StringIO(text)):
-            rows.append(row)
+        header = next(rows, None)
+        if header != FIELD_NAMES:
+            raise SchemaViolation("header", f"unexpected header {header}")
+        number = 1
+        for row in rows:
+            if row:
+                try:
+                    records.append(_parse_row(row, texts))
+                except SchemaViolation as exc:
+                    raise SchemaViolation(exc.field, f"row {number}: {exc}") from None
+            number += 1
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise SchemaViolation("row", f"row {len(rows)}: {exc}") from None
-    header = rows[0] if rows else None
-    if header != FIELD_NAMES:
-        raise SchemaViolation("header", f"unexpected header {header}")
-    records = []
-    for number, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
-        try:
-            if len(row) != len(FIELD_NAMES):
-                raise SchemaViolation("row", f"{len(row)} fields, expected {len(FIELD_NAMES)}")
-            records.append(RoundRecord(**{name: _parse_cell(name, raw) for name, raw in zip(FIELD_NAMES, row)}))
-        except SchemaViolation as exc:
-            raise SchemaViolation(exc.field, f"row {number}: {exc}") from None
+        raise SchemaViolation("row", f"row {number}: {exc}") from None
     return records
 
 

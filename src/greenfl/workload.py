@@ -278,9 +278,11 @@ class ClientGroups:
     the first group, and each group after it trains in its own worker
     process, forked when the object is made and ended by `close`.  A worker
     shares `dataset` and `shards` with the caller copy-on-write, so they are
-    never sent: each round it reads the params and the clients' seeds from
-    a pipe and writes back its clients' trained θ as raw bytes, and asked to
-    evaluate params it writes back their accuracies.  Every pass
+    never sent.  `train` and `evaluate` are one exchange, `_share`: each
+    process runs the same method on its group's share of the arguments,
+    `train`'s params and seeds or every k-th of `evaluate`'s params, and a
+    worker reads its share from a pipe and writes back the method's return
+    value, its passes' θ arrays or its accuracies.  Every pass
     steps at the lane width of the whole call, and in the θ layout chosen
     from one client's step work alone, so a client's trained bits do not
     depend on its group, its pass or its process, and a client that
@@ -335,36 +337,30 @@ class ClientGroups:
         """Each client's params after one round of SGD from `params`, in
         `shards` order; client i shuffles each epoch with its own
         `default_rng(seeds[i])` stream, and `cfg.seed` is not used."""
-        d = self.dataset
-        parts = self._share([("train", (params, seeds))] * len(self._workers), lambda: self._train(0, params, seeds))
-        num_features = d.num_features
+        num_features = self.dataset.num_features
         trained = [None] * len(self.shards)
-        for g, (group, part) in enumerate(zip(self.groups, parts)):
-            if g:
-                part = np.frombuffer(part, d.design.dtype).reshape(len(group), d.num_classes, -1)
-            for c, t in zip(group, part):
+        for group, thetas in zip(self.groups, self._share("_train", [(params, seeds)] * len(self.groups))):
+            for c, t in zip(group, [t for theta in thetas for t in theta]):
                 trained[c] = ModelParams(t[:, :num_features].copy(), t[:, num_features].copy())
         return trained
 
     def evaluate(self, params: list[ModelParams]) -> list[float]:
         """`evaluate(p, dataset)` of each of `params`, in order.  With k
-        groups, the calling process takes every k-th from the first, and
-        worker j every k-th from the j-th; a worker sends its floats back."""
+        groups, group g's process takes every k-th from the g-th."""
         k = len(self.groups)
-        requests = [("evaluate", params[j::k]) for j in range(1, k)]
-        shares = self._share(requests, lambda: self._evaluate(params[::k]))
         accuracies = [None] * len(params)
-        for j, share in enumerate(shares):
-            accuracies[j::k] = share
+        for g, share in enumerate(self._share("_evaluate", [(params[g::k],) for g in range(k)])):
+            accuracies[g::k] = share
         return accuracies
 
-    def _share(self, requests: list, own):
-        """Send `requests[j]` to worker j + 1, run `own()` here meanwhile,
-        and return its result, then each worker's reply, in group order."""
+    def _share(self, method: str, shares: list[tuple]) -> list:
+        """`getattr(self, method)(g, *shares[g])` of every group g, each in
+        its own process: send each worker its method and share, run group
+        0's here meanwhile, and return every group's result in group order."""
         try:
-            for (_, pipe, _), request in zip(self._workers, requests):
-                _send(pipe, request)
-            results = [own()]
+            for (_, pipe, _), share in zip(self._workers, shares[1:]):
+                _send(pipe, (method, share))
+            results = [getattr(self, method)(0, *shares[0])]
             for _, _, replies in self._workers:
                 error, result = pickle.load(replies)
                 if error is not None:
@@ -374,10 +370,10 @@ class ClientGroups:
             raise WorkerFailed("a client group's worker exited before its reply") from None
         return results
 
-    def _train(self, g: int, params: ModelParams, seeds: list[int]) -> np.ndarray:
-        """Group g's trained θ, `[client, class, feature + 1]` in group
-        order: its passes' θ, concatenated."""
-        thetas = [
+    def _train(self, g: int, params: ModelParams, seeds: list[int]) -> list[np.ndarray]:
+        """Group g's trained θ, one `[client, class, feature + 1]` array per
+        pass, in group order."""
+        return [
             _lockstep(
                 params,
                 self.dataset,
@@ -389,9 +385,9 @@ class ClientGroups:
             )
             for clients in self.passes[g]
         ]
-        return thetas[0] if len(thetas) == 1 else np.concatenate(thetas)
 
-    def _evaluate(self, params: list[ModelParams]) -> list[float]:
+    def _evaluate(self, g: int, params: list[ModelParams]) -> list[float]:
+        """The accuracies of group g's share of the params to evaluate."""
         return [evaluate(p, self.dataset) for p in params]
 
     def _fork(self, g: int) -> tuple[int, int, BinaryIO]:
@@ -428,17 +424,15 @@ class ClientGroups:
         return pid, requests_w, open(replies_r, "rb")
 
     def _serve(self, g: int, requests: BinaryIO, replies: int) -> int:
-        """The worker's loop: train group g, or evaluate, for each request until EOF."""
+        """The worker's loop: for each request `(method, args)` until EOF,
+        reply with `getattr(self, method)(g, *args)` or the error it raised."""
         while True:
             try:
-                job, args = pickle.load(requests)
+                method, args = pickle.load(requests)
             except EOFError:
                 return 0
             try:
-                if job == "train":
-                    reply = None, self._train(g, *args).tobytes()
-                else:
-                    reply = None, self._evaluate(args)
+                reply = None, getattr(self, method)(g, *args)
             except Exception as exc:  # reported to the caller, which raises it
                 reply = f"{type(exc).__name__}: {exc}", None
             _send(replies, reply)

@@ -119,6 +119,25 @@ def test_bad_config_field_exits_2_with_its_path(tmp_path, path, value, message):
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("char", ["\r", "\0"])
+@pytest.mark.parametrize("where", ["scenario", "sites[1].site_id", "hardware", "tiers", "regions"])
+def test_text_a_round_log_cannot_hold_exits_2_at_its_path(tmp_path, where, char):
+    # each of these names a text cell of rounds.csv: a "\r" in one, which
+    # `csv.writer` leaves unquoted, once made a run that exited 0 and whose
+    # round log `report` and `calibrate` could not read
+    doc = custom_doc()
+    if where in ("hardware", "tiers", "regions"):
+        (key,) = doc[where]
+        doc[where][key + char] = doc[where].pop(key)
+        path = f"{where}.{key}{char}"
+    else:
+        path = where
+        set_path(doc, path, f"cr{char}test")
+    code, out, err = run(tmp_path, doc)
+    assert (code, out, err) == (2, "", f"error: {path}: must not contain a carriage return or NUL\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "medium, message",
     [

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenfl.cli import main
-from greenfl.config import bundled_config_path, load_targets, load_tiers
+from greenfl.config import bundled_config_path, load_targets, load_tiers, parse_config
 from greenfl.errors import CalibrationFailed, NonFiniteTotal, SchemaViolation, UnknownRegion
 from greenfl.reporting import (
     FIELD_NAMES,
@@ -29,8 +30,10 @@ from greenfl.reporting import (
     validate_record,
     write_round_log,
 )
-from greenfl.runner import execute_run
+from greenfl.runner import execute_run, plan_run
 from greenfl.sites import BUILTIN_TIERS, INIT, MAX_TIER_FACTOR, PHASES, ROUND
+
+from conftest import small_doc
 
 
 def record(**overrides):
@@ -102,6 +105,46 @@ def test_write_parse_round_trip_is_lossless():
 def test_round_trip_of_real_run(small_cfg):
     records, _ = execute_run(small_cfg)
     assert parse_round_log(write_round_log(records)) == records
+
+
+# the free-text fields, and characters that end a line somewhere: "\n" in
+# CSV, the rest in `str.splitlines`, which must not cut a row at them
+_TEXT_CELLS = ("run_id", "site_id", "region_code", "hardware_name", "tier_label")
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_TEXTS = st.lists(st.sampled_from([*_BREAKS, '"', ",", "\0", "\ufeff"]) | st.characters(), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_TEXT_CELLS), _TEXTS))
+def test_text_cells_round_trip_or_are_rejected_as_the_row_is_built(cells):
+    # `csv.writer` leaves "\r" unquoted, and Python 3.10's `csv.reader`
+    # refuses a NUL, so a row that holds either could not be read back
+    bad = [name for name in _TEXT_CELLS if "\r" in cells.get(name, "") or "\0" in cells.get(name, "")]
+    if bad:
+        with pytest.raises(SchemaViolation) as err:
+            record(**cells)
+        assert err.value.field == bad[0]
+        return
+    records = [record(**cells), record(phase="idle", payload_bytes=None, **cells)]
+    assert parse_round_log(write_round_log(records)) == records
+
+
+def test_parsing_holds_little_beyond_the_records():
+    # a planned ledger of 20 sites x 500 rounds, 30,020 rows: the parse
+    # keeps no raw row or copy of the text, and a repeated text cell is held
+    # once, so at MAX_SITE_ROUNDS `greenfl report` stays near its records
+    sites = [{"site_id": f"site-{i}", "hardware": "h100_like", "tier": "high", "region": "USA"} for i in range(20)]
+    doc = small_doc(num_rounds=500, partition={"num_clients": 20, "alpha": 1000.0, "seed": 0}, sites=sites)
+    text = write_round_log(plan_run(parse_config(doc))[0])
+    tracemalloc.start()
+    try:
+        records = parse_round_log(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 30_020
+    assert (peak - held) / len(text) < 1
+    assert held / len(records) < 500
 
 
 def test_summary_folds_real_run(small_cfg):
