@@ -40,9 +40,11 @@ from .workload import SyntheticDataset, TrainConfig, blob_labels, make_blobs
 
 REQUIRED = object()  # the default of a field that has none
 # samples_per_class x num_classes x num_features of the largest dataset:
-# its float32 features take 400 MB, plus one column of ones.  It also bounds,
-# in 4-byte values, `evaluate`'s [samples, classes] logits, and the one
-# lockstep rule, which `runner.plan_run` checks once the shard sizes are known
+# its float32 features take 400 MB, plus one column of ones.  It also caps
+# the logits rule, the [samples, classes] logits one evaluation computes
+# (`evaluate` holds one block of them, at most `workload.EVAL_BYTES`), and
+# the one lockstep rule, in 4-byte values, which `runner.plan_run` checks
+# once the shard sizes are known
 MAX_DATASET_VALUES = 10**8
 # num_classes x (num_classes - 1) / 2 x num_features: `make_blobs` compares
 # every pair of class means over all features.  On a 2-core VM the worst

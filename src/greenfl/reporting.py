@@ -138,17 +138,30 @@ def write_round_log(records: list[RoundRecord]) -> str:
     return buf.getvalue()
 
 
-def _parse_cell(name: str, raw: str, texts: dict[str, str]):
-    """The value of one cell; a text cell is held once in `texts`, so every
-    record shares each repeated text."""
-    if name in _NULLABLE and raw == "":
-        return None
-    if name in _TEXT_FIELDS:
-        return texts.setdefault(raw, raw)
-    try:
-        return (float if name in _FLOAT_FIELDS else int)(raw)
-    except ValueError:
-        raise SchemaViolation(name, f"{name}: cannot parse {raw!r}") from None
+class _Texts(dict):
+    """The text cells of one parse, each held once: a text read again is
+    the string first read with its value, so every record shares it."""
+
+    def __missing__(self, raw: str) -> str:
+        self[raw] = raw
+        return raw
+
+
+def _nullable_int(raw: str) -> int | None:
+    return None if raw == "" else int(raw)
+
+
+def _converters(texts: _Texts) -> list:
+    """The converter of each column, in `FIELD_NAMES` order, chosen once from
+    the schema: a text held once in `texts`, a float, an int or a nullable
+    int.  A cell it cannot convert raises ValueError."""
+    return [
+        texts.__getitem__ if name in _TEXT_FIELDS
+        else float if name in _FLOAT_FIELDS
+        else _nullable_int if name in _NULLABLE
+        else int
+        for name in FIELD_NAMES
+    ]
 
 
 def _lines(text: str):
@@ -162,10 +175,20 @@ def _lines(text: str):
         start = end
 
 
-def _parse_row(row: list[str], texts: dict[str, str]) -> RoundRecord:
+def _parse_row(row: list[str], converters: list) -> RoundRecord:
     if len(row) != len(FIELD_NAMES):
         raise SchemaViolation("row", f"{len(row)} fields, expected {len(FIELD_NAMES)}")
-    return RoundRecord(**{name: _parse_cell(name, raw, texts) for name, raw in zip(FIELD_NAMES, row)})
+    try:
+        values = [convert(raw) for convert, raw in zip(converters, row)]
+    except ValueError:
+        # name the first cell that does not convert
+        for name, convert, raw in zip(FIELD_NAMES, converters, row):
+            try:
+                convert(raw)
+            except ValueError:
+                raise SchemaViolation(name, f"{name}: cannot parse {raw!r}") from None
+        raise
+    return RoundRecord(*values)
 
 
 def parse_round_log(text: str) -> list[RoundRecord]:
@@ -173,7 +196,7 @@ def parse_round_log(text: str) -> list[RoundRecord]:
     naming its row, the header being row 0.  Each row becomes its record as
     it is read, so no raw row outlives its record."""
     rows = csv.reader(_lines(text))
-    records, texts = [], {}
+    records, converters = [], _converters(_Texts())
     number = 0  # the row being read
     try:
         header = next(rows, None)
@@ -183,7 +206,7 @@ def parse_round_log(text: str) -> list[RoundRecord]:
         for row in rows:
             if row:
                 try:
-                    records.append(_parse_row(row, texts))
+                    records.append(_parse_row(row, converters))
                 except SchemaViolation as exc:
                     raise SchemaViolation(exc.field, f"row {number}: {exc}") from None
             number += 1

@@ -266,8 +266,8 @@ SIZE_RULES = [
     # 25 x 24 / 2 x 10^6 = 3 x 10^8
     (sized_doc(num_clients=1, num_classes=25, samples_per_class=1, num_features=10**6), "workload.num_features",
      10**6 + 1, "workload.num_features: num_classes x (num_classes - 1) / 2 x num_features must be <= 300000000"),
-    # CIFAR-shaped, 1000 x 1000 x 100 = 10^8; at 1000 samples per class the
-    # first `evaluate` would hold 4 GB of logits
+    # CIFAR-shaped, 1000 x 1000 x 100 = 10^8; at 1000 samples per class one
+    # evaluation would compute 10^9 logits, though it holds one block of them
     (sized_doc(num_clients=1, num_classes=1000, samples_per_class=100, num_features=90),
      "workload.samples_per_class", 1000, LOGITS_RULE),
 ]

@@ -187,25 +187,63 @@ def test_evaluate_on_the_design_view_matches_a_contiguous_copy(dtype):
 
 
 def test_evaluate_peak_is_within_the_logits_rule():
-    # the logits rule counts samples x classes 4-byte values.  1000 classes
-    # of 2 samples is a fiftieth of its bound, to keep the test small; one
-    # `evaluate` holds the logits, the predictions (intp, two values a
-    # sample) and their comparison with the labels (bool, a quarter)
-    classes, samples = 1000, 2000
+    # one `evaluate` holds one block of rows: its logits, its predictions
+    # (intp) and their comparison with the labels (bool), together at most
+    # EVAL_BYTES however many samples x classes the dataset has.  Each shape
+    # holds 8 to 12 MB of whole-dataset logits
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((samples, 10)).astype(np.float32)
-    data = SyntheticDataset.of(x, np.arange(samples) % classes, classes)
-    params = ModelParams(rng.standard_normal((classes, 10)).astype(np.float32), np.zeros(classes, np.float32))
-    tracemalloc.start()
-    try:
-        evaluate(params, data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # `np.mean` casts the bools to float64 through a buffer of up to 8192
-    # entries; 64 KiB for Python objects
-    slack = 8 * 8192 + (1 << 16)
-    assert peak <= 4 * (samples * classes + 2.25 * samples) + slack, peak
+    for classes, samples, features in [(1000, 2000, 10), (10**4, 200, 3), (10, 300_000, 2)]:
+        x = rng.standard_normal((samples, features)).astype(np.float32)
+        data = SyntheticDataset.of(x, np.arange(samples) % classes, classes)
+        params = ModelParams(
+            rng.standard_normal((classes, features)).astype(np.float32), np.zeros(classes, np.float32)
+        )
+        tracemalloc.start()
+        try:
+            evaluate(params, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 64 KiB for Python objects
+        assert peak <= workload.EVAL_BYTES + (1 << 16), (classes, samples, peak)
+
+
+# (features, model) dtypes: each alone, and a float64 model on float32 data
+EVAL_DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    num_classes=st.integers(2, 12),
+    num_features=st.integers(1, 9),
+    rows=st.integers(1, 40),
+    dtypes=st.sampled_from(EVAL_DTYPES),
+)
+def test_evaluate_in_blocks_counts_as_the_whole_array(seed, n, num_classes, num_features, rows, dtypes):
+    # EVAL_BYTES holds `rows` rows, so most datasets take several blocks and
+    # a ragged last one
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, num_features)).astype(dtypes[0])
+    w = rng.normal(size=(num_classes, num_features)).astype(dtypes[1])
+    b = rng.normal(size=num_classes).astype(dtypes[1])
+    predictions = np.argmax(features @ w.T + b, axis=1)
+    # most labels are the predictions, so a prediction that differs shows
+    labels = np.where(rng.random(n) < 0.7, predictions, rng.integers(0, num_classes, n))
+    itemsize = np.result_type(dtypes[0], dtypes[1]).itemsize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "EVAL_BYTES", rows * (num_classes * itemsize + 9))
+        got = evaluate(ModelParams(w, b), SyntheticDataset.of(features, labels, num_classes))
+    # a Python float: numpy's scalars print otherwise
+    assert type(got) is float and got == float(np.mean(predictions == labels))
+
+
+def test_a_float64_model_evaluates_float32_data_in_float64():
+    # the classes' logits differ by 1e-12, which a float32 block rounds to a
+    # tie that the first class wins
+    data = SyntheticDataset.of(np.ones((5, 1), np.float32), np.ones(5, np.intp), 2)
+    assert evaluate(ModelParams(np.array([[1.0], [1.0 + 1e-12]]), np.zeros(2)), data) == 1.0
 
 
 def test_make_blobs_holds_its_features_in_the_design_matrix():
