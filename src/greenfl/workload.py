@@ -45,16 +45,6 @@ CLASS_MAJOR_WORK = 1 << 16
 # A call-bound step then pays a fraction of a `take`; a whole epoch's
 # batches (about 22 MB on cifar) would raise the peak memory for nothing.
 GATHER_BYTES = 1 << 18
-# Bytes of shard rows, `len(shard) x (num_features + 1) x itemsize`, that one
-# pass of a BLAS-bound client group reads each epoch.  Such a group trains in
-# passes of consecutive clients whose rows fit, one pass after another, so an
-# epoch finds its rows in L2 rather than fetching them again from L3 (see
-# `_passes`).  On a 2-core VM with a 4 MiB L2 per core, cifar_tiers_high's
-# `run_job` (20 interleaved repeats, median) took 781 ms in one pass per
-# group, 752 ms at 4 MiB (one client per pass) and 756 ms at 8 MiB (its two
-# smallest clients share a pass).  Like CLASS_MAJOR_WORK it depends on the
-# machine.
-PASS_BYTES = 1 << 22
 # Bytes of one chunk of `make_blobs`' float64 draw: a class block is drawn in
 # C order a chunk at a time, and each chunk gets its class mean and is cast
 # into the design while it is in cache, so no block-sized buffer is held.
@@ -230,25 +220,6 @@ def _client_groups(sizes: list[int], client_work: int, cores: int) -> list[list[
     return groups
 
 
-def _passes(group: list[int], row_bytes: list[int]) -> list[list[int]]:
-    """`group` cut into the passes `ClientGroups` trains one after another:
-    runs of consecutive clients whose shard rows, `row_bytes[c]` bytes for
-    client c, fit `PASS_BYTES` together.  The clients whose rows alone
-    exceed it, a prefix of a group that comes largest shard first, share
-    the first pass: no pass holds their rows in cache, so a pass apiece
-    would only repeat the numpy calls that lockstep shares."""
-    large = [c for c in group if row_bytes[c] > PASS_BYTES]
-    passes, held = [large] if large else [], PASS_BYTES  # full, so the next client opens a pass
-    for c in group[len(large) :]:
-        if held + row_bytes[c] <= PASS_BYTES:
-            passes[-1].append(c)
-            held += row_bytes[c]
-        else:
-            passes.append([c])
-            held = row_bytes[c]
-    return passes
-
-
 def train_clients(
     params: ModelParams,
     dataset: SyntheticDataset,
@@ -281,23 +252,20 @@ class ClientGroups:
     `_client_groups` orders the clients and deals them into groups.  There
     is one group unless one lockstep step is large enough to pay for a
     worker process (`MIN_GROUP_WORK`); then the groups, of balanced shard
-    size, are one per usable core.  A group whose step is BLAS-bound (θ
-    feature-major) trains in passes sized to the cache (`_passes`), one
-    `_lockstep` call each; a call-bound group is one pass, because there the
-    numpy calls its clients share are the cost.  The calling process trains
-    the first group, and each group after it trains in its own worker
-    process, forked when the object is made and ended by `close`.  A worker
-    shares `dataset` and `shards` with the caller copy-on-write, so they are
-    never sent.  `train` and `evaluate` are one exchange, `_share`: each
-    process runs the same method on its group's share of the arguments,
-    `train`'s params and seeds or every k-th of `evaluate`'s params, and a
-    worker reads its share from a pipe and writes back the method's return
-    value, its passes' θ arrays or its accuracies.  Every pass
-    steps at the lane width of the whole call, and in the θ layout chosen
-    from one client's step work alone, so a client's trained bits do not
-    depend on its group, its pass or its process, and a client that
-    diverges raises `Diverged` in the caller.  A worker that fails
-    otherwise, or exits, raises `WorkerFailed`.  A shard index outside
+    size, are one per usable core.  A group trains a round in one
+    `_lockstep` call.  The calling process trains the first group, and each
+    group after it trains in its own worker process, forked when the object
+    is made and ended by `close`.  A worker shares `dataset` and `shards`
+    with the caller copy-on-write, so they are never sent.  `train` and
+    `evaluate` are one exchange, `_share`: each process runs the same method
+    on its group's share of the arguments, `train`'s params and seeds or
+    every k-th of `evaluate`'s params, and a worker reads its share from a
+    pipe and writes back the method's return value, its group's θ array or
+    its accuracies.  Every group steps at the lane width of the whole call,
+    and in the θ layout chosen from one client's step work alone, so a
+    client's trained bits do not depend on its group or its process, and a
+    client that diverges raises `Diverged` in the caller.  A worker that
+    fails otherwise, or exits, raises `WorkerFailed`.  A shard index outside
     `[0, dataset.num_samples)` raises IndexError naming its client, before
     anything is forked.
     """
@@ -316,8 +284,6 @@ class ClientGroups:
         client_work = self.lane * dataset.num_features * dataset.num_classes
         self.class_major = client_work < CLASS_MAJOR_WORK
         self.groups = _client_groups(sizes, client_work, _usable_cores())
-        row_bytes = [n * (dataset.num_features + 1) * dataset.design.itemsize for n in sizes]
-        self.passes = [[group] if self.class_major else _passes(group, row_bytes) for group in self.groups]
         # (pid, request pipe fd, reply pipe reader) of each group after the first
         self._workers = []
         try:
@@ -349,8 +315,8 @@ class ClientGroups:
         `default_rng(seeds[i])` stream, and `cfg.seed` is not used."""
         num_features = self.dataset.num_features
         trained = [None] * len(self.shards)
-        for group, thetas in zip(self.groups, self._share("_train", [(params, seeds)] * len(self.groups))):
-            for c, t in zip(group, [t for theta in thetas for t in theta]):
+        for group, theta in zip(self.groups, self._share("_train", [(params, seeds)] * len(self.groups))):
+            for c, t in zip(group, theta):
                 trained[c] = ModelParams(t[:, :num_features].copy(), t[:, num_features].copy())
         return trained
 
@@ -380,21 +346,11 @@ class ClientGroups:
             raise WorkerFailed("a client group's worker exited before its reply") from None
         return results
 
-    def _train(self, g: int, params: ModelParams, seeds: list[int]) -> list[np.ndarray]:
-        """Group g's trained θ, one `[client, class, feature + 1]` array per
-        pass, in group order."""
-        return [
-            _lockstep(
-                params,
-                self.dataset,
-                [self.shards[c] for c in clients],
-                self.cfg,
-                [seeds[c] for c in clients],
-                self.lane,
-                self.class_major,
-            )
-            for clients in self.passes[g]
-        ]
+    def _train(self, g: int, params: ModelParams, seeds: list[int]) -> np.ndarray:
+        """Group g's trained θ, `[client, class, feature + 1]`, in group order."""
+        clients = self.groups[g]
+        shards, group_seeds = [self.shards[c] for c in clients], [seeds[c] for c in clients]
+        return _lockstep(params, self.dataset, shards, self.cfg, group_seeds, self.lane, self.class_major)
 
     def _evaluate(self, g: int, params: list[ModelParams]) -> list[float]:
         """The accuracies of group g's share of the params to evaluate."""
@@ -456,8 +412,8 @@ def lockstep_values(sizes: list[int], batch_size: int, num_classes: int, num_fea
     of the `[steps, clients, 1, lane]` epoch tables, one for the lane weight
     (float32) and two each for the sample index, the true-class position and
     the shuffle buffer (intp); and the gather of one step, `lane x (features
-    + 1)`.  A group's passes run one after another, each holding these for
-    its own clients alone, so the count stays an upper bound."""
+    + 1)`.  A process holds these values for its own group's clients alone,
+    so the count over all groups bounds any one process."""
     lane, k, f = min(batch_size, max(sizes)), num_classes, num_features
     return len(sizes) * (k * (3 * (f + 1) + lane) + lane * (7 * batches(max(sizes), lane) + f + 1))
 
@@ -470,7 +426,7 @@ def _lockstep(
     seeds: list[int],
     batch: int,
     class_major: bool,
-) -> list[ModelParams]:
+) -> np.ndarray:
     """One round of SGD for one group of `ClientGroups`' clients, `batch`
     lanes wide, which come largest shard first; returns their trained θ in
     that order, `[client, class, feature + 1]` with the bias as feature F.

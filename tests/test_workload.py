@@ -19,7 +19,6 @@ from greenfl.workload import (
     SyntheticDataset,
     TrainConfig,
     _client_groups,
-    _passes,
     batches,
     evaluate,
     local_train,
@@ -453,32 +452,14 @@ def gather(gather_bytes):
         yield
 
 
-# PASS_BYTES values: every client of a group in one pass; and a budget of
-# ten float64 rows of `random_clients`, so the larger clients share the first
-# pass and the smaller ones are packed into passes of one or more
-PASSES = (1 << 30, 10 * 6 * 8)
+# (CLASS_MAJOR_WORK, GATHER_BYTES) settings: each layout with each gather
+STEPPINGS = list(itertools.product(LAYOUTS, GATHERS))
 
 
 @contextlib.contextmanager
-def passes(pass_bytes):
-    """Within the block, a BLAS-bound group trains in passes of `pass_bytes` of shard rows."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(workload, "PASS_BYTES", pass_bytes)
-        yield
-
-
-# (CLASS_MAJOR_WORK, GATHER_BYTES, PASS_BYTES) settings: each layout and
-# gather in one pass; and each gather in several passes, which only a
-# feature-major (BLAS-bound) step takes
-STEPPINGS = [(work, chunk, PASSES[0]) for work, chunk in itertools.product(LAYOUTS, GATHERS)] + [
-    (LAYOUTS[0], chunk, PASSES[1]) for chunk in GATHERS
-]
-
-
-@contextlib.contextmanager
-def stepping(class_major_work, gather_bytes, pass_bytes):
-    """Within the block, the θ layout, the gather and the passes of one of `STEPPINGS`."""
-    with layout(class_major_work), gather(gather_bytes), passes(pass_bytes):
+def stepping(class_major_work, gather_bytes):
+    """Within the block, the θ layout and the gather of one of `STEPPINGS`."""
+    with layout(class_major_work), gather(gather_bytes):
         yield
 
 
@@ -704,40 +685,19 @@ def test_an_interrupt_while_evaluating_propagates_and_reaps_the_worker():
         os.waitpid(-1, os.WNOHANG)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    row_bytes=st.lists(st.integers(1, 100), min_size=1, max_size=8).map(lambda rows: sorted(rows, reverse=True)),
-    pass_bytes=st.integers(0, 200),
-)
-def test_passes_cut_a_group_in_order(row_bytes, pass_bytes):
-    group = list(range(len(row_bytes)))
-    with passes(pass_bytes):
-        cut = _passes(group, row_bytes)
-    assert [c for clients in cut for c in clients] == group
-    # the clients too large for any pass share the first; the rest are cut
-    # greedily: each pass fits, and none could have taken the next one's first client
-    large = [c for c in group if row_bytes[c] > pass_bytes]
-    fitting = cut[1:] if large else cut
-    if large:
-        assert cut[0] == large
-    for clients in fitting:
-        assert sum(row_bytes[c] for c in clients) <= pass_bytes
-    for clients, after in zip(fitting, fitting[1:]):
-        assert sum(row_bytes[c] for c in clients) + row_bytes[after[0]] > pass_bytes
-
-
 @pytest.mark.parametrize(
-    "scenario, clients_per_pass",
+    "scenario, clients",
     [
-        pytest.param("cifar_tiers_high", [1, 1, 1], id="cifar_tiers_high"),
-        pytest.param("retina_gpuswap_h100", [5], id="retina_gpuswap_h100"),
+        pytest.param("cifar_tiers_high", 3, id="cifar_tiers_high"),
+        pytest.param("retina_gpuswap_h100", 5, id="retina_gpuswap_h100"),
     ],
 )
-def test_a_blas_bound_group_trains_in_passes_largest_first(scenario, clients_per_pass):
-    # on two cores the calling process trains cifar's group of 3 clients,
-    # whose rows do not fit a pass two at a time, and retina's call-bound
-    # step trains its 5 clients in one group and one pass.  A spy sees the
-    # calling process's passes only
+def test_a_blas_bound_group_trains_in_passes_largest_first(scenario, clients):
+    # on two cores the calling process trains cifar's BLAS-bound group of 3
+    # clients, the other 3 train in a worker, and retina's call-bound step
+    # trains its 5 clients in one group.  Either group is one `_lockstep`
+    # call, its clients largest shard first.  A spy sees the calling
+    # process's calls only
     spec = load_config(bundled_config_path(scenario)).spec
     dataset, shards = build_dataset(spec), build_shards(spec)
     params = ModelParams.zeros(dataset.num_classes, dataset.num_features, dataset.design.dtype)
@@ -754,11 +714,9 @@ def test_a_blas_bound_group_trains_in_passes_largest_first(scenario, clients_per
         mp.setattr(workload, "_usable_cores", lambda: 2)
         mp.setattr(workload, "_lockstep", spy)
         got = train_clients(params, dataset, shards, cfg, seeds)
-    assert [len(clients) for clients in received] == clients_per_pass
-    lengths = [n for clients in received for n in clients]
-    assert lengths == sorted(lengths, reverse=True)
-    with pytest.MonkeyPatch.context() as mp, passes(1 << 30):
-        mp.setattr(workload, "_usable_cores", lambda: 2)
+    assert [len(lengths) for lengths in received] == [clients]
+    assert received[0] == sorted(received[0], reverse=True)
+    with groups_on(1):
         want = train_clients(params, dataset, shards, cfg, seeds)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g.weights, w.weights)
@@ -894,7 +852,7 @@ def test_gathered_batches_are_bounded(scenario):
     # a whole epoch's batches would be about 22 MB on cifar; a call holds at
     # most max(GATHER_BYTES, one step's bytes) of them.  The rest of a
     # call's peak does not depend on GATHER_BYTES, so the peaks are compared
-    # with that of one step per `take`.  One group, as above, and one pass
+    # with that of one step per `take`.  One group, as above
     spec = load_config(bundled_config_path(scenario)).spec
     dataset = build_dataset(spec)
     shards = build_shards(spec)
@@ -908,7 +866,7 @@ def test_gathered_batches_are_bounded(scenario):
     for gather_bytes in (0, workload.GATHER_BYTES, 1 << 30):
         tracemalloc.start()
         try:
-            with groups_on(1), passes(1 << 30), gather(gather_bytes):
+            with groups_on(1), gather(gather_bytes):
                 train_clients(params, dataset, shards, cfg, list(range(len(shards))))
             peaks[gather_bytes] = tracemalloc.get_traced_memory()[1]
         finally:
