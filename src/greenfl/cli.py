@@ -62,13 +62,21 @@ def _check_out_file(out: str) -> None:
         raise ConfigError("out", f"{path.parent} is not a directory")
 
 
+def _nonempty(path: str, flag: str) -> str:
+    """`path`, unless it is empty, which `Path` would read as the working
+    directory: then a ConfigError at `flag`, before the path is used."""
+    if path == "":
+        raise ConfigError(flag, "must not be an empty path")
+    return path
+
+
 def cmd_run(args) -> int:
-    doc = load_json(_resolve_config_path(args.config), "config")
+    doc = load_json(_resolve_config_path(_nonempty(args.config, "config")), "config")
     if args.seed is not None:
         doc["seed"] = args.seed
-    overrides = load_tiers(args.tiers) if args.tiers else None
+    overrides = None if args.tiers is None else load_tiers(_nonempty(args.tiers, "tiers"))
     cfg = parse_config(doc, tier_overrides=overrides)
-    _check_out_dir(args.out)
+    _check_out_dir(_nonempty(args.out, "out"))
     records, report = plan_run(cfg)
     trajectory = train_trajectory(cfg.spec)
     report = dataclasses.replace(report, accuracy_by_round=list(trajectory.accuracy_by_round))
@@ -83,7 +91,7 @@ def cmd_run(args) -> int:
 
 
 def read_run_dir(run_dir, what: str = "in"):
-    csv_path = Path(run_dir) / "rounds.csv"
+    csv_path = Path(_nonempty(run_dir, what)) / "rounds.csv"
     if not csv_path.is_file():
         raise ConfigError(what, f"{run_dir} does not contain rounds.csv")
     try:
@@ -151,7 +159,7 @@ def cmd_whatif(args) -> int:
     if args.ci is not None:
         if not (math.isfinite(args.ci) and args.ci >= 0):
             raise ConfigError("ci", "carbon intensity must be finite and >= 0")
-        ci = args.ci
+        ci = args.ci + 0.0  # reads -0.0 as 0.0
     elif args.region in BUILTIN_REGIONS:
         ci = BUILTIN_REGIONS[args.region].ci_kg_per_kwh
     else:
@@ -175,9 +183,9 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _check_out_file(args.out)
+    _check_out_file(_nonempty(args.out, "out"))
     records = read_run_dir(args.baseline, "baseline")
-    targets = {label: TierTarget(**t) for label, t in load_targets(args.targets).items()}
+    targets = {label: TierTarget(**t) for label, t in load_targets(_nonempty(args.targets, "targets")).items()}
     tiers = calibrate_tiers(summarize_run(records).mean_energy_kwh_per_round, targets)
     knobs = {label: {"slowdown_factor": t.slowdown_factor, "power_scale": t.power_scale} for label, t in tiers.items()}
     write_json(args.out, {"tiers": knobs})

@@ -231,7 +231,7 @@ def _read(value, spec: Field, path: str):
         return _text(value, path)
     if kind is float:
         try:
-            value = float(value)
+            value = float(value) + 0.0  # reads -0.0 as 0.0, and keeps every other float's bits
         except OverflowError:  # an int beyond the float range
             value = math.inf
         if not math.isfinite(value):

@@ -10,6 +10,8 @@ therefore derived from round rows at summary time and reported as a
 separate category; it is never folded into the compute `energy_kwh`
 column, so nothing double-counts.
 
+A column's kind is its `RoundRecord` annotation, and the kind alone picks
+the column's writer, its reader and whether it may be null (`_CELLS`).
 Floats are serialized with `repr`, which round-trips bit-for-bit, making
 write -> parse lossless and identical runs byte-identical on disk.
 
@@ -75,20 +77,18 @@ class RoundRecord:
             raise
 
 
-FIELD_NAMES = [f.name for f in fields(RoundRecord)]
-_NULLABLE = {"payload_bytes"}
-_FLOAT_FIELDS = ("start_s", "duration_s", "energy_kwh", "co2e_kg", "ci_kg_per_kwh", "net_intensity_kwh_per_gb")
-_INT_FIELDS = {"round_index", "payload_bytes", "seed"}
-_TEXT_FIELDS = tuple(name for name in FIELD_NAMES if name not in _FLOAT_FIELDS and name not in _INT_FIELDS)
+# each column's kind is its annotation: "str", "int", "float" or "int | None"
+_KINDS = {f.name: f.type for f in fields(RoundRecord)}
+FIELD_NAMES = list(_KINDS)
+_COLUMNS_OF = {kind: [name for name in FIELD_NAMES if _KINDS[name] == kind] for kind in set(_KINDS.values())}
 
 
 def validate_record(record: RoundRecord) -> None:
     """Raise SchemaViolation naming the first offending field."""
     for name in FIELD_NAMES:
-        value = getattr(record, name)
-        if value is None and name not in _NULLABLE:
+        if getattr(record, name) is None and _KINDS[name] != "int | None":
             raise SchemaViolation(name, f"{name} must not be null")
-    for name in _FLOAT_FIELDS:
+    for name in _COLUMNS_OF["float"]:
         if not 0.0 <= getattr(record, name) < math.inf:  # also rejects NaN
             raise SchemaViolation(name, f"{name} must be finite and non-negative")
     if record.payload_bytes is not None and not 0 <= record.payload_bytes <= sys.float_info.max:
@@ -107,7 +107,7 @@ def validate_record(record: RoundRecord) -> None:
         raise SchemaViolation(
             "schema_version", f"schema_version must be {SCHEMA_VERSION}, got {record.schema_version!r}"
         )
-    for name in _TEXT_FIELDS:
+    for name in _COLUMNS_OF["str"]:
         # `csv.writer` leaves a carriage return unquoted, and before Python
         # 3.11 `csv.reader` rejects a NUL, so either makes a row that cannot
         # be read back
@@ -118,24 +118,6 @@ def validate_record(record: RoundRecord) -> None:
     tol = CO2E_CONSISTENCY_RTOL * max(abs(expected), 1e-300)
     if abs(record.co2e_kg - expected) > tol:
         raise SchemaViolation("co2e_kg", "co2e_kg inconsistent with energy_kwh * ci_kg_per_kwh")
-
-
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_round_log(records: list[RoundRecord]) -> str:
-    """Serialize records as CSV with a fixed header; returns the text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FIELD_NAMES)
-    for record in records:
-        writer.writerow([_format(getattr(record, name)) for name in FIELD_NAMES])
-    return buf.getvalue()
 
 
 class _Texts(dict):
@@ -151,17 +133,35 @@ def _nullable_int(raw: str) -> int | None:
     return None if raw == "" else int(raw)
 
 
+# each kind's writer and reader, which invert each other bit for bit: `repr`
+# round-trips a float, the empty cell is the one null, and a text is read
+# through the parse's `_Texts`
+_CELLS = {
+    "str": (str, _Texts),
+    "int": (str, int),
+    "float": (repr, float),
+    "int | None": (lambda value: "" if value is None else str(value), _nullable_int),
+}
+# each column's writer and reader, in `FIELD_NAMES` order; an annotation of
+# another kind fails here, as the module is imported
+_COLUMNS = [_CELLS[kind] for kind in _KINDS.values()]
+
+
+def write_round_log(records: list[RoundRecord]) -> str:
+    """Serialize records as CSV with a fixed header; returns the text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FIELD_NAMES)
+    for record in records:
+        writer.writerow([write(getattr(record, name)) for name, (write, _) in zip(FIELD_NAMES, _COLUMNS)])
+    return buf.getvalue()
+
+
 def _converters(texts: _Texts) -> list:
-    """The converter of each column, in `FIELD_NAMES` order, chosen once from
-    the schema: a text held once in `texts`, a float, an int or a nullable
-    int.  A cell it cannot convert raises ValueError."""
-    return [
-        texts.__getitem__ if name in _TEXT_FIELDS
-        else float if name in _FLOAT_FIELDS
-        else _nullable_int if name in _NULLABLE
-        else int
-        for name in FIELD_NAMES
-    ]
+    """The reader of each column, in `FIELD_NAMES` order, a text column's
+    being `texts`, which holds each text once.  A cell it cannot convert
+    raises ValueError."""
+    return [texts.__getitem__ if read is _Texts else read for _, read in _COLUMNS]
 
 
 def _lines(text: str):

@@ -891,3 +891,86 @@ def test_calibrate_write_failure_is_one_error_line(run_dir, targets_path, tmp_pa
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "link.json" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def _leaves(value):
+    """The numbers and strings of a JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+_ZERO_POWER = {"cpu_w": -0.0, "gpu_w": -0.0, "ram_w": -0.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, site",
+    [
+        pytest.param(
+            {"regions": {"NEG": -0.0}, "comm": {"net_intensity_kwh_per_gb": -0.0, "attribution": "client"}},
+            {"region": "NEG"},
+            id="regions",
+        ),
+        pytest.param(
+            {"hardware": {"zero": {
+                "train_power_w": _ZERO_POWER,
+                "idle_power_w": _ZERO_POWER,
+                "init_spike_energy_kwh": -0.0,
+                "throughput_steps_per_s": 1660.0,
+            }}},
+            {"hardware": "zero"},
+            id="hardware",
+        ),
+    ],
+)
+def test_a_negative_zero_input_reaches_no_artifact(tmp_path, capsys, overrides, site):
+    # -0.0 passes every ">= 0" bound; it is read as 0.0, so no cell, summary
+    # value or what-if value is written "-0.0"
+    doc = retina_doc(num_rounds=1, **overrides)
+    doc["sites"] = [{**s, **site} for s in doc["sites"]]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    with open(out / "rounds.csv", newline="") as fh:
+        cells = [cell for row in csv.reader(fh) for cell in row]
+    run = json.loads((out / "run.json").read_text())
+    assert run.pop("config") == doc  # the echo keeps the document as given
+    summary = json.loads((out / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["whatif", "--in", str(out), "--ci", "-0.0"]) == 0
+    whatif = json.loads(capsys.readouterr().out)
+    values = [str(leaf) for leaf in _leaves([run, summary, whatif])]
+    assert [text for text in cells + values if text.startswith("-")] == []
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        pytest.param("config", ["run", "--config", "", "--out", "o"], id="run-config"),
+        pytest.param("out", ["run", "--config", "{config}", "--out", ""], id="run-out"),
+        pytest.param("tiers", ["run", "--config", "{config}", "--out", "o", "--tiers", ""], id="run-tiers"),
+        pytest.param("in", ["report", "--in", ""], id="report-in"),
+        pytest.param("in", ["report", "--in", "{run}", ""], id="report-second-in"),
+        pytest.param("in", ["whatif", "--in", "", "--ci", "0.5"], id="whatif-in"),
+        pytest.param("baseline", ["calibrate", "--baseline", "", "--targets", "{targets}", "--out", "t.json"],
+                     id="calibrate-baseline"),
+        pytest.param("targets", ["calibrate", "--baseline", "{run}", "--targets", "", "--out", "t.json"],
+                     id="calibrate-targets"),
+        pytest.param("out", ["calibrate", "--baseline", "{run}", "--targets", "{targets}", "--out", ""],
+                     id="calibrate-out"),
+    ],
+)
+def test_an_empty_path_exits_2_at_its_flag(run_dir, targets_path, tmp_path, capsys, monkeypatch, flag, argv):
+    # `Path("")` is the working directory, so an empty path would read or
+    # write there
+    paths = {"config": tmp_path / "config.json", "run": run_dir, "targets": targets_path}
+    argv = [arg.format(**paths) for arg in argv]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: must not be an empty path\n"
+    assert sorted(tmp_path.rglob("*")) == before

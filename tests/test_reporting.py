@@ -198,6 +198,26 @@ def random_records(draw):
     )
 
 
+# `_TEXTS` without the carriage return and NUL that no text cell may hold
+_CELL_TEXTS = _TEXTS.map(lambda text: text.replace("\r", "").replace("\0", ""))
+
+
+@st.composite
+def drawn_records(draw):
+    """A `random_records` row whose text cells and seed are drawn too."""
+    texts = {name: draw(_CELL_TEXTS) for name in _TEXT_CELLS}
+    return dataclasses.replace(draw(random_records()), seed=draw(st.integers(min_value=0)), **texts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(drawn_records(), max_size=40))
+def test_every_column_is_written_and_read_back_bit_for_bit(records):
+    # records compare 0.0 equal to -0.0, so the text is compared as well
+    text = write_round_log(records)
+    assert parse_round_log(text) == records
+    assert write_round_log(parse_round_log(text)) == text
+
+
 def _reference_totals(rows):
     """The totals of (record, comm kWh) rows, each a plain left-to-right fold."""
     def add(values):  # not `sum`, which compensates its rounding from Python 3.12
