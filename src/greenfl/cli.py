@@ -36,7 +36,7 @@ EXIT_VALIDATION = 2
 
 def _resolve_config_path(name_or_path: str) -> Path:
     path = Path(name_or_path)
-    if path.exists():
+    if path.is_file():  # a directory named like a bundled scenario does not shadow it
         return path
     bundled = bundled_config_path(name_or_path)
     if bundled.is_file():
@@ -121,7 +121,11 @@ def cmd_report(args) -> int:
         records = read_run_dir(run_dir)
         summary = Path(run_dir) / "summary.json"
         accuracies = load_accuracies(summary) if args.format == "json" and summary.is_file() else None
-        report = dataclasses.replace(summarize_run(records), accuracy_by_round=accuracies)
+        report = summarize_run(records)
+        if accuracies is not None and len(accuracies) != report.num_rounds:
+            got = f"{len(accuracies)} for {report.num_rounds} rounds of rounds.csv"
+            raise ConfigError("summary.json.accuracy_by_round", f"expected one entry per round, got {got}")
+        report = dataclasses.replace(report, accuracy_by_round=accuracies)
         runs.append((run_dir, _run_label(records), report))
     _, base_label, base = runs[0]
     runs = [(d, label, r, _co2e_ratio(r, base)) for d, label, r in runs]

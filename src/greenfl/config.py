@@ -266,11 +266,23 @@ def _tiers(raw: dict) -> dict[str, EfficiencyTier]:
     }
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """The dict of a JSON object's `(key, value)` pairs; a key given twice
+    raises ValueError, since either value may be the one meant."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_json(path, what: str) -> dict:
-    """The JSON object in file `path`; anything else is a ConfigError at `what`."""
+    """The JSON object in file `path`; anything else, a repeated key
+    included, is a ConfigError at `what`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(what, f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -14,10 +14,8 @@ host-independent.
 from __future__ import annotations
 
 import os
-import pickle  # loaded by numpy already, so importing it here costs nothing
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -235,13 +233,6 @@ def train_clients(
         return groups.train(params, seeds)
 
 
-def _send(fd: int, message) -> None:
-    """Write `message`, pickled, whole to the pipe `fd`."""
-    data = memoryview(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
-    while data:
-        data = data[os.write(fd, data) :]
-
-
 class ClientGroups:
     """The clients of `shards`, dealt into groups once, trained a round at a
     time by `train`, and whose processes share `evaluate`, until `close`; a
@@ -259,15 +250,15 @@ class ClientGroups:
     with the caller copy-on-write, so they are never sent.  `train` and
     `evaluate` are one exchange, `_share`: each process runs the same method
     on its group's share of the arguments, `train`'s params and seeds or
-    every k-th of `evaluate`'s params, and a worker reads its share from a
-    pipe and writes back the method's return value, its group's θ array or
-    its accuracies.  Every group steps at the lane width of the whole call,
-    and in the θ layout chosen from one client's step work alone, so a
-    client's trained bits do not depend on its group or its process, and a
-    client that diverges raises `Diverged` in the caller.  A worker that
-    fails otherwise, or exits, raises `WorkerFailed`.  A shard index outside
-    `[0, dataset.num_samples)` raises IndexError naming its client, before
-    anything is forked.
+    every k-th of `evaluate`'s params, and a worker receives its share on
+    its one connection to the caller and sends back the method's return
+    value, its group's θ array or its accuracies.  Every group steps at the
+    lane width of the whole call, and in the θ layout chosen from one
+    client's step work alone, so a client's trained bits do not depend on
+    its group or its process, and a client that diverges raises `Diverged`
+    in the caller.  A worker that fails otherwise, or exits, raises
+    `WorkerFailed`.  A shard index outside `[0, dataset.num_samples)` raises
+    IndexError naming its client, before anything is forked.
     """
 
     def __init__(self, dataset: SyntheticDataset, shards: list[np.ndarray], cfg: TrainConfig):
@@ -284,7 +275,7 @@ class ClientGroups:
         client_work = self.lane * dataset.num_features * dataset.num_classes
         self.class_major = client_work < CLASS_MAJOR_WORK
         self.groups = _client_groups(sizes, client_work, _usable_cores())
-        # (pid, request pipe fd, reply pipe reader) of each group after the first
+        # (pid, the caller's end of its connection) of each group after the first
         self._workers = []
         try:
             for g in range(1, len(self.groups)):
@@ -300,13 +291,12 @@ class ClientGroups:
         self.close()
 
     def close(self) -> None:
-        """End the workers: closing the pipes gives each an EOF to read or a
-        broken pipe to write, either of which ends it, and it is reaped."""
+        """End the workers: closing the connections gives each an EOF to read
+        or a broken pipe to write, either of which ends it, and it is reaped."""
         workers, self._workers = self._workers, []
-        for _, requests, replies in workers:
-            replies.close()
-            os.close(requests)
-        for pid, _, _ in workers:
+        for _, conn in workers:
+            conn.close()
+        for pid, _ in workers:
             os.waitpid(pid, 0)
 
     def train(self, params: ModelParams, seeds: list[int]) -> list[ModelParams]:
@@ -334,15 +324,17 @@ class ClientGroups:
         its own process: send each worker its method and share, run group
         0's here meanwhile, and return every group's result in group order."""
         try:
-            for (_, pipe, _), share in zip(self._workers, shares[1:]):
-                _send(pipe, (method, share))
+            for (_, conn), share in zip(self._workers, shares[1:]):
+                conn.send((method, share))
             results = [getattr(self, method)(0, *shares[0])]
-            for _, _, replies in self._workers:
-                error, result = pickle.load(replies)
+            for _, conn in self._workers:
+                error, result = conn.recv()
                 if error is not None:
                     raise WorkerFailed(f"a client group's worker failed: {error}")
                 results.append(result)
-        except (BrokenPipeError, EOFError, pickle.UnpicklingError):  # a worker that died, before or in its reply
+        # a worker that died, before or in its reply: an EOF, a broken pipe or
+        # reset connection, or "got end of file during message", an OSError
+        except (EOFError, OSError):
             raise WorkerFailed("a client group's worker exited before its reply") from None
         return results
 
@@ -356,13 +348,14 @@ class ClientGroups:
         """The accuracies of group g's share of the params to evaluate."""
         return [evaluate(p, self.dataset) for p in params]
 
-    def _fork(self, g: int) -> tuple[int, int, BinaryIO]:
-        """Fork the worker that trains group g; return its pid, the fd the
-        caller writes requests to and the reader of its replies."""
-        import signal  # only a call with two or more groups forks
+    def _fork(self, g: int) -> tuple:
+        """Fork the worker that trains group g; return its pid and the
+        caller's end of its connection."""
+        # only a call with two or more groups forks, so only it imports these
+        import signal
+        from multiprocessing import Pipe
 
-        requests_r, requests_w = os.pipe()
-        replies_r, replies_w = os.pipe()
+        conn, worker_conn = Pipe()
         pid = os.fork()
         if pid == 0:
             code = 1
@@ -372,36 +365,34 @@ class ClientGroups:
                 for sig in signal.valid_signals():
                     if callable(signal.getsignal(sig)):
                         signal.signal(sig, signal.default_int_handler if sig == signal.SIGINT else signal.SIG_DFL)
-                # the caller's ends, so its exit is an EOF here, and the other workers'
-                os.close(requests_w)
-                os.close(replies_r)
-                for _, requests, replies in self._workers:
-                    os.close(requests)
-                    replies.close()
+                # the caller's end, so its exit is an EOF here, and the other workers'
+                conn.close()
+                for _, other in self._workers:
+                    other.close()
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, 1)
                 os.dup2(devnull, 2)
-                code = self._serve(g, open(requests_r, "rb"), replies_w)
+                code = self._serve(g, worker_conn)
             finally:
                 # never the caller's exit path: no atexit hook, buffer flush or `finally`
                 os._exit(code)
-        os.close(requests_r)
-        os.close(replies_w)
-        return pid, requests_w, open(replies_r, "rb")
+        worker_conn.close()
+        return pid, conn
 
-    def _serve(self, g: int, requests: BinaryIO, replies: int) -> int:
-        """The worker's loop: for each request `(method, args)` until EOF,
-        reply with `getattr(self, method)(g, *args)` or the error it raised."""
+    def _serve(self, g: int, conn) -> int:
+        """The worker's loop: for each request `(method, args)` on `conn`
+        until EOF, reply with `getattr(self, method)(g, *args)` or the error
+        it raised."""
         while True:
             try:
-                method, args = pickle.load(requests)
+                method, args = conn.recv()
             except EOFError:
                 return 0
             try:
                 reply = None, getattr(self, method)(g, *args)
             except Exception as exc:  # reported to the caller, which raises it
                 reply = f"{type(exc).__name__}: {exc}", None
-            _send(replies, reply)
+            conn.send(reply)
 
 
 def lockstep_values(sizes: list[int], batch_size: int, num_classes: int, num_features: int) -> int:

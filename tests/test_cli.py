@@ -65,6 +65,46 @@ def test_run_missing_config(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_a_directory_named_like_a_bundled_scenario_does_not_shadow_it(tmp_path, capsys, monkeypatch):
+    # the first run makes a directory named like its scenario, and the
+    # second still reads the bundled config, not that directory
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--config", "retina_gpuswap_h100", "--out", "retina_gpuswap_h100"]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        artifacts = {p.name: p.read_bytes() for p in (tmp_path / "retina_gpuswap_h100").iterdir()}
+        runs.append((capsys.readouterr(), artifacts))
+    assert sorted(runs[0][1]) == ["rounds.csv", "run.json", "summary.json"]
+    assert runs[1] == runs[0]
+    # a file named like a scenario still wins over the bundled config
+    (tmp_path / "cifar_tiers_high").write_text(json.dumps(small_doc()))
+    assert main(["run", "--config", "cifar_tiers_high", "--out", "small"]) == 0
+    assert json.loads((tmp_path / "small" / "run.json").read_text())["scenario"] == "unit-test"
+
+
+@pytest.mark.parametrize(
+    "flag, key, text",
+    [
+        ("config", "num_rounds", json.dumps(small_doc())[:-1] + ', "num_rounds": 1}'),
+        ("tiers", "power_scale", '{"tiers": {"medium": {"slowdown_factor": 3, "power_scale": 2, "power_scale": 1}}}'),
+    ],
+    ids=["config", "tiers"],
+)
+def test_a_json_input_with_a_repeated_key_exits_2(tmp_path, capsys, flag, key, text):
+    # either value could be the one meant, and run.json would echo only the last
+    path = tmp_path / f"{flag}.json"
+    path.write_text(text)
+    config = str(path) if flag == "config" else write_doc(tmp_path, small_doc(), "small.json")
+    out = tmp_path / "out"
+    argv = ["run", "--config", config, "--out", str(out)] + (["--tiers", str(path)] if flag == "tiers" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: invalid JSON in {path}: duplicate key {key!r}\n"
+    assert not out.exists()
+
+
 def test_run_is_byte_deterministic(tmp_path):
     config = write_doc(tmp_path, small_doc())
     for out in ("a", "b"):
@@ -310,6 +350,17 @@ def test_report_text_gives_each_run_its_own_ratio(tmp_path, capsys):
         pytest.param(["0.5"], "summary.json.accuracy_by_round[0]: expected number", id="string"),
         pytest.param([1.5], "summary.json.accuracy_by_round[0]: must be <= 1", id="above_one"),
         pytest.param(None, "summary.json.accuracy_by_round: expected list", id="missing"),
+        # `run_dir` has 2 rounds
+        pytest.param(
+            [0.5],
+            "summary.json.accuracy_by_round: expected one entry per round, got 1 for 2 rounds of rounds.csv",
+            id="one_short",
+        ),
+        pytest.param(
+            [0.5, 0.5, 0.5],
+            "summary.json.accuracy_by_round: expected one entry per round, got 3 for 2 rounds of rounds.csv",
+            id="one_long",
+        ),
     ],
 )
 def test_report_corrupted_accuracies_fail_with_one_error_line(run_dir, capsys, accuracies, message):

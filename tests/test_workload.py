@@ -612,6 +612,26 @@ def test_a_failed_worker_raises_worker_failed(how, message):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize(
+    "serve",
+    [
+        # the caller's send may meet a closed connection or land before the
+        # worker exits; either way the caller finds the worker gone
+        pytest.param(lambda self, g, *ends: 0, id="at_once"),
+        # exits with the request unread, so the caller's read meets a reset connection
+        pytest.param(lambda self, g, conn: conn.poll(None) and 0, id="request_unread"),
+    ],
+)
+def test_a_worker_gone_before_its_first_request_raises_worker_failed(serve):
+    dataset, shards, seeds, params = random_clients([6, 9], 2, np.float32)
+    with groups_on(2), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload.ClientGroups, "_serve", serve)
+        with pytest.raises(WorkerFailed, match="^a client group's worker exited before its reply$"):
+            train_clients(params, dataset, shards, TrainConfig(local_epochs=1, batch_size=4), seeds)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def keep_aggregates(mp):
     """Patch `run_job`'s aggregation, within `mp`, to keep each round's
     aggregate in the list returned."""
@@ -629,8 +649,8 @@ def keep_aggregates(mp):
 @given(case=client_sets(), cores=st.integers(1, 4), num_rounds=st.integers(1, 5))
 def test_run_job_accuracies_are_each_rounds_evaluation(case, cores, num_rounds):
     # with k groups, each process evaluates every k-th round's aggregate, and
-    # a worker's floats come back over the pipe with the caller's bits.  Few
-    # examples: each forks
+    # a worker's floats come back over its connection with the caller's
+    # bits.  Few examples: each forks
     sizes, cfg, seed = case
     dataset, shards, _, _ = random_clients(sizes, seed, np.float32)
     with groups_on(cores), pytest.MonkeyPatch.context() as mp:
@@ -788,16 +808,18 @@ def test_theta_layout_is_chosen_from_one_clients_step_work(scenario, class_major
 
 
 def test_cli_import_leaves_out_what_the_worker_imports(tmp_path):
-    # `signal` is imported only to fork a worker, which a retina run never
-    # does; and the config parser sits below the engine: it loads no orchestrator
+    # `signal` and `multiprocessing` are imported only to fork a worker,
+    # which a retina run never does; and the config parser sits below the
+    # engine: it loads no orchestrator
     retina = f"greenfl.cli.main(['run', '--config', 'retina_gpuswap_h100', '--out', {str(tmp_path)!r}])"
     for module, unloaded in (
-        ("greenfl.cli", "signal"),
-        (f"greenfl.cli; {retina}", "signal"),
-        ("greenfl.config", "greenfl.orchestrator"),
+        ("greenfl.cli", ["signal", "multiprocessing"]),
+        (f"greenfl.cli; {retina}", ["signal", "multiprocessing"]),
+        ("greenfl.config", ["greenfl.orchestrator"]),
     ):
-        code = f"import sys, {module}; sys.exit({unloaded!r} in sys.modules)"
-        assert run_python("-c", code).returncode == 0, module
+        code = f"import sys, {module}; sys.exit(sorted(set({unloaded!r}) & set(sys.modules)) or 0)"
+        result = run_python("-c", code)
+        assert result.returncode == 0, (module, result.stderr)
 
 
 # the other call's [classes, features] differ from random_clients' default [3, 5]
