@@ -139,10 +139,10 @@ def cmd_report(args) -> int:
 
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["run", "site_id", "energy_kwh", "co2e_kg", "busy_s"])
-        for _, label, report, _ in runs:
+        writer.writerow(["dir", "run", "site_id", "energy_kwh", "co2e_kg", "busy_s"])
+        for run_dir, label, report, _ in runs:
             for site, t in report.per_site.items():
-                writer.writerow([label, site, repr(t.energy_kwh), repr(t.co2e_kg), repr(t.busy_s)])
+                writer.writerow([str(run_dir), label, site, repr(t.energy_kwh), repr(t.co2e_kg), repr(t.busy_s)])
         return EXIT_OK
 
     for run_dir, label, report, ratio in runs:
@@ -158,31 +158,44 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_whatif(args) -> int:
-    records = read_run_dir(args.in_dir)
+def _whatif_variants(args) -> list[tuple[str, float]]:
+    """(region code, intensity) of each variant of `whatif`, the code empty
+    for `--ci`; every variant is checked before any runs."""
     if args.ci is not None:
         if not (math.isfinite(args.ci) and args.ci >= 0):
             raise ConfigError("ci", "carbon intensity must be finite and >= 0")
-        ci = args.ci + 0.0  # reads -0.0 as 0.0
-    elif args.region in BUILTIN_REGIONS:
-        ci = BUILTIN_REGIONS[args.region].ci_kg_per_kwh
-    else:
-        raise ConfigError("region", f"unknown region {args.region!r}")
-    mapping = {code: ci for code in region_cis(records)}  # regions in first-seen row order
-    remapped = remap_grid_intensity(records, mapping)
-    report = summarize_run(remapped)
+        return [("", args.ci + 0.0)]  # reads -0.0 as 0.0
+    codes = sorted(BUILTIN_REGIONS) if args.region == ["all"] else args.region
+    for code in codes:
+        if code not in BUILTIN_REGIONS:
+            raise ConfigError("region", f"unknown region {code!r}")
+    return [(code, BUILTIN_REGIONS[code].ci_kg_per_kwh) for code in codes]
+
+
+def cmd_whatif(args) -> int:
+    records = read_run_dir(args.in_dir)
+    variants = _whatif_variants(args)
     original = summarize_run(records)
-    print(json.dumps(
+    regions = region_cis(records)  # in first-seen row order
+    results = [
+        (code, ci, summarize_run(remap_grid_intensity(records, dict.fromkeys(regions, ci)))) for code, ci in variants
+    ]
+    if args.format == "csv":
+        print("region,ci_kg_per_kwh,total_energy_kwh,total_co2e_kg")
+        for code, ci, report in results:
+            print(f"{code},{ci!r},{report.total_energy_kwh!r},{report.total_co2e_kg!r}")
+        return EXIT_OK
+    entries = [
         {
-            "ci_kg_per_kwh": mapping,
+            "ci_kg_per_kwh": dict.fromkeys(regions, ci),
             "original_total_co2e_kg": original.total_co2e_kg,
             "remapped_total_co2e_kg": report.total_co2e_kg,
             "total_energy_kwh": report.total_energy_kwh,
             "per_site_co2e_kg": {site: t.co2e_kg + t.comm_co2e_kg for site, t in report.per_site.items()},
-        },
-        indent=2,
-        allow_nan=False,
-    ))
+        }
+        for _, ci, report in results
+    ]
+    print(json.dumps(entries[0] if len(entries) == 1 else entries, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -213,11 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_rep.set_defaults(func=cmd_report)
 
-    p_what = sub.add_parser("whatif", help="remap a run's emissions to another grid intensity")
+    p_what = sub.add_parser("whatif", help="remap a run's emissions to other grid intensities")
     p_what.add_argument("--in", dest="in_dir", required=True, help="run directory")
     group = p_what.add_mutually_exclusive_group(required=True)
     group.add_argument("--ci", type=float, default=None, help="carbon intensity, kg CO2e per kWh")
-    group.add_argument("--region", default=None, help="region code from the builtin intensity table")
+    group.add_argument("--region", nargs="+", default=None, metavar="CODE", help="builtin region codes, or all")
+    p_what.add_argument("--format", choices=("json", "csv"), default="json")
     p_what.set_defaults(func=cmd_whatif)
 
     p_cal = sub.add_parser("calibrate", help="fit tier knobs to published per-round means")

@@ -15,6 +15,7 @@ from greenfl.config import build_shards, bundled_config_path, load_json, parse_c
 from greenfl.errors import ConfigError
 from greenfl.reporting import RunReport, SiteTotals
 from greenfl.runner import plan_run
+from greenfl.sites import BUILTIN_REGIONS
 
 from conftest import ROOT, fail_in_the_worker, run_python, small_doc
 
@@ -165,15 +166,15 @@ def test_report_csv_quotes_its_cells(tmp_path, capsys):
     assert main(["report", "--in", str(out), "--format", "csv"]) == 0
     text = capsys.readouterr().out
     header, *rows = csv.reader(io.StringIO(text))
-    assert header == ["run", "site_id", "energy_kwh", "co2e_kg", "busy_s"]
+    assert header == ["dir", "run", "site_id", "energy_kwh", "co2e_kg", "busy_s"]
     per_site = json.loads((out / "summary.json").read_text())["per_site"]
-    assert sorted(row[1] for row in rows) == sorted(ids)
-    for label, site, *values in rows:
-        assert label == "high"
+    assert sorted(row[2] for row in rows) == sorted(ids)
+    for run, label, site, *values in rows:
+        assert (run, label) == (str(out), "high")
         want = per_site[site]
         assert [float(v) for v in values] == [want["energy_kwh"], want["co2e_kg"], want["busy_s"]]
     plain = per_site["site-2"]
-    assert f"high,site-2,{plain['energy_kwh']!r},{plain['co2e_kg']!r},{plain['busy_s']!r}\n" in text
+    assert f"{out},high,site-2,{plain['energy_kwh']!r},{plain['co2e_kg']!r},{plain['busy_s']!r}\n" in text
 
 
 def test_report_empty_directory(tmp_path):
@@ -389,27 +390,49 @@ def test_report_text_and_csv_do_not_read_the_accuracies(run_dir, capsys, fmt):
     assert capsys.readouterr() == intact
 
 
-def run_grid_whatif(run_dir):
-    return run_python(ROOT / "scripts" / "grid_whatif.py", run_dir)
-
-
-def test_grid_whatif_script_fails_with_one_error_line(run_dir, tmp_path):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    missing = run_grid_whatif(empty)
-    assert (missing.returncode, missing.stdout) == (2, "")
-    assert missing.stderr == f"error: run_dir: {empty} does not contain rounds.csv\n"
-
+@pytest.mark.parametrize(
+    "edit, regions, code, prefix",
+    [
+        pytest.param(Path.unlink, ["all"], 2, "error: in: {dir} does not contain rounds.csv\n", id="no-rounds-csv"),
+        pytest.param(
+            lambda path: path.write_text(path.read_text().replace("energy_kwh", "energy_j", 1)),
+            ["all"],
+            1,
+            "error: ",
+            id="renamed-header",
+        ),
+        pytest.param(
+            lambda path: path.write_bytes(b"run_id\xff\n"), ["all"], 1, "error: {csv} is not UTF-8: ", id="not-utf8"
+        ),
+        # every code is checked before the first variant prints
+        pytest.param(None, ["FRA", "ATLANTIS"], 2, "error: region: unknown region 'ATLANTIS'\n", id="unknown-region"),
+    ],
+)
+def test_whatif_fails_with_one_error_line(run_dir, capsys, edit, regions, code, prefix):
     csv_path = run_dir / "rounds.csv"
-    csv_path.write_text(csv_path.read_text().replace("energy_kwh", "energy_j", 1))
-    bad = run_grid_whatif(run_dir)
-    assert (bad.returncode, bad.stdout) == (1, "")
-    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, bad.stderr
+    if edit is not None:
+        edit(csv_path)
+    assert main(["whatif", "--in", str(run_dir), "--region", *regions, "--format", "csv"]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(prefix.format(dir=run_dir, csv=csv_path)) and out.err.count("\n") == 1, out.err
 
-    csv_path.write_bytes(b"run_id\xff\n")
-    undecodable = run_grid_whatif(run_dir)
-    assert (undecodable.returncode, undecodable.stdout) == (1, "")
-    assert undecodable.stderr.startswith(f"error: {csv_path} is not UTF-8: ") and undecodable.stderr.count("\n") == 1
+
+def test_whatif_prints_an_entry_or_a_row_per_variant(run_dir, capsys):
+    def whatif(*argv):
+        assert main(["whatif", "--in", str(run_dir), *argv]) == 0
+        return capsys.readouterr().out
+
+    # several variants print the array of what each prints alone, in order
+    singles = {code: json.loads(whatif("--region", code)) for code in BUILTIN_REGIONS}
+    assert json.loads(whatif("--region", "SWE", "FRA", "SWE")) == [singles["SWE"], singles["FRA"], singles["SWE"]]
+    assert json.loads(whatif("--region", "all")) == [singles[code] for code in sorted(BUILTIN_REGIONS)]
+    # a --ci row leaves its region empty
+    single = json.loads(whatif("--ci", "0.5"))
+    assert whatif("--ci", "0.5", "--format", "csv") == (
+        "region,ci_kg_per_kwh,total_energy_kwh,total_co2e_kg\n"
+        f",0.5,{single['total_energy_kwh']!r},{single['remapped_total_co2e_kg']!r}\n"
+    )
 
 
 def test_whatif_unknown_region(run_dir, capsys):

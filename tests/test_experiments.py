@@ -36,12 +36,13 @@ def greenfl(*argv) -> str:
 @pytest.fixture(scope="session")
 def experiment_runs(tmp_path_factory):
     """Runs a and b of both experiment scripts and of the reports of the tier
-    runs: the CSV and JSON reports, `grid_whatif.py`'s CSV of the high run
-    and `whatif --region FRA`.  What each prints is saved in the run's
-    root, with that root replaced by `OUT`.  Each script runs in its own
-    process, and run b's are pinned to one core, so they train every client
-    in one group in the calling process, while run a trains a second group
-    of the cifar clients in a worker process where it has two cores."""
+    runs: the CSV and JSON reports, and the high run's `whatif --region all
+    --format csv` and `whatif --region FRA`.  What each prints is saved in
+    the run's root, with that root replaced by `OUT`.  Each script runs in
+    its own process, and run b's are pinned to one core, so they train
+    every client in one group in the calling process, while run a trains a
+    second group of the cifar clients in a worker process where it has two
+    cores."""
     base = tmp_path_factory.mktemp("experiments")
     one_core = {min(os.sched_getaffinity(0))}
     for name, pin in (("a", None), ("b", lambda: os.sched_setaffinity(0, one_core))):
@@ -59,7 +60,7 @@ def experiment_runs(tmp_path_factory):
             "run_gpuswap.out": script("run_gpuswap.py", "--out", root / "gpuswap"),
             "report.csv": greenfl("report", "--format", "csv", "--in", *tiers),
             "report.json": greenfl("report", "--format", "json", "--in", *tiers),
-            "whatif.csv": script("grid_whatif.py", tiers[0]),
+            "whatif.csv": greenfl("whatif", "--in", tiers[0], "--region", "all", "--format", "csv"),
             "whatif_fra.json": greenfl("whatif", "--in", tiers[0], "--region", "FRA"),
         }
         for file, text in outputs.items():
@@ -93,7 +94,14 @@ def test_csv_report_is_a_row_per_site_of_each_tier_run(experiment_runs):
     with open(experiment_runs / "a" / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     # a header and 3 runs x 6 sites
-    assert len(rows) == 19 and all(len(row) == 5 for row in rows), rows
+    assert len(rows) == 19 and all(len(row) == 6 for row in rows), rows
+    # runs that share a label keep apart by their `dir` cell
+    runs = experiment_runs / "a" / "gpuswap"
+    text = greenfl("report", "--format", "csv", "--in", runs / "h100", runs / "v100")
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header[:2] == ["dir", "run"]
+    assert {row[1] for row in rows} == {"high"}
+    assert {row[0] for row in rows} == {str(runs / "h100"), str(runs / "v100")}
 
 
 def load_bench_pairs():

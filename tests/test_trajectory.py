@@ -198,6 +198,21 @@ PINNED_SHA256 = {
     },
 }
 
+# sha256 of the stdout of `whatif` on the cifar_tiers_high run at its seed,
+# 0; both read the ledger alone, so neither depends on the BLAS build
+PINNED_WHATIF_SHA256 = {
+    "--region FRA": "3196694deebed44144feb4887398cbe6980a4d1496dd226f3178603676ef7517",
+    "--region all --format csv": "961f7b159aaf8e99280b18100328b8b8c8fca6c0f671b988bac5614db87e8c98",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_WHATIF_SHA256)
+def test_whatif_stdout_is_pinned(argv, tmp_path, capsys):
+    records, _ = plan_run(load_config(bundled_config_path("cifar_tiers_high")))
+    (tmp_path / "rounds.csv").write_text(write_round_log(records), encoding="utf-8")
+    assert main(["whatif", "--in", str(tmp_path), *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == PINNED_WHATIF_SHA256[argv]
+
 
 @pytest.mark.parametrize("scenario", BUNDLED)
 def test_warm_run_is_byte_identical_to_cold_run(scenario, tmp_path):
